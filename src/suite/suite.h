@@ -31,4 +31,10 @@ const std::vector<BenchProgram>& benchmark_suite();
 /// Look up one program by name; asserts it exists.
 const BenchProgram& suite_program(const std::string& name);
 
+/// Figure 6's TRACK NLFILT/300-style kernel: 20 invocations of a loop that
+/// scatters through a run-time subscript array.  Strides coprime to 2000
+/// yield permutations (the loop is parallel); strides 10 and 15 collide
+/// (the 10% of invocations the PD test sends back to serial execution).
+extern const char* const kTrackSource;
+
 }  // namespace polaris
