@@ -1,20 +1,49 @@
 #include "interp/interp.h"
 
 #include <cmath>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "dep/access.h"
-#include "parser/parser.h"
 
 namespace polaris {
 
+enum class Intrinsic {
+  Abs, Max, Min, Mod, Sqrt, Exp, Log, Log10, Sin, Cos, Tan, Atan, Atan2,
+  Sign, Int, Nint, Real, Dble, Iand, Ior, Ieor,
+};
+
 namespace {
 
+/// Fortran integer power.  Square-and-multiply in unsigned arithmetic, so
+/// a huge exponent takes O(log exp) steps and an overflowing result wraps
+/// instead of being undefined.  A negative exponent means 1/base**|exp|
+/// truncated toward zero: 0 for |base| > 1, and +-1 for base +-1.
 std::int64_t ipow(std::int64_t base, std::int64_t exp) {
-  p_assert_msg(exp >= 0, "negative integer exponent");
-  std::int64_t r = 1;
-  for (std::int64_t i = 0; i < exp; ++i) r *= base;
-  return r;
+  if (exp < 0) {
+    if (base == 0)
+      throw UserError("zero raised to a negative integer power");
+    if (base == 1) return 1;
+    if (base == -1) return exp % 2 == 0 ? 1 : -1;
+    return 0;
+  }
+  std::uint64_t result = 1;
+  std::uint64_t b = static_cast<std::uint64_t>(base);
+  for (auto e = static_cast<std::uint64_t>(exp); e != 0; e >>= 1) {
+    if (e & 1) result *= b;
+    b *= b;
+  }
+  return static_cast<std::int64_t>(result);
+}
+
+/// The DO variable's value once the loop has run to completion:
+/// init + trips*step, trips = max(0, (limit - init + step) / step).
+std::int64_t do_exit_value(std::int64_t init, std::int64_t limit,
+                           std::int64_t step) {
+  std::int64_t trips = std::max<std::int64_t>(0, (limit - init + step) / step);
+  return init + trips * step;
 }
 
 std::string format_value(const Value& v) {
@@ -24,6 +53,28 @@ std::string format_value(const Value& v) {
   os.precision(9);
   os << v.as_real();
   return os.str();
+}
+
+/// One hash probe on the parser's canonical intrinsic name (aliases such
+/// as dsqrt are already folded by canonical_intrinsic); nullopt for a user
+/// function.
+std::optional<Intrinsic> find_intrinsic(const std::string& name) {
+  static const std::unordered_map<std::string_view, Intrinsic> table = {
+      {"abs", Intrinsic::Abs},     {"max", Intrinsic::Max},
+      {"min", Intrinsic::Min},     {"mod", Intrinsic::Mod},
+      {"sqrt", Intrinsic::Sqrt},   {"exp", Intrinsic::Exp},
+      {"log", Intrinsic::Log},     {"log10", Intrinsic::Log10},
+      {"sin", Intrinsic::Sin},     {"cos", Intrinsic::Cos},
+      {"tan", Intrinsic::Tan},     {"atan", Intrinsic::Atan},
+      {"atan2", Intrinsic::Atan2}, {"sign", Intrinsic::Sign},
+      {"int", Intrinsic::Int},     {"nint", Intrinsic::Nint},
+      {"real", Intrinsic::Real},   {"dble", Intrinsic::Dble},
+      {"iand", Intrinsic::Iand},   {"ior", Intrinsic::Ior},
+      {"ieor", Intrinsic::Ieor},
+  };
+  auto it = table.find(name);
+  if (it == table.end()) return std::nullopt;
+  return it->second;
 }
 
 }  // namespace
@@ -48,7 +99,7 @@ RunResult Interpreter::run() {
   segment_cost_ = 0;
   cost_acc_ = &segment_cost_;
   ProgramUnit* main = program_.main();
-  Frame frame;
+  Frame frame(main->symtab().size());
   init_frame(*main, frame);
   UnitResult r;
   execute_unit(*main, frame, &r);
@@ -189,8 +240,7 @@ Interpreter::UnitResult Interpreter::execute_statement(ProgramUnit& unit,
         UnitResult r = execute_range(unit, frame, d->next(), d->follow());
         if (r.returned || r.stopped) return r;
       }
-      idx->scalar = Value::integer(
-          step > 0 ? std::max(init, limit + step) : std::min(init, limit + step));
+      idx->scalar = Value::integer(do_exit_value(init, limit, step));
       s = d->follow()->next();
       return {};
     }
@@ -316,8 +366,7 @@ Value Interpreter::eval(ProgramUnit& unit, Frame& frame,
       Cell* cell = frame.lookup(ref.symbol());
       p_assert_msg(cell != nullptr && cell->is_array,
                    "array not bound: " + ref.symbol()->name());
-      std::vector<std::int64_t> subs = eval_subscripts(unit, frame, ref);
-      std::size_t flat = cell->array.flat_index(subs);
+      std::size_t flat = element_index(unit, frame, ref, cell->array);
       charge(costs_.mem);
       auto shadow = shadows_.find(ref.symbol());
       if (shadow != shadows_.end()) shadow->second->record_read(flat);
@@ -400,7 +449,8 @@ Value Interpreter::eval(ProgramUnit& unit, Frame& frame,
     }
     case ExprKind::FuncCall: {
       const auto& f = static_cast<const FuncCall&>(e);
-      if (is_intrinsic_name(f.name())) return eval_intrinsic(unit, frame, f);
+      if (std::optional<Intrinsic> k = find_intrinsic(f.name()))
+        return eval_intrinsic(unit, frame, *k, f);
       return eval_user_function(unit, frame, f);
     }
     case ExprKind::Wildcard:
@@ -410,100 +460,91 @@ Value Interpreter::eval(ProgramUnit& unit, Frame& frame,
 }
 
 Value Interpreter::eval_intrinsic(ProgramUnit& unit, Frame& frame,
-                                  const FuncCall& f) {
+                                  Intrinsic k, const FuncCall& f) {
   charge(costs_.intrinsic);
-  std::vector<Value> args;
-  args.reserve(f.args().size());
-  for (const ExprPtr& a : f.args()) args.push_back(eval(unit, frame, *a));
-  const std::string& name = f.name();
-  auto arity = [&](size_t n) {
-    p_assert_msg(args.size() == n, "bad arity for intrinsic " + name);
-  };
-  if (name == "abs") {
-    arity(1);
-    if (args[0].is_integer())
-      return Value::integer(std::abs(args[0].as_int()));
-    return Value::real(std::fabs(args[0].as_real()));
-  }
-  if (name == "max" || name == "min") {
-    p_assert_msg(args.size() >= 2, "bad arity for " + name);
-    bool all_int = true;
-    for (const Value& v : args) all_int = all_int && v.is_integer();
-    if (all_int) {
-      std::int64_t r = args[0].as_int();
-      for (const Value& v : args)
-        r = name == "max" ? std::max(r, v.as_int())
-                          : std::min(r, v.as_int());
-      return Value::integer(r);
+  const std::vector<ExprPtr>& exprs = f.args();
+  if (k == Intrinsic::Max || k == Intrinsic::Min) {
+    // Folded in argument order; the result is integer iff every argument
+    // is.
+    p_assert_msg(exprs.size() >= 2, "bad arity for " + f.name());
+    const bool is_max = k == Intrinsic::Max;
+    Value v = eval(unit, frame, *exprs[0]);
+    bool all_int = v.is_integer();
+    std::int64_t ir = all_int ? v.as_int() : 0;
+    double rr = v.as_real();
+    for (std::size_t i = 1; i < exprs.size(); ++i) {
+      v = eval(unit, frame, *exprs[i]);
+      all_int = all_int && v.is_integer();
+      if (all_int)
+        ir = is_max ? std::max(ir, v.as_int()) : std::min(ir, v.as_int());
+      rr = is_max ? std::max(rr, v.as_real()) : std::min(rr, v.as_real());
     }
-    double r = args[0].as_real();
-    for (const Value& v : args)
-      r = name == "max" ? std::max(r, v.as_real())
-                        : std::min(r, v.as_real());
-    return Value::real(r);
+    return all_int ? Value::integer(ir) : Value::real(rr);
   }
-  if (name == "mod") {
-    arity(2);
-    if (args[0].is_integer() && args[1].is_integer()) {
-      p_assert_msg(args[1].as_int() != 0, "mod by zero");
-      return Value::integer(args[0].as_int() % args[1].as_int());
-    }
-    return Value::real(std::fmod(args[0].as_real(), args[1].as_real()));
+
+  // Every other intrinsic takes one or two arguments.
+  const bool binary = k == Intrinsic::Mod || k == Intrinsic::Atan2 ||
+                      k == Intrinsic::Sign || k == Intrinsic::Iand ||
+                      k == Intrinsic::Ior || k == Intrinsic::Ieor;
+  p_assert_msg(exprs.size() == (binary ? 2u : 1u),
+               "bad arity for intrinsic " + f.name());
+  Value a[2];
+  for (std::size_t i = 0; i < exprs.size(); ++i)
+    a[i] = eval(unit, frame, *exprs[i]);
+  switch (k) {
+    case Intrinsic::Abs:
+      if (a[0].is_integer()) return Value::integer(std::abs(a[0].as_int()));
+      return Value::real(std::fabs(a[0].as_real()));
+    case Intrinsic::Mod:
+      if (a[0].is_integer() && a[1].is_integer()) {
+        p_assert_msg(a[1].as_int() != 0, "mod by zero");
+        return Value::integer(a[0].as_int() % a[1].as_int());
+      }
+      return Value::real(std::fmod(a[0].as_real(), a[1].as_real()));
+    case Intrinsic::Sqrt: return Value::real(std::sqrt(a[0].as_real()));
+    case Intrinsic::Exp: return Value::real(std::exp(a[0].as_real()));
+    case Intrinsic::Log: return Value::real(std::log(a[0].as_real()));
+    case Intrinsic::Log10: return Value::real(std::log10(a[0].as_real()));
+    case Intrinsic::Sin: return Value::real(std::sin(a[0].as_real()));
+    case Intrinsic::Cos: return Value::real(std::cos(a[0].as_real()));
+    case Intrinsic::Tan: return Value::real(std::tan(a[0].as_real()));
+    case Intrinsic::Atan: return Value::real(std::atan(a[0].as_real()));
+    case Intrinsic::Atan2:
+      return Value::real(std::atan2(a[0].as_real(), a[1].as_real()));
+    case Intrinsic::Sign:
+      if (a[0].is_integer() && a[1].is_integer()) {
+        std::int64_t m = std::abs(a[0].as_int());
+        return Value::integer(a[1].as_int() >= 0 ? m : -m);
+      }
+      return Value::real(a[1].as_real() >= 0 ? std::fabs(a[0].as_real())
+                                            : -std::fabs(a[0].as_real()));
+    case Intrinsic::Int: return Value::integer(a[0].as_int());
+    case Intrinsic::Nint: return Value::integer(std::llround(a[0].as_real()));
+    case Intrinsic::Real:
+    case Intrinsic::Dble: return Value::real(a[0].as_real());
+    case Intrinsic::Iand:
+      return Value::integer(a[0].as_int() & a[1].as_int());
+    case Intrinsic::Ior:
+      return Value::integer(a[0].as_int() | a[1].as_int());
+    case Intrinsic::Ieor:
+      return Value::integer(a[0].as_int() ^ a[1].as_int());
+    case Intrinsic::Max:
+    case Intrinsic::Min:
+      break;  // folded above
   }
-  if (name == "sqrt") { arity(1); return Value::real(std::sqrt(args[0].as_real())); }
-  if (name == "exp") { arity(1); return Value::real(std::exp(args[0].as_real())); }
-  if (name == "log") { arity(1); return Value::real(std::log(args[0].as_real())); }
-  if (name == "log10") { arity(1); return Value::real(std::log10(args[0].as_real())); }
-  if (name == "sin") { arity(1); return Value::real(std::sin(args[0].as_real())); }
-  if (name == "cos") { arity(1); return Value::real(std::cos(args[0].as_real())); }
-  if (name == "tan") { arity(1); return Value::real(std::tan(args[0].as_real())); }
-  if (name == "atan") { arity(1); return Value::real(std::atan(args[0].as_real())); }
-  if (name == "atan2") {
-    arity(2);
-    return Value::real(std::atan2(args[0].as_real(), args[1].as_real()));
-  }
-  if (name == "sign") {
-    arity(2);
-    if (args[0].is_integer() && args[1].is_integer()) {
-      std::int64_t m = std::abs(args[0].as_int());
-      return Value::integer(args[1].as_int() >= 0 ? m : -m);
-    }
-    double m = std::fabs(args[0].as_real());
-    return Value::real(args[1].as_real() >= 0 ? m : -m);
-  }
-  if (name == "int") {
-    arity(1);
-    return Value::integer(args[0].as_int());
-  }
-  if (name == "nint") {
-    arity(1);
-    return Value::integer(std::llround(args[0].as_real()));
-  }
-  if (name == "real") { arity(1); return Value::real(args[0].as_real()); }
-  if (name == "dble") { arity(1); return Value::real(args[0].as_real()); }
-  if (name == "iand") {
-    arity(2);
-    return Value::integer(args[0].as_int() & args[1].as_int());
-  }
-  if (name == "ior") {
-    arity(2);
-    return Value::integer(args[0].as_int() | args[1].as_int());
-  }
-  if (name == "ieor") {
-    arity(2);
-    return Value::integer(args[0].as_int() ^ args[1].as_int());
-  }
-  p_assert_msg(false, "unimplemented intrinsic " + name);
+  p_unreachable("bad intrinsic");
 }
 
-std::vector<std::int64_t> Interpreter::eval_subscripts(ProgramUnit& unit,
-                                                       Frame& frame,
-                                                       const ArrayRef& ref) {
-  std::vector<std::int64_t> subs;
-  subs.reserve(ref.subscripts().size());
-  for (const ExprPtr& s : ref.subscripts())
-    subs.push_back(eval(unit, frame, *s).as_int());
-  return subs;
+std::size_t Interpreter::element_index(ProgramUnit& unit, Frame& frame,
+                                       const ArrayRef& ref,
+                                       const ArrayStorage& array) {
+  const std::vector<ExprPtr>& exprs = ref.subscripts();
+  p_assert_msg(exprs.size() <= kMaxArrayRank,
+               "array rank above 7: " + ref.symbol()->name());
+  std::int64_t subs[kMaxArrayRank] = {};
+  for (std::size_t d = 0; d < exprs.size(); ++d)
+    subs[d] = eval(unit, frame, *exprs[d]).as_int();
+  return array.flat_index(subs, exprs.size());
 }
 
 void Interpreter::store(ProgramUnit& unit, Frame& frame,
@@ -521,8 +562,7 @@ void Interpreter::store(ProgramUnit& unit, Frame& frame,
   Cell* cell = frame.lookup(ref.symbol());
   p_assert_msg(cell != nullptr && cell->is_array,
                "bad array store to " + ref.symbol()->name());
-  std::vector<std::int64_t> subs = eval_subscripts(unit, frame, ref);
-  std::size_t flat = cell->array.flat_index(subs);
+  std::size_t flat = element_index(unit, frame, ref, cell->array);
   auto shadow = shadows_.find(ref.symbol());
   if (shadow != shadows_.end()) shadow->second->record_write(flat);
   (*cell->array.data)[flat] = v.coerce_to(ref.symbol()->type());
@@ -548,7 +588,7 @@ bool Interpreter::run_call(ProgramUnit& unit, Frame& frame,
   p_assert_msg(call.args().size() == callee->formals().size(),
                "argument count mismatch calling " + call.name());
 
-  Frame inner;
+  Frame inner(callee->symtab().size());
   std::vector<CopyBack> copybacks;
   std::vector<std::unique_ptr<Cell>> temps;
 
@@ -584,8 +624,7 @@ bool Interpreter::run_call(ProgramUnit& unit, Frame& frame,
       const auto& aref = static_cast<const ArrayRef&>(actual);
       Cell* cell = frame.lookup(aref.symbol());
       p_assert(cell != nullptr && cell->is_array);
-      std::vector<std::int64_t> subs = eval_subscripts(unit, frame, aref);
-      std::size_t flat = cell->array.flat_index(subs);
+      std::size_t flat = element_index(unit, frame, aref, cell->array);
       if (formal->is_array()) {
         // Array section starting at the element.
         auto view = std::make_unique<Cell>();
@@ -639,7 +678,7 @@ Value Interpreter::eval_user_function(ProgramUnit& unit, Frame& frame,
   p_assert_msg(f.args().size() == callee->formals().size(),
                "argument count mismatch calling " + f.name());
 
-  Frame inner;
+  Frame inner(callee->symtab().size());
   std::vector<std::unique_ptr<Cell>> temps;
   for (size_t i = 0; i < f.args().size(); ++i) {
     Symbol* formal = callee->formals()[i];
@@ -725,8 +764,7 @@ Interpreter::UnitResult Interpreter::run_parallel_loop(
       break;
     }
   }
-  idx->scalar = Value::integer(
-      step > 0 ? std::max(init, limit + step) : std::min(init, limit + step));
+  idx->scalar = Value::integer(do_exit_value(init, limit, step));
   in_parallel_ = false;
 
   std::uint64_t serial_sum = 0;
@@ -823,8 +861,7 @@ Interpreter::UnitResult Interpreter::run_speculative_loop(
                                        reduction_elements(frame, d),
                                        d->par.lastvalue_vars.size());
     result_.clock.parallel += par + pd_cost + checkpoint_cost;
-    idx->scalar = Value::integer(step > 0 ? std::max(init, limit + step)
-                                          : std::min(init, limit + step));
+    idx->scalar = Value::integer(do_exit_value(init, limit, step));
     return out;
   }
 
@@ -854,8 +891,7 @@ Interpreter::UnitResult Interpreter::run_speculative_loop(
   }
   cost_acc_ = saved_acc;
   result_.clock.parallel += rerun_cost;
-  idx->scalar = Value::integer(step > 0 ? std::max(init, limit + step)
-                                        : std::min(init, limit + step));
+  idx->scalar = Value::integer(do_exit_value(init, limit, step));
   return r2;
 }
 

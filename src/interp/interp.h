@@ -47,6 +47,8 @@ struct RunResult {
   bool stopped = false;              ///< STOP executed
 };
 
+enum class Intrinsic;  // interp.cpp: the intrinsics the interpreter runs
+
 class Interpreter {
  public:
   explicit Interpreter(Program& program, MachineConfig config = {},
@@ -75,11 +77,14 @@ class Interpreter {
                             Cell* cell);
 
   Value eval(ProgramUnit& unit, Frame& frame, const Expression& e);
-  Value eval_intrinsic(ProgramUnit& unit, Frame& frame, const FuncCall& f);
+  Value eval_intrinsic(ProgramUnit& unit, Frame& frame, Intrinsic k,
+                       const FuncCall& f);
   Value eval_user_function(ProgramUnit& unit, Frame& frame,
                            const FuncCall& f);
-  std::vector<std::int64_t> eval_subscripts(ProgramUnit& unit, Frame& frame,
-                                            const ArrayRef& ref);
+  /// Evaluates `ref`'s subscripts into a fixed kMaxArrayRank buffer and
+  /// returns the element's flat index in `array`.
+  std::size_t element_index(ProgramUnit& unit, Frame& frame,
+                            const ArrayRef& ref, const ArrayStorage& array);
   void store(ProgramUnit& unit, Frame& frame, const Expression& lhs,
              Value v);
   /// Returns true if the callee executed STOP.

@@ -2,13 +2,12 @@
 
 namespace polaris {
 
-std::size_t ArrayStorage::flat_index(
-    const std::vector<std::int64_t>& subs) const {
-  p_assert_msg(subs.size() == bounds.size(),
-               "subscript rank mismatch at run time");
+std::size_t ArrayStorage::flat_index(const std::int64_t* subs,
+                                     std::size_t rank) const {
+  p_assert_msg(rank == bounds.size(), "subscript rank mismatch at run time");
   std::int64_t index = 0;
   std::int64_t stride = 1;
-  for (std::size_t d = 0; d < subs.size(); ++d) {
+  for (std::size_t d = 0; d < rank; ++d) {
     const auto& [lo, hi] = bounds[d];
     p_assert_msg(subs[d] >= lo && subs[d] <= hi,
                  "array subscript out of declared bounds");
@@ -38,23 +37,20 @@ Cell* CommonStore::create(const std::string& block, const std::string& name) {
 
 Cell* Frame::create_local(Symbol* sym) {
   p_assert(sym != nullptr);
-  p_assert_msg(!bound(sym), "symbol already bound: " + sym->name());
-  auto cell = std::make_unique<Cell>();
-  Cell* raw = cell.get();
-  owned_.push_back(std::move(cell));
-  cells_[sym] = raw;
-  return raw;
+  owned_.push_back(std::make_unique<Cell>());
+  bind(sym, owned_.back().get());
+  return owned_.back().get();
 }
 
 void Frame::bind(Symbol* sym, Cell* cell) {
   p_assert(sym != nullptr && cell != nullptr);
-  p_assert_msg(!bound(sym), "symbol already bound: " + sym->name());
-  cells_[sym] = cell;
-}
-
-Cell* Frame::lookup(Symbol* sym) const {
-  auto it = cells_.find(sym);
-  return it == cells_.end() ? nullptr : it->second;
+  auto slot = static_cast<std::size_t>(sym->slot());
+  p_assert_msg(slot < syms_.size(),
+               "symbol outside the frame's unit: " + sym->name());
+  p_assert_msg(syms_[slot] == nullptr,
+               "frame slot already bound: " + sym->name());
+  syms_[slot] = sym;
+  cells_[slot] = cell;
 }
 
 }  // namespace polaris

@@ -28,13 +28,9 @@ struct ArrayStorage {
     return n;
   }
 
-  /// Column-major (Fortran) flat index of a subscript tuple; bounds
-  /// checked with p_assert.
-  std::size_t flat_index(const std::vector<std::int64_t>& subs) const;
-
-  Value& at(const std::vector<std::int64_t>& subs) {
-    return (*data)[flat_index(subs)];
-  }
+  /// Column-major (Fortran) flat index of the `rank` subscripts at
+  /// `subs`; rank and bounds checked with p_assert.
+  std::size_t flat_index(const std::int64_t* subs, std::size_t rank) const;
 };
 
 /// One variable's storage: scalar or array.
@@ -56,20 +52,32 @@ class CommonStore {
       cells_;
 };
 
-/// One activation frame: maps symbols to cells.  Cells for locals are
+/// One activation frame: maps symbols to cells through their dense
+/// SymbolTable::slot, so every lookup is two vector reads.  The symbol
+/// bound at each slot is kept beside the cell: a symbol of another unit
+/// that shares the slot number looks up as null.  Cells for locals are
 /// owned by the frame; formals and commons point elsewhere.
 class Frame {
  public:
+  /// A frame for a unit whose symbol table holds `slots` symbols.
+  explicit Frame(std::size_t slots) : syms_(slots), cells_(slots) {}
+
   /// Binds `sym` to frame-owned storage.
   Cell* create_local(Symbol* sym);
   /// Binds `sym` to external storage (argument/common aliasing).
   void bind(Symbol* sym, Cell* cell);
 
-  Cell* lookup(Symbol* sym) const;
-  bool bound(Symbol* sym) const { return cells_.count(sym) > 0; }
+  Cell* lookup(const Symbol* sym) const {
+    // An undeclared symbol's slot of -1 wraps past every frame size.
+    auto slot = static_cast<std::size_t>(sym->slot());
+    return slot < syms_.size() && syms_[slot] == sym ? cells_[slot]
+                                                     : nullptr;
+  }
+  bool bound(const Symbol* sym) const { return lookup(sym) != nullptr; }
 
  private:
-  SymbolMap<Cell*> cells_;
+  std::vector<const Symbol*> syms_;
+  std::vector<Cell*> cells_;
   std::vector<std::unique_ptr<Cell>> owned_;
 };
 

@@ -39,6 +39,7 @@ Symbol* SymbolTable::declare(const std::string& name, Type type,
                "duplicate symbol declaration: " + key);
   auto sym = std::make_unique<Symbol>(key, type, kind);
   Symbol* raw = sym.get();
+  raw->slot_ = static_cast<int>(order_.size());
   table_.emplace(key, std::move(sym));
   order_.push_back(raw);
   return raw;
@@ -71,7 +72,8 @@ void SymbolTable::remove(Symbol* sym) {
                "removing symbol not owned by this table: " + sym->name());
   auto pos = std::find(order_.begin(), order_.end(), sym);
   p_assert(pos != order_.end());
-  order_.erase(pos);
+  for (auto later = order_.erase(pos); later != order_.end(); ++later)
+    --(*later)->slot_;
   table_.erase(it);
 }
 

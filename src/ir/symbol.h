@@ -29,6 +29,11 @@ enum class SymbolKind {
   Intrinsic,   ///< intrinsic function (mod, min, max, abs, sqrt, ...)
 };
 
+/// Fortran 77's limit on the number of array dimensions.  The parser
+/// rejects larger declarations; the interpreter sizes its subscript buffer
+/// by it.
+constexpr std::size_t kMaxArrayRank = 7;
+
 /// One declared array dimension: lower and upper bound expressions.
 /// `upper == nullptr` means assumed size ('*', legal only for formals).
 struct Dimension {
@@ -65,6 +70,11 @@ class Symbol {
   /// in the process.  Nothing else may reassign ids.
   void set_id(int id) { id_ = id; }
 
+  /// Dense position in the owning table's declaration order (0..size-1),
+  /// kept dense across SymbolTable::remove; -1 before the symbol is
+  /// declared in a table.  The interpreter indexes activation frames by it.
+  int slot() const { return slot_; }
+
   bool is_array() const { return !dims_.empty(); }
   int rank() const { return static_cast<int>(dims_.size()); }
   const std::vector<Dimension>& dims() const { return dims_; }
@@ -88,10 +98,13 @@ class Symbol {
   void add_data_value(ExprPtr v);
 
  private:
+  friend class SymbolTable;  // assigns slot_
+
   std::string name_;
   Type type_;
   SymbolKind kind_;
   int id_;
+  int slot_ = -1;
   std::vector<Dimension> dims_;
   bool is_formal_ = false;
   std::string common_block_;
@@ -143,7 +156,8 @@ class SymbolTable {
 
   bool contains(const std::string& name) const;
 
-  /// Deterministic iteration in declaration order.
+  /// Deterministic iteration in declaration order; symbols()[i]->slot()
+  /// is i.
   const std::vector<Symbol*>& symbols() const { return order_; }
   std::size_t size() const { return order_.size(); }
 

@@ -384,6 +384,10 @@ class Parser {
       if (c.accept_punct(")")) break;
       c.expect_punct(",");
     }
+    if (dims.size() > kMaxArrayRank)
+      c.error("array declared with " + std::to_string(dims.size()) +
+              " dimensions (Fortran 77 allows at most " +
+              std::to_string(kMaxArrayRank) + ")");
     return dims;
   }
 

@@ -22,8 +22,6 @@ bool spec_matches(const std::string& pattern, const std::string& value) {
   return pattern == "*" || pattern == value;
 }
 
-thread_local FaultInjector* tls_injector = nullptr;
-
 }  // namespace
 
 InternalError::InternalError(const std::string& cond, const std::string& file,
@@ -158,13 +156,12 @@ bool FaultInjector::tick() {
   return true;
 }
 
-FaultInjector* FaultInjector::current() { return tls_injector; }
-
-FaultInjector::Scope::Scope(FaultInjector* injector) : prev_(tls_injector) {
-  tls_injector = injector;
+FaultInjector::Scope::Scope(FaultInjector* injector)
+    : prev_(detail::tls_injector) {
+  detail::tls_injector = injector;
 }
 
-FaultInjector::Scope::~Scope() { tls_injector = prev_; }
+FaultInjector::Scope::~Scope() { detail::tls_injector = prev_; }
 
 namespace detail {
 

@@ -24,8 +24,9 @@
 // independently.  Because p_assert sites are macros with no context
 // parameter, the active injector is reached through a thread-local pointer
 // (FaultInjector::current / FaultInjector::Scope) bound by the pass
-// manager around each pass invocation; an unbound thread pays one
-// predictable branch per site.
+// manager around each pass invocation.  The pointer is an inline
+// thread_local defined in this header, so an unbound thread pays one TLS
+// load and one predictable branch per site, with no call.
 #pragma once
 
 #include <stdexcept>
@@ -76,6 +77,13 @@ InjectionSpec parse_spec(const std::string& spec);
 
 }  // namespace fault
 
+class FaultInjector;
+
+namespace detail {
+/// The injector bound to the calling thread (see FaultInjector::Scope).
+inline thread_local FaultInjector* tls_injector = nullptr;
+}  // namespace detail
+
 /// One compilation's (or one unit shard's) fault-injection state: the
 /// armed spec plus the per-scope site counter.  Owned by a CompileContext;
 /// only ever driven by the thread currently bound to it.
@@ -115,7 +123,7 @@ class FaultInjector {
   /// The injector bound to the calling thread (null when none) — the
   /// bridge from p_assert macro sites, which cannot take a parameter, to
   /// the per-compile state.  Bind with FaultInjector::Scope.
-  static FaultInjector* current();
+  static FaultInjector* current() { return detail::tls_injector; }
 
   /// RAII thread binding.  Nested scopes restore the previous binding.
   class Scope {

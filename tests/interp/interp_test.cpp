@@ -54,6 +54,41 @@ TEST(InterpTest, NegativeStepAndZeroTrip) {
   EXPECT_EQ(r.output[0], "5 0");
 }
 
+TEST(InterpTest, DoVariableExitValueIsInitPlusTripsTimesStep) {
+  // Fortran: trips = max(0, (limit - init + step) / step) and the DO
+  // variable ends at init + trips*step, not past the limit by a full step.
+  auto r = run_src(
+      "      do i = 1, 9, 3\n"
+      "      end do\n"
+      "      do j = 10, 2, -3\n"
+      "      end do\n"
+      "      do m = 5, 1, 2\n"
+      "      end do\n"
+      "      do n = 0, 1, -1\n"
+      "      end do\n"
+      "      print *, i, j, m, n\n");
+  EXPECT_EQ(r.output[0], "10 1 5 0");
+}
+
+TEST(InterpTest, IntegerPowerFollowsFortranRules) {
+  // A negative exponent truncates 1/base**|exp| toward zero.  A 2e9
+  // exponent is ~31 squarings, and an overflowing power wraps.
+  auto r = run_src(
+      "      print *, 2**10, (-3)**3, 3**0, 0**0\n"
+      "      print *, 2**(-1), 1**(-5), (-1)**(-3), (-1)**(-4), (-2)**(-1)\n"
+      "      k = 2\n"
+      "      print *, k**2000000000, 2**62, (-1)**2000000001\n");
+  EXPECT_EQ(r.output[0], "1024 -27 1 1");
+  EXPECT_EQ(r.output[1], "0 1 -1 1 0");
+  EXPECT_EQ(r.output[2], "0 4611686018427387904 -1");
+}
+
+TEST(InterpTest, ZeroToNegativePowerIsUserError) {
+  EXPECT_THROW(run_src("      k = 0\n"
+                       "      print *, k**(-2)\n"),
+               UserError);
+}
+
 TEST(InterpTest, IfElseChain) {
   auto r = run_src(
       "      do i = 1, 4\n"
@@ -218,10 +253,18 @@ TEST(InterpTest, CommonBlocksShareStorage) {
 }
 
 TEST(InterpTest, Intrinsics) {
+  // max/min are integer only when every argument is; aliases (max0,
+  // dabs) reach the generic through the parser's canonical name.
   auto r = run_src(
       "      print *, abs(-3), max(2, 7, 5), min(1.5, 0.5), sqrt(16.0),\n"
-      "     &  sign(3, -1), nint(2.6)\n");
+      "     &  sign(3, -1), nint(2.6)\n"
+      "      print *, max(1, 2.5), min(2.5, 1), max0(1, 5, 3, 2, 9, 4, 7, 8),\n"
+      "     &  mod(-17, 5), mod(7.5, 2.0), dabs(-1.5d0), int(-3.7)\n"
+      "      print *, iand(12, 10), ior(12, 10), ieor(12, 10), real(7),\n"
+      "     &  sign(2.5, -1.0), log10(1000.0), atan2(0.0, 1.0)\n");
   EXPECT_EQ(r.output[0], "3 7 0.5 4 -3 3");
+  EXPECT_EQ(r.output[1], "2.5 1 9 -2 1.5 1.5 -3");
+  EXPECT_EQ(r.output[2], "8 14 6 7 -2.5 3 0");
 }
 
 TEST(InterpTest, StopTerminates) {

@@ -80,6 +80,23 @@ TEST(SymbolTest, DeclarationOrderPreserved) {
   EXPECT_EQ(t.symbols()[2]->name(), "m");
 }
 
+TEST(SymbolTest, SlotsStayDenseAcrossRemove) {
+  SymbolTable t;
+  Symbol* a = t.declare("a", Type::real(), SymbolKind::Variable);
+  Symbol* b = t.declare("b", Type::real(), SymbolKind::Variable);
+  Symbol* c = t.declare("c", Type::real(), SymbolKind::Variable);
+  EXPECT_EQ(a->slot(), 0);
+  EXPECT_EQ(b->slot(), 1);
+  EXPECT_EQ(c->slot(), 2);
+  t.remove(b);
+  EXPECT_EQ(a->slot(), 0);
+  EXPECT_EQ(c->slot(), 1);
+  Symbol* d = t.fresh("d", Type::real());
+  EXPECT_EQ(d->slot(), 2);
+  for (std::size_t i = 0; i < t.size(); ++i)
+    EXPECT_EQ(t.symbols()[i]->slot(), static_cast<int>(i));
+}
+
 TEST(SymbolTest, ParameterValueOwned) {
   SymbolTable t;
   Symbol* n = t.declare("n", Type::integer(), SymbolKind::Parameter);

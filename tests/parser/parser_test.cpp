@@ -270,6 +270,27 @@ TEST(ParserTest, RankMismatchIsUserError) {
                UserError);
 }
 
+TEST(ParserTest, RankAboveSevenIsPositionedUserError) {
+  // Fortran 77 allows at most 7 dimensions, in every declaration form.
+  EXPECT_NO_THROW(parse_program("      program t\n"
+                                "      real a(2,2,2,2,2,2,2)\n"
+                                "      end\n"));
+  for (const char* decl : {"      real a(2,2,2,2,2,2,2,2)\n",
+                           "      dimension a(2,2,2,2,2,2,2,2)\n",
+                           "      common /blk/ a(2,2,2,2,2,2,2,2)\n"}) {
+    try {
+      parse_program(std::string("      program t\n") + decl +
+                    "      end\n");
+      ADD_FAILURE() << "rank 8 accepted: " << decl;
+    } catch (const UserError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("at most 7"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ParserTest, TrfdStyleNest) {
   // The Figure 2 (TRFD) loop shape parses and preserves structure.
   auto p = parse_program(
