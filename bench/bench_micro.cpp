@@ -59,9 +59,9 @@ void BM_AtomIntern(benchmark::State& state) {
 }
 BENCHMARK(BM_AtomIntern);
 
-void BM_FromExprCached(benchmark::State& state) {
-  // Memoized canonicalization: after the first conversion, every interior
-  // node is a cache hit.
+void BM_FromExpr(benchmark::State& state) {
+  // The full recursive Expression->Polynomial conversion of the TRFD
+  // subscript difference.
   SymbolTable symtab;
   ExprPtr e = parse_expression(
       "(i*(n**2 + n) + j**2 - j)/2 + k + 1 - ((i+1)*(n**2+n))/2", symtab);
@@ -72,23 +72,7 @@ void BM_FromExprCached(benchmark::State& state) {
     benchmark::DoNotOptimize(&p);
   }
 }
-BENCHMARK(BM_FromExprCached);
-
-void BM_FromExprUncached(benchmark::State& state) {
-  // The same conversion with the cache disabled: the full recursive
-  // convert() every iteration, i.e. the pre-cache cost.
-  SymbolTable symtab;
-  ExprPtr e = parse_expression(
-      "(i*(n**2 + n) + j**2 - j)/2 + k + 1 - ((i+1)*(n**2+n))/2", symtab);
-  AtomTable table;
-  table.set_canon_cache_enabled(false);
-  AtomTable::Scope scope(&table);
-  for (auto _ : state) {
-    Polynomial p = Polynomial::from_expr(*e);
-    benchmark::DoNotOptimize(&p);
-  }
-}
-BENCHMARK(BM_FromExprUncached);
+BENCHMARK(BM_FromExpr);
 
 void BM_PolynomialMultiply(benchmark::State& state) {
   // Flat-term merge multiply on Figure 2-sized operands.

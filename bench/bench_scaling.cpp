@@ -40,8 +40,7 @@ std::string combined_suite_source() {
 }
 
 /// Best-of-3 wall-clock of one full compile with the given options
-/// (worker count, canonicalization cache, governor ceilings all ride on
-/// `opts`).  `degradations` receives the last round's event count when
+/// (worker count and governor ceilings ride on `opts`).  `degradations` receives the last round's event count when
 /// non-null.
 double compile_wall_ms_opts(const std::string& source, const Options& opts,
                             std::size_t* degradations = nullptr) {
@@ -59,12 +58,10 @@ double compile_wall_ms_opts(const std::string& source, const Options& opts,
   return best;
 }
 
-/// Legacy shape used by the jobs sweep and the canon-cache A/B.
-double compile_wall_ms(const std::string& source, int jobs,
-                       bool canon_cache = true) {
+/// The jobs sweep's shape: the standard battery at `jobs` workers.
+double compile_wall_ms(const std::string& source, int jobs) {
   Options opts = Options::polaris();
   opts.jobs = jobs;
-  opts.symbolic_canon_cache = canon_cache;
   return compile_wall_ms_opts(source, opts);
 }
 
@@ -170,36 +167,6 @@ int main() {
       "\nthe splitter's single linear scan stays sequential; everything\n"
       "after it — lexing, parsing, symbol construction — runs per unit\n"
       "on the persistent pool, then ids are renumbered in textual order.\n\n");
-
-  bench::heading("Symbolic engine: canonicalization cache off vs on (-jobs=1)");
-
-  // Interleaved A/B at a single worker count isolates the symbolic-kernel
-  // memoization from threading effects: `off` is the engine doing every
-  // Expression->Polynomial conversion from scratch, `on` the shipping
-  // configuration.  Both produce byte-identical artifacts.
-  double best_off = 0.0, best_on = 0.0;
-  for (int round = 0; round < 3; ++round) {
-    double off = compile_wall_ms(combined, 1, /*canon_cache=*/false);
-    double on = compile_wall_ms(combined, 1, /*canon_cache=*/true);
-    if (round == 0 || off < best_off) best_off = off;
-    if (round == 0 || on < best_on) best_on = on;
-  }
-  double cache_speedup = best_on == 0.0 ? 1.0 : best_off / best_on;
-  std::printf("%-12s %12s %9s\n", "canon cache", "wall ms", "speedup");
-  std::printf("%s\n", std::string(35, '-').c_str());
-  std::printf("%-12s %12.3f %9s\n", "off", best_off, "1.00");
-  std::printf("%-12s %12.3f %9.2f\n", "on", best_on, cache_speedup);
-
-  {
-    JsonValue row = bench_row("compile-canon-cache");
-    row.set("codes", JsonValue::num(
-                         static_cast<double>(benchmark_suite().size())));
-    row.set("jobs", JsonValue::num(1));
-    row.set("wall_ms_cache_off", JsonValue::num(best_off));
-    row.set("wall_ms_cache_on", JsonValue::num(best_on));
-    row.set("speedup", JsonValue::num(cache_speedup));
-    append_bench_row_env(row);
-  }
 
   bench::heading("Resource governor: governed vs ungoverned suite compile");
 

@@ -128,12 +128,6 @@ void AnalysisManager::invalidate(const PreservedAnalyses& pa) {
     facts_.clear();
     pair_facts_.clear();
   }
-  // The canonicalization cache lives in the thread-bound AtomTable (the
-  // shard's own under -jobs=N): cached polynomials describe the pre-pass
-  // IR, so any pass that does not explicitly preserve them drops them
-  // along with the other derived facts.
-  if (!pa.preserved(AnalysisID::CanonForms))
-    AtomTable::current().clear_canon_cache();
 }
 
 void AnalysisManager::invalidate_all() {
@@ -146,7 +140,6 @@ void AnalysisManager::clear_caches() {
   gsa_.clear();
   facts_.clear();
   pair_facts_.clear();
-  AtomTable::current().clear_canon_cache();
 }
 
 }  // namespace polaris

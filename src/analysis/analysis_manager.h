@@ -38,7 +38,6 @@ enum class AnalysisID : unsigned {
   StructureFacts = 0,  ///< region def/use sets, loop lists, invariance
   GsaFacts = 1,        ///< demand-driven GSA query engines
   FactContexts = 2,    ///< loop/guard FactContexts for symbolic proofs
-  CanonForms = 3,      ///< the AtomTable's Expression->Polynomial cache
 };
 
 /// A pass's declaration of which cached analyses survived it.

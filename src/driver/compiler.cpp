@@ -103,7 +103,6 @@ void Compiler::transform(Program& program, CompileReport* report,
   // from a previous compilation (which would skew canonical term order).
   // Unit shards bind their own tables on their worker threads.
   AtomTable atoms;
-  atoms.set_canon_cache_enabled(opts_.symbolic_canon_cache);
   AtomTable::Scope atom_scope(&atoms);
 
   // Arms only when Compiler::compile (or a test) hasn't already; the
@@ -126,8 +125,7 @@ void Compiler::transform(Program& program, CompileReport* report,
   // delta this transform burned, mirroring degradations_base.
   const ResourceGovernor& gov = cc.governor();
   const std::uint64_t fuel_base = gov.fuel_spent();
-  const std::uint64_t trips_base[4] = {
-      gov.trip_count(GovernorTrigger::PassBudget),
+  const std::uint64_t trips_base[kGovernorTriggers] = {
       gov.trip_count(GovernorTrigger::CompileFuel),
       gov.trip_count(GovernorTrigger::PolyTerms),
       gov.trip_count(GovernorTrigger::AtomCeiling)};
@@ -141,14 +139,12 @@ void Compiler::transform(Program& program, CompileReport* report,
   // must be recomputed from the options, not read off the meter.
   rep.resource.fuel_limit = limits_from_options(opts_).fuel;
   rep.resource.fuel_spent = gov.fuel_spent() - fuel_base;
-  rep.resource.trips_pass_budget =
-      gov.trip_count(GovernorTrigger::PassBudget) - trips_base[0];
   rep.resource.trips_compile_fuel =
-      gov.trip_count(GovernorTrigger::CompileFuel) - trips_base[1];
+      gov.trip_count(GovernorTrigger::CompileFuel) - trips_base[0];
   rep.resource.trips_poly_terms =
-      gov.trip_count(GovernorTrigger::PolyTerms) - trips_base[2];
+      gov.trip_count(GovernorTrigger::PolyTerms) - trips_base[1];
   rep.resource.trips_atom_ceiling =
-      gov.trip_count(GovernorTrigger::AtomCeiling) - trips_base[3];
+      gov.trip_count(GovernorTrigger::AtomCeiling) - trips_base[2];
 
   // The structural verifier always runs once after the pipeline (not just
   // under -verify-each): corrupted IR must never escape into the printed

@@ -82,13 +82,11 @@ struct CompileReport {
   std::vector<DegradationEvent> degradations;
   /// Governor fuel accounting for this compile: the installed limit, the
   /// ticks this compile burned, and how often each ceiling tripped.  All
-  /// zero for an ungoverned compile.  Fuel and the symbolic-ceiling trips
-  /// are deterministic fuel-site counts (jobs-invariant); pass-budget
-  /// trips follow wall time like PassFailure::Kind::Budget records do.
+  /// zero for an ungoverned compile; all deterministic fuel-site counts
+  /// (jobs-invariant).
   struct ResourceUsage {
     std::uint64_t fuel_limit = 0;
     std::uint64_t fuel_spent = 0;
-    std::uint64_t trips_pass_budget = 0;
     std::uint64_t trips_compile_fuel = 0;
     std::uint64_t trips_poly_terms = 0;
     std::uint64_t trips_atom_ceiling = 0;

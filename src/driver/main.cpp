@@ -1,93 +1,22 @@
 // The `polaris` command-line driver: source-to-source restructuring of
-// PF77 files, like the original compiler's front door.
+// PF77 files, like the original compiler's front door.  Every flag is one
+// row of kFlags below; `polaris` with no arguments prints the table.
 //
-//   polaris file.f                 annotated parallel source to stdout
-//   polaris -report file.f         per-loop analysis report
-//   polaris -diag file.f           full pass diagnostics
-//   polaris -baseline file.f       run the 1996-compiler battery instead
-//   polaris -omp file.f            emit OpenMP directives instead of csrd$
-//   polaris -run [-p N] file.f     execute on the simulated N-processor
-//                                  machine (default 8) and print speedup
-//   polaris -seq file.f            execute sequentially (reference)
-//   polaris -passes=SPEC file.f    run a custom pass pipeline, e.g.
-//                                  -passes=constprop,normalize,doall
-//   polaris -timing file.f         per-pass wall time, IR deltas, and
-//                                  analysis-cache hit rates
-//   polaris -jobs=N file.f         restructure program units on N worker
-//                                  threads (default 1; also settable via
-//                                  the POLARIS_JOBS env var; capped at the
-//                                  machine's hardware concurrency).  Every
-//                                  report artifact is byte-identical to a
-//                                  -jobs=1 run.
-//   polaris -rangetest-max-permutations=N file.f
-//                                  cap the range test at N fixed-subset
-//                                  masks per query, tried in counter-guided
-//                                  order (popcount buckets ranked by the
-//                                  unit's observed proof successes).  The
-//                                  default keeps the legacy enumeration.
-//   polaris -no-canon-cache file.f disable the symbolic canonicalization
-//                                  cache (debug/bench mode; results are
-//                                  byte-identical either way)
-//
-// Observability layer:
-//   polaris -trace=FILE file.f         write a Chrome trace (chrome://tracing
-//                                      / Perfetto) of the whole compile; also
-//                                      settable via the POLARIS_TRACE env var
-//   polaris -stats file.f              dump every statistic counter the
-//                                      compile incremented
-//   polaris -remarks=FILE file.f       stream structured optimization remarks
-//                                      (JSONL; `-` for stdout)
-//   polaris -report-json=FILE file.f   serialize the whole compile report as
-//                                      stable-schema JSON (`-` for stdout)
-//   polaris -profile-dir=DIR           compile every suite code (no file.f
-//                                      needed) and drop per-code
-//                                      <code>.report.json /
-//                                      <code>.remarks.jsonl /
-//                                      <code>.trace.json artifacts into DIR
-//                                      — the input set for
-//                                      `polaris-insight aggregate`.  Codes
-//                                      are fanned over the `-jobs` pool.
-// -remarks / -report-json / -stats also read POLARIS_REMARKS /
-// POLARIS_REPORT_JSON / POLARIS_STATS env vars when the flag is absent
-// (flag wins; POLARIS_STATS takes 1/true/on/yes or 0/false/off/no).
-//
-// Fault isolation (robustness layer):
-//   polaris -verify-each file.f        run the IR verifier after every pass
-//   polaris -fault-inject=P[:U[:N]]    force the Nth assertion in pass P on
-//                                      unit U to fire (also settable via the
-//                                      POLARIS_FAULT_INJECT env var)
-//   polaris -pass-budget-ms=N          roll back any pass exceeding N ms
-//                                      on a unit
-//   polaris -no-recover                disable rollback: the first pass
-//                                      fault aborts (exit 3) and writes a
-//                                      repro bundle to polaris-crash-<unit>.f
-//
-// Resource governor (see support/governor.h):
-//   polaris -compile-budget-ms=N       whole-compile budget as deterministic
-//                                      fuel (N x 50000 logical work ticks);
-//                                      exhaustion degrades, never aborts
-//   polaris -max-poly-terms=N          ceiling on any one symbolic
-//                                      polynomial's term count
-//   polaris -max-atoms-per-unit=N      ceiling on the per-unit atom table
-//   polaris -no-degrade                disable the degradation ladder: a
-//                                      resource trip at a pass boundary
-//                                      drops the pass immediately instead
-//                                      of retrying on cheaper switches
-// Each governor flag (and -pass-budget-ms) also reads a POLARIS_* env var
-// of the same spelling (POLARIS_COMPILE_BUDGET_MS, POLARIS_MAX_POLY_TERMS,
-// POLARIS_MAX_ATOMS_PER_UNIT, POLARIS_PASS_BUDGET_MS) when the flag is
-// absent.
-//
-// A recovered fault still exits 0: the program compiles without the failed
-// pass's transformation on that unit, and a warning goes to stderr.
-#include <algorithm>
+// Exit status: 0 ok (a recovered pass fault still exits 0 with a warning
+// on stderr), 1 user error (bad flag value, bad pipeline spec, unreadable
+// file, output that differs from the sequential reference), 2 usage
+// (unknown flag, missing value, no input), 3 internal error.
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -100,17 +29,231 @@
 
 namespace {
 
+using polaris::CompilerMode;
+using polaris::Options;
+using polaris::UserError;
+
+/// Everything the command line decides: the compiler's Options plus the
+/// driver's own modes and outputs.
+struct Settings {
+  CompilerMode mode = CompilerMode::Polaris;
+  Options opts = Options::polaris();
+  bool report = false, diag = false, omp = false, run = false, seq = false;
+  bool timing = false, stats = false;
+  int processors = 8;
+  std::string remarks_path, report_json_path, profile_dir;
+};
+
+/// How a flag takes its value: none (`-report`), text after `=`
+/// (`-trace=FILE`), a validated integer or millisecond count after `=`,
+/// or `-p`'s integer in the next argument.
+enum class Kind { Presence, String, Integer, Millis, Separate };
+
+/// A validated value: the raw text, plus `n` for Integer and Separate
+/// rows or `ms` for Millis rows.
+struct Value {
+  std::string text;
+  int n = 0;
+  double ms = 0.0;
+};
+
+struct Flag {
+  const char* spelling;  ///< as printed: "-report", "-jobs=N", "-p N"
+  const char* env;       ///< POLARIS_* fallback when the flag is absent
+  Kind kind;
+  const char* help;
+  void (*set)(Settings&, const Value&);
+};
+
+/// The hardware-concurrency cap on `-jobs`: extra workers only add
+/// contention, and output is independent of the worker count anyway.
+/// Audible, not silent, so CI logs show why -jobs=32 did not scale.
+int cap_jobs(int n) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0 || n <= static_cast<int>(hw)) return n;
+  std::fprintf(stderr,
+               "polaris: note: -jobs=%d capped to this machine's %u "
+               "hardware thread%s\n",
+               n, hw, hw == 1 ? "" : "s");
+  return static_cast<int>(hw);
+}
+
+// Rows are applied in table order, not argv order.  -baseline comes first
+// because the compiler mode picks the Options defaults later rows edit.
+const Flag kFlags[] = {
+    {"-baseline", nullptr, Kind::Presence,
+     "run the 1996-compiler battery instead of Polaris's",
+     [](Settings& s, const Value&) {
+       s.mode = CompilerMode::Baseline;
+       s.opts = Options::baseline();
+     }},
+    {"-report", nullptr, Kind::Presence, "per-loop analysis report",
+     [](Settings& s, const Value&) { s.report = true; }},
+    {"-diag", nullptr, Kind::Presence, "full pass diagnostics",
+     [](Settings& s, const Value&) { s.diag = true; }},
+    {"-omp", nullptr, Kind::Presence,
+     "emit OpenMP directives instead of csrd$",
+     [](Settings& s, const Value&) { s.omp = true; }},
+    {"-run", nullptr, Kind::Presence,
+     "execute on the simulated machine and print the speedup",
+     [](Settings& s, const Value&) { s.run = true; }},
+    {"-p N", nullptr, Kind::Separate,
+     "processors of the simulated machine for -run (default 8)",
+     [](Settings& s, const Value& v) { s.processors = v.n; }},
+    {"-seq", nullptr, Kind::Presence,
+     "execute sequentially (the reference run)",
+     [](Settings& s, const Value&) { s.seq = true; }},
+    {"-passes=SPEC", nullptr, Kind::String,
+     "custom pass pipeline, e.g. constprop,normalize,doall",
+     [](Settings& s, const Value& v) {
+       polaris::PassPipeline::parse(v.text);  // reject bad specs up front
+       s.opts.pipeline_spec = v.text;
+     }},
+    {"-timing", nullptr, Kind::Presence,
+     "per-pass wall time, IR deltas and analysis-cache hit rates",
+     [](Settings& s, const Value&) { s.timing = true; }},
+    {"-jobs=N", "POLARIS_JOBS", Kind::Integer,
+     "restructure units on N threads (capped at the hardware's); "
+     "output is identical at any N",
+     [](Settings& s, const Value& v) { s.opts.jobs = cap_jobs(v.n); }},
+    {"-rangetest-max-permutations=N", nullptr, Kind::Integer,
+     "try at most N range-test masks per query, in counter-guided order",
+     [](Settings& s, const Value& v) {
+       s.opts.rangetest_max_permutations = v.n;
+     }},
+    {"-trace=FILE", "POLARIS_TRACE", Kind::String,
+     "write a Chrome trace of the compile",
+     [](Settings& s, const Value& v) { s.opts.trace_path = v.text; }},
+    {"-stats", "POLARIS_STATS", Kind::Presence,
+     "print every statistic counter the compile moved",
+     [](Settings& s, const Value&) { s.stats = true; }},
+    {"-remarks=FILE", "POLARIS_REMARKS", Kind::String,
+     "stream optimization remarks as JSONL (- for stdout)",
+     [](Settings& s, const Value& v) { s.remarks_path = v.text; }},
+    {"-report-json=FILE", "POLARIS_REPORT_JSON", Kind::String,
+     "write the compile report as JSON (- for stdout)",
+     [](Settings& s, const Value& v) { s.report_json_path = v.text; }},
+    {"-profile-dir=DIR", nullptr, Kind::String,
+     "compile every suite code into per-code artifacts in DIR (no file.f)",
+     [](Settings& s, const Value& v) { s.profile_dir = v.text; }},
+    {"-verify-each", nullptr, Kind::Presence,
+     "run the IR verifier after every pass",
+     [](Settings& s, const Value&) { s.opts.verify_each = true; }},
+    {"-fault-inject=SPEC", "POLARIS_FAULT_INJECT", Kind::String,
+     "SPEC = P[:U[:N]]: fire the Nth assertion of pass P on unit U",
+     [](Settings& s, const Value& v) { s.opts.fault_inject = v.text; }},
+    {"-no-recover", nullptr, Kind::Presence,
+     "abort on a pass fault (exit 3), writing polaris-crash-<unit>.f",
+     [](Settings& s, const Value&) { s.opts.fault_recovery = false; }},
+    {"-compile-budget-ms=N", "POLARIS_COMPILE_BUDGET_MS", Kind::Millis,
+     "whole-compile budget as deterministic fuel; exhaustion degrades",
+     [](Settings& s, const Value& v) { s.opts.compile_budget_ms = v.ms; }},
+    {"-max-poly-terms=N", "POLARIS_MAX_POLY_TERMS", Kind::Integer,
+     "ceiling on any one polynomial's term count",
+     [](Settings& s, const Value& v) { s.opts.max_poly_terms = v.n; }},
+    {"-max-atoms-per-unit=N", "POLARIS_MAX_ATOMS_PER_UNIT", Kind::Integer,
+     "ceiling on the per-unit atom table",
+     [](Settings& s, const Value& v) { s.opts.max_atoms_per_unit = v.n; }},
+    {"-no-degrade", nullptr, Kind::Presence,
+     "drop a pass at its first resource trip, skipping cheaper retries",
+     [](Settings& s, const Value&) { s.opts.degradation_ladder = false; }},
+};
+
 int usage() {
   std::fprintf(stderr,
-               "usage: polaris [-report] [-diag] [-baseline] [-omp] [-run] "
-               "[-seq] [-p N] [-passes=SPEC] [-jobs=N] [-timing] [-verify-each] "
-               "[-fault-inject=SPEC] [-pass-budget-ms=N] [-no-recover] "
-               "[-compile-budget-ms=N] [-max-poly-terms=N] "
-               "[-max-atoms-per-unit=N] [-no-degrade] "
-               "[-rangetest-max-permutations=N] [-no-canon-cache] "
-               "[-trace=FILE] [-stats] [-remarks=FILE] [-report-json=FILE] "
-               "[-profile-dir=DIR] file.f\n");
+               "usage: polaris [flag...] file.f\n"
+               "       polaris [flag...] -profile-dir=DIR\n");
+  for (const Flag& f : kFlags)
+    std::fprintf(stderr, "  %-30s %-26s %s\n", f.spelling,
+                 f.env != nullptr ? f.env : "", f.help);
+  std::fprintf(stderr,
+               "A POLARIS_* variable supplies its flag when the flag is "
+               "absent; POLARIS_STATS takes 1/true/on/yes or "
+               "0/false/off/no.\n");
   return 2;
+}
+
+/// The spelling without its metavar: "-jobs" for "-jobs=N".
+std::string flag_name(const Flag& f) {
+  const std::string spelling = f.spelling;
+  return spelling.substr(0, spelling.find_first_of("= "));
+}
+
+/// The row `arg` spells, with any `=` value stored in `value`; null for an
+/// unknown flag (including a `=` flag written without its `=`).
+const Flag* match_flag(const std::string& arg, std::string& value) {
+  for (const Flag& f : kFlags) {
+    const std::string name = flag_name(f);
+    if (f.kind == Kind::Presence || f.kind == Kind::Separate) {
+      if (arg == name) return &f;
+    } else if (arg.compare(0, name.size() + 1, name + "=") == 0) {
+      value = arg.substr(name.size() + 1);
+      return &f;
+    }
+  }
+  return nullptr;
+}
+
+[[noreturn]] void invalid(const Flag& f, const std::string& value,
+                          const char* env, const char* expected) {
+  throw UserError("invalid " + flag_name(f) + " value '" + value + "'" +
+                  (env != nullptr ? std::string(" from ") + env : "") +
+                  " (expected " + expected + ")");
+}
+
+/// The one integer validator: a decimal integer in [1, 2^31 - 1], fully
+/// consumed — "4junk" is an error, not 4, and nothing wraps.
+int parse_int(const Flag& f, const std::string& value, const char* env) {
+  long long n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < 1 || n > INT_MAX)
+    invalid(f, value, env, "an integer in [1, 2147483647]");
+  return static_cast<int>(n);
+}
+
+/// The millisecond validator: a decimal number in (0, 2^31 - 1],
+/// fractions allowed.
+double parse_budget_ms(const Flag& f, const std::string& value,
+                       const char* env) {
+  double ms = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, ms);
+  if (ec != std::errc() || ptr != end || !(ms > 0.0) || ms > INT_MAX)
+    invalid(f, value, env, "a number of milliseconds in (0, 2147483647]");
+  return ms;
+}
+
+/// A presence flag's env var: the usual on/off vocabulary.
+bool parse_switch(const Flag& f, const std::string& value, const char* env) {
+  if (value == "1" || value == "true" || value == "on" || value == "yes")
+    return true;
+  if (value == "0" || value == "false" || value == "off" || value == "no")
+    return false;
+  invalid(f, value, env, "1/true/on/yes or 0/false/off/no");
+}
+
+/// Validates `text` by the row's kind and hands it to the row's setter.
+/// `env` names the variable the text came from; null for argv.
+void apply(const Flag& f, const std::string& text, const char* env,
+           Settings& s) {
+  Value v;
+  v.text = text;
+  switch (f.kind) {
+    case Kind::Presence:
+      if (env != nullptr && !parse_switch(f, text, env)) return;
+      break;
+    case Kind::String:
+      break;
+    case Kind::Integer:
+    case Kind::Separate:
+      v.n = parse_int(f, text, env);
+      break;
+    case Kind::Millis:
+      v.ms = parse_budget_ms(f, text, env);
+      break;
+  }
+  f.set(s, v);
 }
 
 /// Writes the crash repro bundle (unit source + pipeline spec) next to the
@@ -131,226 +274,50 @@ void write_crash_bundle(const polaris::CompileReport::CrashInfo& ci) {
   std::fprintf(stderr, "polaris: repro bundle written to %s\n", path.c_str());
 }
 
-/// Parses and validates a `-jobs=` / POLARIS_JOBS value.  Rejects
-/// anything but a positive decimal integer; values beyond the machine's
-/// hardware concurrency are capped (extra workers only add contention,
-/// and output is jobs-count independent anyway).
-int parse_jobs(const std::string& value) {
-  std::size_t pos = 0;
-  long n = 0;
-  try {
-    n = std::stol(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (value.empty() || pos != value.size() || n < 1)
-    throw polaris::UserError("invalid -jobs value '" + value +
-                             "' (expected a positive integer)");
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0 && n > static_cast<long>(hw)) {
-    // Audible, not silent: a capped request is honored differently than
-    // written, and that should be visible in CI logs when someone wonders
-    // why -jobs=32 did not scale.
-    std::fprintf(stderr,
-                 "polaris: note: -jobs=%ld capped to this machine's %u "
-                 "hardware thread%s\n",
-                 n, hw, hw == 1 ? "" : "s");
-    n = static_cast<long>(hw);
-  }
-  return static_cast<int>(n);
-}
-
-/// Parses and validates a `-p N` processor count for the simulated
-/// machine.  Same contract as every other numeric flag: a positive
-/// decimal integer, fully consumed — "-p 4junk" is an error, not 4, and
-/// an out-of-range value is rejected instead of overflowing.
-int parse_processors(const std::string& value) {
-  std::size_t pos = 0;
-  long n = 0;
-  try {
-    n = std::stol(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (value.empty() || pos != value.size() || n < 1 || n > 2147483647)
-    throw polaris::UserError("invalid -p value '" + value +
-                             "' (expected a positive integer)");
-  return static_cast<int>(n);
-}
-
-/// Parses and validates a `-rangetest-max-permutations=` value: a positive
-/// decimal integer (the legacy enumeration has no flag spelling — omit the
-/// switch to keep it).
-int parse_rangetest_cap(const std::string& value) {
-  std::size_t pos = 0;
-  long n = 0;
-  try {
-    n = std::stol(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (value.empty() || pos != value.size() || n < 1)
-    throw polaris::UserError(
-        "invalid -rangetest-max-permutations value '" + value +
-        "' (expected a positive integer)");
-  return static_cast<int>(n);
-}
-
-/// Parses and validates a governor ceiling (`-max-poly-terms=`,
-/// `-max-atoms-per-unit=`, or its POLARIS_* env spelling).  Accepted
-/// range: a decimal integer >= 1 (omit the switch for unlimited; 0 is
-/// rejected rather than silently meaning "off").
-int parse_ceiling(const char* flag, const std::string& value) {
-  std::size_t pos = 0;
-  long n = 0;
-  try {
-    n = std::stol(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (value.empty() || pos != value.size() || n < 1)
-    throw polaris::UserError("invalid " + std::string(flag) + " value '" +
-                             value +
-                             "' (expected an integer in range [1, 2^31))");
-  return static_cast<int>(std::min<long>(n, 2147483647));
-}
-
-/// Parses and validates a budget (`-compile-budget-ms=` or the
-/// POLARIS_COMPILE_BUDGET_MS / POLARIS_PASS_BUDGET_MS env spelling).
-/// Accepted range: a decimal number > 0 (fractional ms allowed; omit the
-/// switch for unlimited).
-double parse_budget_ms(const char* flag, const std::string& value) {
-  std::size_t pos = 0;
-  double ms = 0.0;
-  try {
-    ms = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (value.empty() || pos != value.size() || !(ms > 0.0))
-    throw polaris::UserError("invalid " + std::string(flag) + " value '" +
-                             value +
-                             "' (expected a number greater than 0)");
-  return ms;
-}
-
-/// Env-var fallback: returns the flag value when given, else the env var's
-/// value when set, else "".
-std::string flag_or_env(const std::string& flag_value, const char* env_name) {
-  if (!flag_value.empty()) return flag_value;
-  if (const char* env = std::getenv(env_name)) return env;
-  return std::string();
-}
-
-/// Parses a boolean env value (POLARIS_STATS).  The flag spelling is
-/// presence-only, so the env var gets the usual on/off vocabulary; empty
-/// means unset (off).
-bool parse_bool_env(const char* name, const std::string& value) {
-  if (value == "1" || value == "true" || value == "on" || value == "yes")
-    return true;
-  if (value.empty() || value == "0" || value == "false" || value == "off" ||
-      value == "no")
-    return false;
-  throw polaris::UserError("invalid " + std::string(name) + " value '" +
-                           value +
-                           "' (expected 1/true/on/yes or 0/false/off/no)");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace polaris;
 
-  bool report_mode = false, diag_mode = false, baseline = false;
-  bool run_mode = false, seq_mode = false, omp = false, timing = false;
-  bool passes_given = false;
-  bool verify_each = false, no_recover = false;
-  bool stats_mode = false, no_canon_cache = false, no_degrade = false;
-  double pass_budget_ms = 0.0;
-  int processors = 8;
-  std::string path, passes_spec, fault_inject, jobs_arg, rangetest_cap_arg;
-  std::string processors_arg;
-  std::string trace_path, remarks_path, report_json_path, profile_dir;
-  std::string compile_budget_arg, max_poly_arg, max_atoms_arg;
-  std::string pass_budget_env, stats_env;
-
+  // Argv: every argument is a kFlags spelling or the input file; the last
+  // occurrence of a flag wins.
+  constexpr std::size_t kRows = std::size(kFlags);
+  std::vector<std::optional<std::string>> given(kRows);
+  std::string path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "-report") == 0) report_mode = true;
-    else if (std::strcmp(argv[i], "-diag") == 0) diag_mode = true;
-    else if (std::strcmp(argv[i], "-baseline") == 0) baseline = true;
-    else if (std::strcmp(argv[i], "-run") == 0) run_mode = true;
-    else if (std::strcmp(argv[i], "-omp") == 0) omp = true;
-    else if (std::strcmp(argv[i], "-seq") == 0) seq_mode = true;
-    else if (std::strcmp(argv[i], "-timing") == 0) timing = true;
-    else if (std::strcmp(argv[i], "-verify-each") == 0) verify_each = true;
-    else if (std::strcmp(argv[i], "-no-recover") == 0) no_recover = true;
-    else if (std::strcmp(argv[i], "-stats") == 0) stats_mode = true;
-    else if (std::strncmp(argv[i], "-trace=", 7) == 0)
-      trace_path = argv[i] + 7;
-    else if (std::strncmp(argv[i], "-remarks=", 9) == 0)
-      remarks_path = argv[i] + 9;
-    else if (std::strncmp(argv[i], "-report-json=", 13) == 0)
-      report_json_path = argv[i] + 13;
-    else if (std::strncmp(argv[i], "-profile-dir=", 13) == 0)
-      profile_dir = argv[i] + 13;
-    else if (std::strncmp(argv[i], "-fault-inject=", 14) == 0)
-      fault_inject = argv[i] + 14;
-    else if (std::strncmp(argv[i], "-pass-budget-ms=", 16) == 0) {
-      pass_budget_ms = std::atof(argv[i] + 16);
-      if (pass_budget_ms <= 0.0) return usage();
+    const std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      path = arg;
+      continue;
     }
-    else if (std::strncmp(argv[i], "-passes=", 8) == 0) {
-      passes_given = true;
-      passes_spec = argv[i] + 8;
+    std::string value;
+    const Flag* f = match_flag(arg, value);
+    if (f == nullptr) return usage();
+    if (f->kind == Kind::Separate) {
+      if (i + 1 == argc) return usage();
+      value = argv[++i];
     }
-    else if (std::strncmp(argv[i], "-jobs=", 6) == 0)
-      jobs_arg = argv[i] + 6;
-    else if (std::strncmp(argv[i], "-rangetest-max-permutations=", 28) == 0)
-      rangetest_cap_arg = argv[i] + 28;
-    else if (std::strncmp(argv[i], "-compile-budget-ms=", 19) == 0)
-      compile_budget_arg = argv[i] + 19;
-    else if (std::strncmp(argv[i], "-max-poly-terms=", 16) == 0)
-      max_poly_arg = argv[i] + 16;
-    else if (std::strncmp(argv[i], "-max-atoms-per-unit=", 20) == 0)
-      max_atoms_arg = argv[i] + 20;
-    else if (std::strcmp(argv[i], "-no-degrade") == 0)
-      no_degrade = true;
-    else if (std::strcmp(argv[i], "-no-canon-cache") == 0)
-      no_canon_cache = true;
-    else if (std::strcmp(argv[i], "-p") == 0 && i + 1 < argc)
-      processors_arg = argv[++i];
-    else if (argv[i][0] == '-') {
-      return usage();
-    } else {
-      path = argv[i];
+    given[static_cast<std::size_t>(f - kFlags)] = value;
+  }
+
+  // Validation and env fallback: a flag on the command line wins over its
+  // POLARIS_* variable; an empty variable counts as unset.
+  Settings s;
+  try {
+    for (std::size_t k = 0; k < kRows; ++k) {
+      const Flag& f = kFlags[k];
+      if (given[k]) {
+        apply(f, *given[k], nullptr, s);
+      } else if (f.env != nullptr) {
+        const char* env = std::getenv(f.env);
+        if (env != nullptr && *env != '\0') apply(f, env, f.env, s);
+      }
     }
+  } catch (const UserError& e) {
+    std::fprintf(stderr, "polaris: %s\n", e.what());
+    return 1;
   }
-  if (path.empty() && profile_dir.empty()) return usage();
-  if (fault_inject.empty()) {
-    if (const char* env = std::getenv("POLARIS_FAULT_INJECT"))
-      fault_inject = env;
-  }
-  if (trace_path.empty()) {
-    if (const char* env = std::getenv("POLARIS_TRACE")) trace_path = env;
-  }
-  if (jobs_arg.empty()) {
-    if (const char* env = std::getenv("POLARIS_JOBS")) jobs_arg = env;
-  }
-  // Observability outputs get the same flag-wins-over-env treatment as
-  // POLARIS_TRACE.  POLARIS_STATS is a boolean, validated below inside the
-  // try block so a bad value gets a flag-grade UserError.
-  remarks_path = flag_or_env(remarks_path, "POLARIS_REMARKS");
-  report_json_path = flag_or_env(report_json_path, "POLARIS_REPORT_JSON");
-  if (!stats_mode) stats_env = flag_or_env("", "POLARIS_STATS");
-  // Governor flags fall back to POLARIS_* env vars; validation happens
-  // below inside the try block so a bad env value gets the same UserError
-  // (with the accepted range) as a bad flag.
-  compile_budget_arg =
-      flag_or_env(compile_budget_arg, "POLARIS_COMPILE_BUDGET_MS");
-  max_poly_arg = flag_or_env(max_poly_arg, "POLARIS_MAX_POLY_TERMS");
-  max_atoms_arg = flag_or_env(max_atoms_arg, "POLARIS_MAX_ATOMS_PER_UNIT");
-  if (pass_budget_ms <= 0.0)
-    pass_budget_env = flag_or_env("", "POLARIS_PASS_BUDGET_MS");
+  if (path.empty() && s.profile_dir.empty()) return usage();
 
   std::string source;
   if (!path.empty()) {
@@ -366,10 +333,7 @@ int main(int argc, char** argv) {
 
   CompileReport report;
   try {
-    if (!stats_env.empty())
-      stats_mode = parse_bool_env("POLARIS_STATS", stats_env);
-    if (!processors_arg.empty()) processors = parse_processors(processors_arg);
-    if (seq_mode) {
+    if (s.seq) {
       auto prog = parse_program(source);
       RunResult r = run_program(*prog, MachineConfig{});
       for (const std::string& line : r.output)
@@ -379,66 +343,35 @@ int main(int argc, char** argv) {
       return r.stopped ? 1 : 0;
     }
 
-    CompilerMode mode =
-        baseline ? CompilerMode::Baseline : CompilerMode::Polaris;
-    Compiler compiler(mode);
-    if (passes_given) {
-      PassPipeline::parse(passes_spec);  // reject bad specs before compiling
-      compiler.options().pipeline_spec = passes_spec;
-    }
-    compiler.options().verify_each = verify_each;
-    compiler.options().fault_recovery = !no_recover;
-    compiler.options().pass_budget_ms = pass_budget_ms;
-    compiler.options().fault_inject = fault_inject;
-    compiler.options().trace_path = trace_path;
-    if (!jobs_arg.empty()) compiler.options().jobs = parse_jobs(jobs_arg);
-    if (!rangetest_cap_arg.empty())
-      compiler.options().rangetest_max_permutations =
-          parse_rangetest_cap(rangetest_cap_arg);
-    if (no_canon_cache) compiler.options().symbolic_canon_cache = false;
-    if (!compile_budget_arg.empty())
-      compiler.options().compile_budget_ms =
-          parse_budget_ms("-compile-budget-ms", compile_budget_arg);
-    if (!max_poly_arg.empty())
-      compiler.options().max_poly_terms =
-          parse_ceiling("-max-poly-terms", max_poly_arg);
-    if (!max_atoms_arg.empty())
-      compiler.options().max_atoms_per_unit =
-          parse_ceiling("-max-atoms-per-unit", max_atoms_arg);
-    if (!pass_budget_env.empty())
-      compiler.options().pass_budget_ms =
-          parse_budget_ms("-pass-budget-ms", pass_budget_env);
-    if (no_degrade) compiler.options().degradation_ladder = false;
-
     // Suite profiling replaces the single-file compile: the full option
-    // set above applies to every code, then the process exits.
-    if (!profile_dir.empty())
-      return run_profile_suite(profile_dir, compiler.options());
+    // set applies to every code, then the process exits.
+    if (!s.profile_dir.empty())
+      return run_profile_suite(s.profile_dir, s.opts);
 
-    auto prog = compiler.compile(source, &report);
+    auto prog = Compiler(s.opts).compile(source, &report);
 
-    if (!remarks_path.empty()) {
-      if (remarks_path == "-") {
+    if (!s.remarks_path.empty()) {
+      if (s.remarks_path == "-") {
         report.diagnostics.print_remarks(std::cout);
       } else {
-        std::ofstream out(remarks_path);
+        std::ofstream out(s.remarks_path);
         if (!out) {
           std::fprintf(stderr, "polaris: cannot write %s\n",
-                       remarks_path.c_str());
+                       s.remarks_path.c_str());
           return 1;
         }
         report.diagnostics.print_remarks(out);
       }
     }
-    if (!report_json_path.empty()) {
+    if (!s.report_json_path.empty()) {
       const std::string doc = compile_report_json(report);
-      if (report_json_path == "-") {
+      if (s.report_json_path == "-") {
         std::printf("%s\n", doc.c_str());
       } else {
-        std::ofstream out(report_json_path);
+        std::ofstream out(s.report_json_path);
         if (!out) {
           std::fprintf(stderr, "polaris: cannot write %s\n",
-                       report_json_path.c_str());
+                       s.report_json_path.c_str());
           return 1;
         }
         out << doc << "\n";
@@ -452,7 +385,7 @@ int main(int argc, char** argv) {
                    f.pass.c_str(), to_string(f.kind), f.unit.c_str(),
                    f.injected ? " (injected)" : "");
 
-    if (timing) {
+    if (s.timing) {
       std::printf("%-12s %5s %10s %6s %7s %7s %9s %7s\n", "pass", "runs",
                   "ms", "diags", "stmt+-", "expr+-", "aqueries", "ahits");
       double total_ms = 0.0;
@@ -474,7 +407,7 @@ int main(int argc, char** argv) {
                       report.analysis.invalidations));
     }
 
-    if (stats_mode) {
+    if (s.stats) {
       std::printf("=== statistics (per-compile deltas) ===\n");
       for (const StatisticValue& sv : report.stats)
         std::printf("%8llu %-14s %-28s %s\n",
@@ -482,7 +415,7 @@ int main(int argc, char** argv) {
                     sv.component.c_str(), sv.name.c_str(), sv.desc.c_str());
     }
 
-    if (report_mode) {
+    if (s.report) {
       std::printf("%d loops, %d parallel, %d speculative; %d calls "
                   "inlined; %d inductions substituted\n",
                   report.doall.loops, report.doall.parallel,
@@ -504,15 +437,15 @@ int main(int argc, char** argv) {
         std::printf("\n");
       }
     }
-    if (diag_mode) {
+    if (s.diag) {
       for (const Diagnostic& d : report.diagnostics.all())
         std::printf("[%s] %s: %s\n", d.pass.c_str(), d.context.c_str(),
                     d.message.c_str());
     }
-    if (run_mode) {
+    if (s.run) {
       auto ref = parse_program(source);
       RunResult ref_run = run_program(*ref, MachineConfig{});
-      ExecutionConfig cfg = backend_config(mode, *prog, processors);
+      ExecutionConfig cfg = backend_config(s.mode, *prog, s.processors);
       RunResult run = run_program(*prog, cfg.machine);
       for (const std::string& line : run.output)
         std::printf("%s\n", line.c_str());
@@ -524,7 +457,7 @@ int main(int argc, char** argv) {
       }
       std::fprintf(
           stderr, "[polaris] %d processors: %llu units (speedup %.2f)\n",
-          processors, static_cast<unsigned long long>(run.clock.parallel),
+          s.processors, static_cast<unsigned long long>(run.clock.parallel),
           static_cast<double>(ref_run.clock.serial) /
               (static_cast<double>(run.clock.parallel) *
                cfg.codegen_factor));
@@ -532,10 +465,10 @@ int main(int argc, char** argv) {
     // When a machine-readable stream goes to stdout, keep it the only
     // thing on stdout so consumers can pipe it straight into a parser.
     const bool structured_stdout =
-        remarks_path == "-" || report_json_path == "-";
-    if (!report_mode && !diag_mode && !run_mode && !timing && !stats_mode &&
+        s.remarks_path == "-" || s.report_json_path == "-";
+    if (!s.report && !s.diag && !s.run && !s.timing && !s.stats &&
         !structured_stdout) {
-      if (omp)
+      if (s.omp)
         std::printf("%s",
                     to_source(*prog, DirectiveStyle::OpenMP).c_str());
       else

@@ -143,15 +143,9 @@ class PrivatizationPass : public Pass {
   std::string name() const override { return "privatization"; }
   PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
                         PassContext& ctx) override {
-    for (DoStmt* loop : unit.stmts().loops()) {
-      PrivatizationResult r = analyze_privatization(
-          unit, loop, ctx.opts, ctx.report.diagnostics, am);
-      loop->par.private_vars = r.private_scalars;
-      loop->par.private_vars.insert(loop->par.private_vars.end(),
-                                    r.private_arrays.begin(),
-                                    r.private_arrays.end());
-      loop->par.lastvalue_vars = r.lastvalue_scalars;
-    }
+    for (DoStmt* loop : unit.stmts().loops())
+      analyze_privatization(unit, loop, ctx.opts, ctx.report.diagnostics, am)
+          .record(loop->par);
     return PreservedAnalyses::all();
   }
 };
@@ -262,7 +256,6 @@ const char* to_string(PassFailure::Kind kind) {
   switch (kind) {
     case PassFailure::Kind::Assertion: return "assertion";
     case PassFailure::Kind::Verifier: return "verifier";
-    case PassFailure::Kind::Budget: return "budget";
     case PassFailure::Kind::Resource: return "resource";
   }
   return "?";
@@ -277,7 +270,7 @@ struct AttemptResult {
   bool failed = false;
   bool will_retry = false;  ///< rolled back without a PassFailure; ladder retries
   PassFailure::Kind kind = PassFailure::Kind::Assertion;
-  GovernorTrigger trigger = GovernorTrigger::PassBudget;
+  GovernorTrigger trigger = GovernorTrigger::CompileFuel;
   std::string message;
   bool injected = false;
 };
@@ -289,13 +282,13 @@ struct AttemptResult {
 /// program, and a reference captured before the pass ran would dangle.
 ///
 /// `attempt_opts` are the (possibly ladder-degraded) switches the pass
-/// runs with; everything else — fault recovery, budgets, verify-each —
-/// is read from `ctx.opts`, the user's options.  On failure: a retryable
-/// kind (Budget, Resource — never assertions, verifier violations, or
-/// injected faults) with `allow_retry` rolls all state back and returns
-/// will_retry for the caller's ladder; any other failure takes the full
-/// fault-isolation path (PassFailure record, warning, crash bundle /
-/// rethrow in no-recover mode).
+/// runs with; everything else — fault recovery, verify-each — is read
+/// from `ctx.opts`, the user's options.  On failure: a Resource failure
+/// (never an assertion, verifier violation, or injected fault) with
+/// `allow_retry` rolls all state back and returns will_retry for the
+/// caller's ladder; any other failure takes the full fault-isolation path
+/// (PassFailure record, warning, crash bundle / rethrow in no-recover
+/// mode).
 AttemptResult run_attempt(Pass& pass, std::size_t unit_index,
                           PassTiming& timing, PassContext& ctx,
                           const Options& attempt_opts, bool allow_retry,
@@ -477,24 +470,7 @@ AttemptResult run_attempt(Pass& pass, std::size_t unit_index,
 
   if (!result.failed) {
     am.invalidate(preserved);
-    if (ctx.opts.pass_budget_ms > 0.0 && ms > ctx.opts.pass_budget_ms) {
-      result.failed = true;
-      result.kind = PassFailure::Kind::Budget;
-      result.trigger = GovernorTrigger::PassBudget;
-      // The wall budget has no throw site inside the governor, so the trip
-      // is noted here at the detection boundary.
-      cc.governor().note_trip(GovernorTrigger::PassBudget);
-      std::ostringstream os;
-      os << "pass ran " << ms << " ms, budget "
-         << ctx.opts.pass_budget_ms << " ms";
-      result.message = os.str();
-      if (!allow_retry) {
-        fail(PassFailure::Kind::Budget, result.message, false);
-        if (!ctx.opts.fault_recovery)
-          throw InternalError("pass-over-budget", pass.name(), 0,
-                              result.message);
-      }
-    } else if (ctx.opts.verify_each) {
+    if (ctx.opts.verify_each) {
       std::vector<VerifierViolation> vs = whole_program
                                               ? verify_program(program, &cc)
                                               : verify_unit(*unit_ptr(), &cc);
@@ -509,12 +485,9 @@ AttemptResult run_attempt(Pass& pass, std::size_t unit_index,
     }
   }
 
-  // Ladder handoff: a retryable failure that has not been recorded yet
-  // (Resource caught above, Budget detected just now) either rolls back
-  // for the next rung or takes the final-drop path.
-  if (result.failed &&
-      (result.kind == PassFailure::Kind::Resource ||
-       result.kind == PassFailure::Kind::Budget) &&
+  // Ladder handoff: a Resource failure caught above has not been recorded
+  // yet; it either rolls back for the next rung or takes the final drop.
+  if (result.failed && result.kind == PassFailure::Kind::Resource &&
       ctx.opts.fault_recovery) {
     if (allow_retry) {
       result.will_retry = true;
@@ -523,8 +496,7 @@ AttemptResult run_attempt(Pass& pass, std::size_t unit_index,
                          {{"pass", pass.name()},
                           {"unit", unit_name},
                           {"trigger", to_string(result.trigger)}});
-    } else if (result.kind == PassFailure::Kind::Resource) {
-      // Budget's final drop was recorded above; Resource's happens here.
+    } else {
       fail(result.kind, result.message, false);
     }
   }
@@ -579,11 +551,7 @@ void run_one(Pass& pass, std::size_t unit_index, PassTiming& timing,
     ev.trigger = to_string(r.trigger);
     ev.action = std::string("retry-") + ladder_rung_name(next_rung);
     ev.rung = next_rung;
-    // Wall-clock details are scrubbed for byte-determinism; resource
-    // details (tick/term/atom counts) are deterministic and kept.
-    ev.detail = r.kind == PassFailure::Kind::Budget
-                    ? "pass exceeded its wall budget"
-                    : r.message;
+    ev.detail = r.message;
     cc.governor().record_event(std::move(ev));
     ctx.report.diagnostics.remark(
         RemarkKind::Analysis, "governor", pass.name() + "/" + unit_name,
@@ -597,8 +565,7 @@ void run_one(Pass& pass, std::size_t unit_index, PassTiming& timing,
   }
 
   if (r.failed && ctx.opts.fault_recovery && !r.injected &&
-      (r.kind == PassFailure::Kind::Budget ||
-       r.kind == PassFailure::Kind::Resource)) {
+      r.kind == PassFailure::Kind::Resource) {
     const std::string unit_name =
         unit_index == kProgramScope
             ? ctx.program.main()->name()
@@ -609,9 +576,7 @@ void run_one(Pass& pass, std::size_t unit_index, PassTiming& timing,
     ev.trigger = to_string(r.trigger);
     ev.action = "drop-pass";
     ev.rung = rung;
-    ev.detail = r.kind == PassFailure::Kind::Budget
-                    ? "every ladder rung exceeded the wall budget"
-                    : r.message;
+    ev.detail = r.message;
     cc.governor().record_event(std::move(ev));
     ctx.report.diagnostics.remark(
         RemarkKind::Analysis, "governor",
@@ -687,7 +652,6 @@ void PassPipeline::run_unit_group(std::size_t group_begin,
   shards.reserve(n_units);
   for (std::size_t ui = 0; ui < n_units; ++ui) {
     auto sh = std::make_unique<UnitShard>();
-    sh->atoms.set_canon_cache_enabled(ctx.opts.symbolic_canon_cache);
     sh->cc.trace().start_shard_of(ctx.cc.trace());
     if (ctx.cc.fault().armed()) sh->cc.fault().arm(ctx.cc.fault().spec());
     sh->cc.governor().configure(shard_limits);

@@ -83,7 +83,6 @@ struct PassFailure {
   enum class Kind {
     Assertion,  ///< a p_assert fired inside the pass (or was injected)
     Verifier,   ///< the post-pass IR verifier found violations
-    Budget,     ///< the pass exceeded Options::pass_budget_ms on the unit
     Resource,   ///< a ResourceGovernor ceiling tripped and escaped to the
                 ///< pass boundary (every degradation-ladder rung failed)
   };
@@ -146,26 +145,25 @@ class PassPipeline {
   ///
   /// Fault isolation: every pass invocation runs against a pre-pass deep
   /// snapshot of its unit (all units for program-scope passes).  An
-  /// InternalError thrown by the pass, a `-verify-each` verifier
-  /// violation, or a `-pass-budget-ms` overrun rolls the unit back to the
-  /// snapshot, fully invalidates `am`, unwinds the pass's diagnostics and
-  /// result counters, records a PassFailure in `ctx.report.failures`, and
-  /// continues with the remaining passes.  With Options::fault_recovery
+  /// InternalError thrown by the pass or a `-verify-each` verifier
+  /// violation rolls the unit back to the snapshot, fully invalidates
+  /// `am`, unwinds the pass's diagnostics and result counters, records a
+  /// PassFailure in `ctx.report.failures`, and continues with the
+  /// remaining passes.  With Options::fault_recovery
   /// off, the failure propagates instead after stashing a repro bundle in
   /// `ctx.report.crash`.  With `-jobs=N` a failing unit unwinds only its
   /// own shard; in no-recover mode the lowest-unit-index failure wins
   /// deterministically and later shards are discarded unmerged.
   ///
   /// Degradation ladder (ResourceGovernor): a *resource* failure — a
-  /// `-pass-budget-ms` overrun or a ResourceBlowup that escaped the
-  /// conservative query boundaries — does not drop the pass immediately.
-  /// The (pass, unit) is rolled back and retried on progressively cheaper
-  /// option rungs (degraded_options: "reduced", then "floor") before the
-  /// final drop; only the final drop records a PassFailure (so
-  /// `failures.size()` still counts dropped invocations, one per (pass,
-  /// unit)), while each retry and the drop are recorded as
-  /// DegradationEvents on the governor plus `pass-degraded` /
-  /// `pass-dropped` remarks.  Assertion and verifier failures never
+  /// ResourceBlowup that escaped the conservative query boundaries — does
+  /// not drop the pass immediately.  The (pass, unit) is rolled back and
+  /// retried on progressively cheaper option rungs (degraded_options:
+  /// "reduced", then "floor") before the final drop; only the final drop
+  /// records a PassFailure (so `failures.size()` still counts dropped
+  /// invocations, one per (pass, unit)), while each retry and the drop
+  /// are recorded as DegradationEvents on the governor plus
+  /// `pass-degraded` / `pass-dropped` remarks.  Assertion and verifier failures never
   /// ladder, injected faults never ladder, and `-no-degrade`
   /// (Options::degradation_ladder = false) restores the immediate-drop
   /// behavior.  Compile fuel (`-compile-budget-ms`) is split equally

@@ -141,7 +141,6 @@ JsonValue compile_report_to_json(const CompileReport& report) {
   resource.set("fuel_limit", JsonValue::num(report.resource.fuel_limit));
   resource.set("fuel_spent", JsonValue::num(report.resource.fuel_spent));
   JsonValue trips = JsonValue::object();
-  trips.set("pass-budget", JsonValue::num(report.resource.trips_pass_budget));
   trips.set("compile-fuel",
             JsonValue::num(report.resource.trips_compile_fuel));
   trips.set("poly-terms", JsonValue::num(report.resource.trips_poly_terms));

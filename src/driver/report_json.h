@@ -20,7 +20,7 @@
 namespace polaris {
 
 /// Current `-report-json` schema version.
-inline constexpr int kCompileReportSchemaVersion = 1;
+inline constexpr int kCompileReportSchemaVersion = 2;
 
 /// Builds the JSON document for `report`.
 JsonValue compile_report_to_json(const CompileReport& report);

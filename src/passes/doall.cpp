@@ -180,15 +180,16 @@ DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
       }
     }
 
-    if (blocker.empty()) {
-      loop->par.is_parallel = true;
-      loop->par.private_vars = priv.private_scalars;
-      loop->par.private_vars.insert(loop->par.private_vars.end(),
-                                    priv.private_arrays.begin(),
-                                    priv.private_arrays.end());
-      loop->par.lastvalue_vars = priv.lastvalue_scalars;
+    // What a parallel or speculative loop executes with.
+    auto record_parallel_facts = [&]() {
+      priv.record(loop->par);
       for (const RecognizedReduction& r : reductions)
         loop->par.reductions.push_back({r.var, r.op, r.histogram});
+    };
+
+    if (blocker.empty()) {
+      loop->par.is_parallel = true;
+      record_parallel_facts();
       ++summary.parallel;
       diags.note("doall", context, "parallel");
       diags.remark(
@@ -216,13 +217,7 @@ DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
                       arr) == loop->par.speculative_arrays.end())
           loop->par.speculative_arrays.push_back(arr);
       }
-      loop->par.private_vars = priv.private_scalars;
-      loop->par.private_vars.insert(loop->par.private_vars.end(),
-                                    priv.private_arrays.begin(),
-                                    priv.private_arrays.end());
-      loop->par.lastvalue_vars = priv.lastvalue_scalars;
-      for (const RecognizedReduction& r : reductions)
-        loop->par.reductions.push_back({r.var, r.op, r.histogram});
+      record_parallel_facts();
       ++summary.speculative;
       diags.note("doall", context, "speculative (run-time PD test)");
       diags.remark(RemarkKind::Parallelized, "doall", context,

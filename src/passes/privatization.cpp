@@ -204,6 +204,13 @@ void add_counter_facts(FactContext& ctx, DoStmt* loop) {
 
 }  // namespace
 
+void PrivatizationResult::record(ParallelInfo& par) const {
+  par.private_vars = private_scalars;
+  par.private_vars.insert(par.private_vars.end(), private_arrays.begin(),
+                          private_arrays.end());
+  par.lastvalue_vars = lastvalue_scalars;
+}
+
 PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
                                           const Options& opts,
                                           Diagnostics& diags) {

@@ -27,6 +27,11 @@ struct PrivatizationResult {
   std::vector<Symbol*> lastvalue_scalars;  ///< subset needing copy-out
   std::vector<Symbol*> private_arrays;
   std::vector<Symbol*> blocked;  ///< assigned scalars/arrays left shared
+
+  /// Records the result in a loop's ParallelInfo: private_vars lists the
+  /// private scalars, then the private arrays; lastvalue_vars the scalars
+  /// needing copy-out.
+  void record(ParallelInfo& par) const;
 };
 
 /// Analyzes `loop` within `unit`.  Does not transform the program; the

@@ -10,7 +10,6 @@ namespace polaris {
 
 const char* to_string(GovernorTrigger t) {
   switch (t) {
-    case GovernorTrigger::PassBudget: return "pass-budget";
     case GovernorTrigger::CompileFuel: return "compile-fuel";
     case GovernorTrigger::PolyTerms: return "poly-terms";
     case GovernorTrigger::AtomCeiling: return "atom-ceiling";
@@ -214,7 +213,7 @@ void note_conservative_bailout(const char* site, const ResourceBlowup& b) {
 
 void ResourceGovernor::absorb(ResourceGovernor& shard) {
   add_spent(shard.fuel_spent_);
-  for (int i = 0; i < 4; ++i) trips_[i] += shard.trips_[i];
+  for (int i = 0; i < kGovernorTriggers; ++i) trips_[i] += shard.trips_[i];
   for (DegradationEvent& ev : shard.events_)
     events_.push_back(std::move(ev));
   shard.events_.clear();

@@ -2,24 +2,23 @@
 // degradation.
 //
 // Polaris's stance (and this repo's): expensive symbolic machinery must
-// *degrade*, never crash or hang.  Before this layer, the only guard was
-// `-pass-budget-ms` — a wholesale drop of any pass that overran its wall
-// budget — and nothing bounded symbolic blow-up (polynomial term growth,
-// atom-table growth, simplifier recursion) at all.  The governor closes
-// both gaps:
+// *degrade*, never crash or hang.  The governor bounds symbolic blow-up
+// (polynomial term growth, atom-table growth, simplifier recursion) and
+// the compile's total symbolic work:
 //
 //   - Symbolic ceilings.  `-max-poly-terms=N` bounds the term count of any
 //     one Polynomial, `-max-atoms-per-unit=N` bounds the (per-shard)
 //     AtomTable.  Checked at the handful of sites where symbolic state
 //     grows (AtomTable::intern, Polynomial term insertion/normalization).
-//   - A whole-compile budget, `-compile-budget-ms=N`.  Wall deadlines are
-//     irreproducible — the same compile at `-jobs=1` and `-jobs=8` would
-//     degrade at different points and the artifacts would diverge — so the
-//     budget is *fuel*: N × kFuelTicksPerMs logical work ticks, charged at
-//     deterministic symbolic-work sites (atom interns, term
-//     normalizations, Expression→Polynomial conversion nodes, range-test
-//     masks).  The same idiom as Z3's rlimit: ms-calibrated on a nominal
-//     machine, bit-reproducible on every machine.  Under `-jobs=N` each
+//   - A whole-compile budget, `-compile-budget-ms=N`, the compiler's only
+//     budget.  Wall deadlines are irreproducible — the same compile at
+//     `-jobs=1` and `-jobs=8` would degrade at different points and the
+//     artifacts would diverge — so the budget is *fuel*: N ×
+//     kFuelTicksPerMs logical work ticks, charged at deterministic
+//     symbolic-work sites (atom interns, term normalizations, every
+//     Expression→Polynomial conversion node, range-test masks).  The same
+//     idiom as Z3's rlimit: ms-calibrated on a nominal machine,
+//     bit-reproducible on every machine.  Under `-jobs=N` each
 //     unit shard receives an equal share of the parent's remaining fuel
 //     (`shard_fuel_share`), computed before any worker runs, so the
 //     degradation points are identical at any worker count.
@@ -48,12 +47,12 @@ struct Options;
 /// Which ceiling tripped.  Closed set; to_string values appear verbatim in
 /// report JSON and remarks, so additions are schema-visible.
 enum class GovernorTrigger {
-  PassBudget,   ///< `-pass-budget-ms` wall overrun at the unit boundary
   CompileFuel,  ///< `-compile-budget-ms` deterministic fuel exhausted
   PolyTerms,    ///< `-max-poly-terms` polynomial term ceiling
   AtomCeiling,  ///< `-max-atoms-per-unit` atom-table ceiling
 };
 const char* to_string(GovernorTrigger t);
+constexpr int kGovernorTriggers = 3;
 
 /// Thrown by governor check sites when a ceiling trips.  Deliberately NOT
 /// an InternalError: fault isolation classifies InternalError as an
@@ -169,8 +168,7 @@ class ResourceGovernor {
   /// AtomTable about to hold `atoms` atoms.
   void check_atoms(std::size_t atoms);
 
-  /// Bumps the trip counter for `t`.  Called at every throw site (and, for
-  /// PassBudget, by the pass manager at the wall-budget boundary) so
+  /// Bumps the trip counter for `t`.  Called at every throw site so
   /// insight can aggregate how often each ceiling fired.  Counters are
   /// meters like fuel_spent_: folded by absorb(), never unwound by
   /// truncate_events — a ladder retry does not un-trip the ceiling that
@@ -220,7 +218,7 @@ class ResourceGovernor {
 
   std::uint64_t fuel_limit_ = 0;
   std::uint64_t fuel_spent_ = 0;
-  std::uint64_t trips_[4] = {0, 0, 0, 0};  ///< indexed by GovernorTrigger
+  std::uint64_t trips_[kGovernorTriggers] = {};  ///< by GovernorTrigger
   std::size_t max_poly_terms_ = 0;
   std::size_t max_atoms_ = 0;
   int simplify_depth_ = 0;

@@ -41,7 +41,6 @@ void Options::set(const std::string& name, bool value) {
   else if (name == "runtime_pd_test") runtime_pd_test = value;
   else if (name == "fault_recovery") fault_recovery = value;
   else if (name == "verify_each") verify_each = value;
-  else if (name == "symbolic_canon_cache") symbolic_canon_cache = value;
   else if (name == "degradation_ladder") degradation_ladder = value;
   else p_assert_msg(false, "unknown option: " + name);
 }

@@ -70,12 +70,6 @@ struct Options {
   /// immediately (the pre-ladder behavior).
   bool degradation_ladder = true;
 
-  // --- symbolic engine ------------------------------------------------------
-  /// Memoize Expression->Polynomial canonicalization in the (per-shard)
-  /// AtomTable, invalidated through PreservedAnalyses.  Off is a
-  /// debugging/benchmark mode; results are byte-identical either way.
-  bool symbolic_canon_cache = true;
-
   // --- code generation ------------------------------------------------------
   enum class ReductionScheme { Blocked, Private, Expanded };
   ReductionScheme reduction_scheme = ReductionScheme::Private;
@@ -96,10 +90,6 @@ struct Options {
   /// fault_recovery).  The verifier always runs once after the pipeline
   /// regardless of this switch.
   bool verify_each = false;
-  /// Per-pass, per-unit wall-time budget in milliseconds; a pass exceeding
-  /// it at the unit boundary is rolled back and reported like a fault.
-  /// 0 disables the budget.
-  double pass_budget_ms = 0.0;
   /// Deterministic fault-injection spec "PASS[:UNIT[:N]]" (empty: off);
   /// armed by the driver for the duration of the pipeline.
   std::string fault_inject;

@@ -100,9 +100,6 @@ void AtomTable::remap(const SymbolMap<Symbol*>& map) {
       symbol_ids_.emplace(static_cast<const VarRef&>(*atoms_[i]).symbol(),
                           static_cast<AtomId>(i));
   }
-  // Cache keys hold pre-remap symbol pointers; cached polynomials are only
-  // valid against the remapped unit if re-derived.
-  clear_canon_cache();
 }
 
 void AtomTable::truncate(std::size_t n) {
@@ -126,8 +123,6 @@ void AtomTable::truncate(std::size_t n) {
   }
   atoms_.resize(n);
   hashes_.resize(n);
-  // Cached polynomials may reference the dropped ids.
-  clear_canon_cache();
 }
 
 void AtomTable::reset() {
@@ -135,42 +130,7 @@ void AtomTable::reset() {
   hashes_.clear();
   index_.clear();
   symbol_ids_.clear();
-  clear_canon_cache();
 }
-
-// --- canonicalization cache -----------------------------------------------------
-
-AtomTable::CanonEntry::~CanonEntry() { delete poly; }
-
-void AtomTable::set_canon_cache_enabled(bool on) {
-  canon_enabled_ = on;
-  if (!on) clear_canon_cache();
-}
-
-const Polynomial* AtomTable::canon_lookup(std::size_t hash,
-                                          const Expression& e,
-                                          bool exact_division) {
-  if (!canon_enabled_) return nullptr;
-  auto [lo, hi] = canon_.equal_range(hash);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second.exact_division == exact_division &&
-        it->second.key->equals(e)) {
-      ++canon_hits_;
-      return it->second.poly;
-    }
-  }
-  ++canon_misses_;
-  return nullptr;
-}
-
-void AtomTable::canon_insert(std::size_t hash, const Expression& e,
-                             bool exact_division, const Polynomial& p) {
-  if (!canon_enabled_) return;
-  canon_.emplace(hash,
-                 CanonEntry(e.clone(), new Polynomial(p), exact_division));
-}
-
-void AtomTable::clear_canon_cache() { canon_.clear(); }
 
 // --- Monomial ------------------------------------------------------------------
 
@@ -482,19 +442,38 @@ std::optional<Rational> rational_of_real(double v) {
   return std::nullopt;
 }
 
-Polynomial convert(const Expression& e, bool exact_division);
-
 Polynomial opaque(const Expression& e) {
   return Polynomial::atom(AtomTable::current().intern(e));
 }
 
-/// Conversion of the interior (UnOp/BinOp) node kinds — the only recursive
-/// cases, factored out so convert() can memoize them.
-Polynomial convert_interior(const Expression& e, bool exact_division) {
-  if (e.kind() == ExprKind::UnOp) {
-    const auto& u = static_cast<const UnOp&>(e);
-    if (u.op() == UnOpKind::Neg) return -convert(u.operand(), exact_division);
-    return opaque(e);
+Polynomial convert(const Expression& e, bool exact_division) {
+  // One fuel tick per conversion node: Expression→Polynomial traffic is
+  // the compile's dominant symbolic cost, so it is the fuel meter's
+  // primary clock.
+  if (ResourceGovernor* gov = ResourceGovernor::current()) gov->charge(1);
+  switch (e.kind()) {
+    case ExprKind::IntConst:
+      return Polynomial::constant(
+          Rational(static_cast<const IntConst&>(e).value()));
+    case ExprKind::RealConst: {
+      auto r = rational_of_real(static_cast<const RealConst&>(e).value());
+      return r ? Polynomial::constant(*r) : opaque(e);
+    }
+    case ExprKind::VarRef: {
+      Symbol* s = static_cast<const VarRef&>(e).symbol();
+      if (s->kind() == SymbolKind::Parameter && s->param_value())
+        return convert(*s->param_value(), exact_division);
+      return Polynomial::symbol(s);
+    }
+    case ExprKind::UnOp: {
+      const auto& u = static_cast<const UnOp&>(e);
+      if (u.op() == UnOpKind::Neg) return -convert(u.operand(), exact_division);
+      return opaque(e);
+    }
+    case ExprKind::BinOp:
+      break;
+    default:
+      return opaque(e);  // ArrayRef, FuncCall, String, Logical, Wildcard
   }
   const auto& b = static_cast<const BinOp&>(e);
   switch (b.op()) {
@@ -531,54 +510,11 @@ Polynomial convert_interior(const Expression& e, bool exact_division) {
   }
 }
 
-Polynomial convert(const Expression& e, bool exact_division) {
-  // One fuel tick per conversion node: Expression→Polynomial traffic is
-  // the compile's dominant symbolic cost, so it is the fuel meter's
-  // primary clock.
-  if (ResourceGovernor* gov = ResourceGovernor::current()) gov->charge(1);
-  switch (e.kind()) {
-    case ExprKind::IntConst:
-      return Polynomial::constant(
-          Rational(static_cast<const IntConst&>(e).value()));
-    case ExprKind::RealConst: {
-      auto r = rational_of_real(static_cast<const RealConst&>(e).value());
-      return r ? Polynomial::constant(*r) : opaque(e);
-    }
-    case ExprKind::VarRef: {
-      Symbol* s = static_cast<const VarRef&>(e).symbol();
-      if (s->kind() == SymbolKind::Parameter && s->param_value())
-        return convert(*s->param_value(), exact_division);
-      return Polynomial::symbol(s);
-    }
-    case ExprKind::UnOp:
-    case ExprKind::BinOp: {
-      // Memoize interior conversions in the thread-bound table's cache.
-      // Order-safety: a hit implies a prior full conversion of a
-      // structurally equal subtree in the same mode, which already
-      // interned every atom the result references — so caching never
-      // changes atom-interning order (and thus never perturbs canonical
-      // term order in printed artifacts).
-      AtomTable& tab = AtomTable::current();
-      if (!tab.canon_cache_enabled()) return convert_interior(e, exact_division);
-      std::size_t h = e.hash();
-      if (const Polynomial* hit = tab.canon_lookup(h, e, exact_division))
-        return *hit;
-      Polynomial p = convert_interior(e, exact_division);
-      tab.canon_insert(h, e, exact_division, p);
-      return p;
-    }
-    default:
-      return opaque(e);  // ArrayRef, FuncCall, String, Logical, Wildcard
-  }
-}
-
 }  // namespace
 
 Polynomial Polynomial::from_expr(const Expression& e, bool exact_division) {
   // Constant integer division of constants must still truncate: handled in
   // convert() by only folding when numerator is constant too in that mode.
-  // The truncation fix-up below stays outside the memoization: the cache
-  // stores raw convert() results only.
   Polynomial p = convert(e, exact_division);
   if (!exact_division && p.is_constant()) {
     // Fortran integer constant folding truncates; leave rationals alone

@@ -62,13 +62,6 @@ class Polynomial;
 /// depends only on that unit's own expressions.  A thread outside any
 /// Scope falls back to a thread-local table so standalone symbolic code
 /// (and the symbolic tests) need no setup.
-///
-/// The table also owns the Expression->Polynomial canonicalization cache
-/// (see Polynomial::from_expr): cached polynomials reference atom ids and
-/// key on Symbol identity, so their lifetime is exactly the table's —
-/// truncate()/remap()/reset() drop the cache along with the ids it
-/// references, and the pass manager clears it through the
-/// PreservedAnalyses machinery whenever a pass rewrites the IR.
 class AtomTable {
  public:
   AtomTable() = default;
@@ -103,11 +96,9 @@ class AtomTable {
 
   /// Number of interned atoms; pairs with truncate() for rollback.
   std::size_t size() const { return atoms_.size(); }
-  /// Drops every atom with id >= n (and, when anything is dropped, the
-  /// canonicalization cache — cached polynomials may reference the dropped
-  /// ids).  Only valid when no live Polynomial or cached analysis
-  /// references the dropped ids (the pass manager discards both when it
-  /// rolls a pass back).
+  /// Drops every atom with id >= n.  Only valid when no live Polynomial
+  /// or cached analysis references the dropped ids (the pass manager
+  /// discards both when it rolls a pass back).
   void truncate(std::size_t n);
   /// Clears the table.  The driver calls this at the start of every
   /// compilation: atom identity keys on Symbol pointers, so atoms left by
@@ -117,59 +108,17 @@ class AtomTable {
   /// compilation*, never across compilations.
   void reset();
   /// Rewrites interned atoms through an original-to-clone symbol map and
-  /// rebuilds the hash index (and drops the canonicalization cache, whose
-  /// keys hold the pre-rollback symbol pointers).  After a rollback swaps
-  /// a cloned unit in, the clone's symbols inherit the original symbols'
-  /// atom ids — so canonical term ordering (and with it the printed
-  /// output) is bit-identical to a run that never attempted the failed
-  /// pass.
+  /// rebuilds the hash index.  After a rollback swaps a cloned unit in,
+  /// the clone's symbols inherit the original symbols' atom ids — so
+  /// canonical term ordering (and with it the printed output) is
+  /// bit-identical to a run that never attempted the failed pass.
   void remap(const SymbolMap<Symbol*>& map);
 
-  // --- canonicalization cache ----------------------------------------------
-  /// Memoized Expression->Polynomial conversions, keyed on structural hash
-  /// + exact_division mode with full structural-equality confirmation.
-  /// Consulted per interior (BinOp/UnOp) node by Polynomial::from_expr, so
-  /// repeated canonicalization of the same subscripts — the range test
-  /// re-queries each pair per loop permutation, and rangetest/ddtest/GSA/
-  /// induction all re-convert the same bounds — collapses to hash lookups.
-  void set_canon_cache_enabled(bool on);
-  bool canon_cache_enabled() const { return canon_enabled_; }
-  /// Cached polynomial for a structurally-equal expression in the given
-  /// mode, or null on a miss.  `hash` must be e.hash().
-  const Polynomial* canon_lookup(std::size_t hash, const Expression& e,
-                                 bool exact_division);
-  /// Records a conversion (clones `e` as the collision-proof key).
-  void canon_insert(std::size_t hash, const Expression& e,
-                    bool exact_division, const Polynomial& p);
-  void clear_canon_cache();
-  std::uint64_t canon_hits() const { return canon_hits_; }
-  std::uint64_t canon_misses() const { return canon_misses_; }
-  std::size_t canon_entries() const { return canon_.size(); }
-
  private:
-  struct CanonEntry {
-    ExprPtr key;        ///< structural clone guarding against collisions
-    Polynomial* poly;   ///< owned; raw to keep Polynomial incomplete here
-    bool exact_division;
-    CanonEntry(ExprPtr k, Polynomial* p, bool m)
-        : key(std::move(k)), poly(p), exact_division(m) {}
-    CanonEntry(CanonEntry&& o) noexcept
-        : key(std::move(o.key)), poly(o.poly), exact_division(o.exact_division) {
-      o.poly = nullptr;
-    }
-    CanonEntry& operator=(CanonEntry&&) = delete;
-    CanonEntry(const CanonEntry&) = delete;
-    ~CanonEntry();
-  };
-
   std::vector<ExprPtr> atoms_;
   std::vector<std::size_t> hashes_;  ///< atom id -> structural hash
   std::unordered_multimap<std::size_t, AtomId> index_;
   std::unordered_map<const Symbol*, AtomId> symbol_ids_;  ///< VarRef fast path
-  std::unordered_multimap<std::size_t, CanonEntry> canon_;
-  bool canon_enabled_ = true;
-  std::uint64_t canon_hits_ = 0;
-  std::uint64_t canon_misses_ = 0;
 };
 
 /// Sorted (AtomId, power) factor list with a four-entry inline buffer.
@@ -272,10 +221,6 @@ class Polynomial {
   /// Polaris assumption for compiler-generated subscripts) folds e/c into a
   /// rational scaling; false keeps e/c as an opaque atom (sound for
   /// arbitrary Fortran integer division, which truncates).
-  ///
-  /// Conversions of interior nodes are memoized in the thread-bound
-  /// AtomTable's canonicalization cache (see AtomTable::canon_lookup);
-  /// a hit returns the cached polynomial without re-walking the subtree.
   static Polynomial from_expr(const Expression& e,
                               bool exact_division = true);
 

@@ -118,9 +118,7 @@ SimpRes simplify_rec(const Expression& e, int depth) {
   // Integer arithmetic: canonical polynomial round trip, kept only when it
   // does not grow the tree.  The structural rewrite must still be built —
   // its size decides the race, and its nested subtrees run their own races
-  // (whose statistics are part of the deterministic compile record) — but
-  // from_expr is memoized in the AtomTable's canonicalization cache, so
-  // the nested conversions the structural recursion triggers are hits.
+  // (whose statistics are part of the deterministic compile record).
   if (is_arith_kind(e) && e.type().is_integer()) {
     Polynomial p = Polynomial::from_expr(e, /*exact_division=*/false);
     ExprPtr canon = p.to_expr();

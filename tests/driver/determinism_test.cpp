@@ -254,48 +254,6 @@ TEST(JobsDeterminismMultiUnit, EightWorkersMatchSequential) {
   }
 }
 
-// The canonicalization cache is an invisible accelerator: with it off,
-// every artifact (including statistic deltas such as
-// simplify.canonical_roundtrips) must match the cached compile byte for
-// byte, at both worker counts.  This pins the cache's correctness
-// contract — a hit returns exactly what the uncached conversion would
-// have produced, and caching never perturbs atom interning order (which
-// would reshuffle canonical term order in the annotated source).
-class CanonCacheDeterminism : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(CanonCacheDeterminism, CacheOffMatchesCacheOnByteForByte) {
-  const std::string& src = suite_program(GetParam()).source;
-  for (int jobs : {1, 8}) {
-    Options on = Options::polaris();
-    on.jobs = jobs;
-    Options off = on;
-    off.symbolic_canon_cache = false;
-    Artifacts cached = compile_artifacts(on, src);
-    Artifacts uncached = compile_artifacts(off, src);
-    expect_identical(cached, uncached,
-                     std::string(GetParam()) + "/jobs=" +
-                         std::to_string(jobs));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Suite, CanonCacheDeterminism,
-    ::testing::Values("arc2d", "hydro2d", "tfft2", "trfd"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      return std::string(info.param);
-    });
-
-TEST(CanonCacheDeterminism, MultiUnitCacheOffMatchesCacheOn) {
-  const std::string src = multi_unit_source();
-  Options on = Options::polaris();
-  on.jobs = 8;
-  Options off = on;
-  off.symbolic_canon_cache = false;
-  Artifacts cached = compile_artifacts(on, src);
-  Artifacts uncached = compile_artifacts(off, src);
-  expect_identical(cached, uncached, "multi-unit cache on/off");
-}
-
 // An injected fault on one unit under 8 workers rolls back only that
 // unit's shard: exactly the targeted invocation is recorded as failed,
 // sibling units keep their parallelized loops, and the whole report is

@@ -96,33 +96,6 @@ TEST(FaultIsolation, InjectedFaultMatchesPassOmittedPipeline) {
   }
 }
 
-// A budget so small every pass overruns it: all invocations roll back with
-// Kind::Budget, and the result equals a compile where *every* pass faults
-// (i.e. no transformation was retained at all).
-TEST(FaultIsolation, ExhaustedBudgetRollsBackEveryPass) {
-  const auto& bench = suite_program("trfd");
-
-  Options budget = Options::polaris();
-  budget.pass_budget_ms = 1e-9;
-  CompileReport rep;
-  const std::string out = compile_annotated(budget, bench.source, &rep);
-
-  ASSERT_FALSE(rep.failures.empty());
-  for (const PassFailure& f : rep.failures) {
-    EXPECT_EQ(f.kind, PassFailure::Kind::Budget);
-    EXPECT_FALSE(f.injected);
-    EXPECT_TRUE(f.recovered);
-  }
-  int total_runs = 0;
-  for (const PassTiming& t : rep.pass_timings) total_runs += t.runs;
-  EXPECT_EQ(static_cast<int>(rep.failures.size()), total_runs);
-
-  Options all_faults = Options::polaris();
-  all_faults.fault_inject = "*";
-  const std::string ref = compile_annotated(all_faults, bench.source);
-  EXPECT_EQ(out, ref);
-}
-
 // -verify-each across the full 16-code suite in both compiler modes:
 // every pass leaves structurally valid IR, so zero failures are recorded.
 TEST(FaultIsolation, VerifyEachCleanAcrossSuiteAndModes) {

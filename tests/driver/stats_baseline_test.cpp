@@ -1,9 +1,9 @@
 // Symbolic-kernel statistics baseline (the `bench-smoke` battery).
 //
-// The hot-path rework (hash-consed atoms, flat polynomial terms, memoized
-// canonicalization, counter-guided range-test search) must change *speed*
-// and nothing else.  The statistic deltas of a whole-suite compile are the
-// cheapest observable proxy for "nothing else": every extra or missing
+// The hot-path rework (hash-consed atoms, flat polynomial terms,
+// counter-guided range-test search) must change *speed* and nothing else.
+// The statistic deltas of a whole-suite compile are the cheapest
+// observable proxy for "nothing else": every extra or missing
 // `simplify.canonical_roundtrips` or `rangetest.permutations_tried` tick
 // means the engine took a different decision path somewhere.  This test
 // compiles all 16 suite codes as one program at -jobs=1 and asserts the
@@ -92,26 +92,6 @@ TEST(StatsBaseline, SuiteCompileDeltasMatchCheckedInBaseline) {
     EXPECT_TRUE(baseline.count(key))
         << "unbaselined counter fired during the suite compile: " << key
         << " = " << value;
-}
-
-// The cache-off compile takes the slow path through every conversion yet
-// must land on the identical decision record.
-TEST(StatsBaseline, CacheOffCompileMatchesSameBaseline) {
-  std::map<std::string, std::int64_t> baseline = load_baseline();
-  Options opts = Options::polaris();
-  opts.jobs = 1;
-  opts.symbolic_canon_cache = false;
-  Compiler compiler(opts);
-  CompileReport rep;
-  compiler.compile(combined_suite_source(), &rep);
-  std::map<std::string, std::int64_t> got;
-  for (const StatisticValue& s : rep.stats)
-    got[s.component + "." + s.name] = s.value;
-  for (const auto& [key, expected] : baseline) {
-    auto it = got.find(key);
-    ASSERT_NE(it, got.end()) << key;
-    EXPECT_EQ(it->second, expected) << key;
-  }
 }
 
 /// 32-bit FNV-1a over the printed lines, each terminated by a newline.

@@ -273,60 +273,5 @@ TEST_F(PolyTest, RemapCollisionKeepsLowestId) {
   EXPECT_EQ(table.intern(kref), a);
 }
 
-// --- canonicalization cache -------------------------------------------------
-
-TEST_F(PolyTest, CanonCacheHitsOnRepeatedConversion) {
-  AtomTable table;
-  AtomTable::Scope scope(&table);
-  ExprPtr e = parse_expression("i*(n**2 + n) + j**2 - j", symtab);
-  Polynomial first = Polynomial::from_expr(*e);
-  std::uint64_t hits_before = table.canon_hits();
-  Polynomial second = Polynomial::from_expr(*e);
-  EXPECT_GT(table.canon_hits(), hits_before);
-  EXPECT_TRUE((first - second).is_zero());
-  EXPECT_GT(table.canon_entries(), 0u);
-}
-
-TEST_F(PolyTest, CanonCacheKeyedByDivisionMode) {
-  AtomTable table;
-  AtomTable::Scope scope(&table);
-  ExprPtr e = parse_expression("(j*j - j)/2 + i", symtab);
-  Polynomial exact = Polynomial::from_expr(*e, /*exact_division=*/true);
-  Polynomial trunc = Polynomial::from_expr(*e, /*exact_division=*/false);
-  // The trunc-mode conversion must not be served from the exact-mode
-  // entry: in exact mode the division folds to rational coefficients, in
-  // trunc mode it stays opaque.
-  AtomId aj2 = table.intern_symbol(j);
-  EXPECT_EQ(exact.coefficient(Monomial::atom(aj2, 2)), Rational(1, 2));
-  EXPECT_EQ(trunc.degree_in(aj2), 0);
-}
-
-TEST_F(PolyTest, CanonCacheClearedByTruncateAndRemap) {
-  AtomTable table;
-  AtomTable::Scope scope(&table);
-  ExprPtr e = parse_expression("i + n*2", symtab);
-  Polynomial::from_expr(*e);
-  EXPECT_GT(table.canon_entries(), 0u);
-  table.truncate(0);
-  EXPECT_EQ(table.canon_entries(), 0u);
-
-  Polynomial::from_expr(*e);
-  EXPECT_GT(table.canon_entries(), 0u);
-  table.remap(SymbolMap<Symbol*>{});
-  EXPECT_EQ(table.canon_entries(), 0u);
-}
-
-TEST_F(PolyTest, CanonCacheDisabledStillConverts) {
-  AtomTable table;
-  table.set_canon_cache_enabled(false);
-  AtomTable::Scope scope(&table);
-  ExprPtr e = parse_expression("i*(n+1) + j", symtab);
-  Polynomial p1 = Polynomial::from_expr(*e);
-  Polynomial p2 = Polynomial::from_expr(*e);
-  EXPECT_TRUE((p1 - p2).is_zero());
-  EXPECT_EQ(table.canon_entries(), 0u);
-  EXPECT_EQ(table.canon_hits(), 0u);
-}
-
 }  // namespace
 }  // namespace polaris

@@ -31,8 +31,7 @@ trap 'rm -rf "$tmp"' EXIT
 scrubbed_env="env -u POLARIS_TRACE -u POLARIS_STATS -u POLARIS_FAULT_INJECT \
   -u POLARIS_JOBS -u POLARIS_REMARKS -u POLARIS_REPORT_JSON \
   -u POLARIS_COMPILE_BUDGET_MS -u POLARIS_MAX_POLY_TERMS \
-  -u POLARIS_MAX_ATOMS_PER_UNIT -u POLARIS_PASS_BUDGET_MS \
-  -u POLARIS_BENCH_JSON"
+  -u POLARIS_MAX_ATOMS_PER_UNIT -u POLARIS_BENCH_JSON"
 
 $scrubbed_env "$polaris" -profile-dir="$tmp/artifacts"
 $scrubbed_env "$insight" aggregate "$tmp/artifacts" -o "$tmp/profile.json"
