@@ -14,20 +14,6 @@
 
 using namespace polaris;
 
-static std::string combined_suite_source() {
-  std::string src = "      program driver\n      end\n";
-  for (const BenchProgram& bp : benchmark_suite()) {
-    std::string body = bp.source;
-    const std::string card = "program " + bp.name;
-    std::size_t at = body.find(card);
-    if (at != std::string::npos)
-      body.replace(at, card.size(), "subroutine " + bp.name);
-    src += body;
-    if (!body.empty() && body.back() != '\n') src += '\n';
-  }
-  return src;
-}
-
 int main(int argc, char** argv) {
   int rounds = argc > 1 ? std::atoi(argv[1]) : 8;
   const std::string combined = combined_suite_source();

@@ -20,25 +20,6 @@ namespace {
 
 using namespace polaris;
 
-/// One source holding every suite code as a separate program unit: each
-/// mini's `program <name>` card is demoted to `subroutine <name>` under a
-/// trivial driver, so the per-unit pass groups have 16 units to fan out
-/// over worker threads (the minis themselves are single-unit programs,
-/// where `-jobs` has nothing to parallelize).
-std::string combined_suite_source() {
-  std::string src = "      program driver\n      end\n";
-  for (const BenchProgram& bp : benchmark_suite()) {
-    std::string body = bp.source;
-    const std::string card = "program " + bp.name;
-    std::size_t at = body.find(card);
-    if (at != std::string::npos)
-      body.replace(at, card.size(), "subroutine " + bp.name);
-    src += body;
-    if (!body.empty() && body.back() != '\n') src += '\n';
-  }
-  return src;
-}
-
 /// Best-of-3 wall-clock of one full compile with the given options
 /// (worker count and governor ceilings ride on `opts`).  `degradations` receives the last round's event count when
 /// non-null.

@@ -134,12 +134,4 @@ void AnalysisManager::invalidate_all() {
   invalidate(PreservedAnalyses::none());
 }
 
-void AnalysisManager::clear_caches() {
-  for (auto& m : region_) m.clear();
-  loops_.clear();
-  gsa_.clear();
-  facts_.clear();
-  pair_facts_.clear();
-}
-
 }  // namespace polaris

@@ -129,12 +129,6 @@ class AnalysisManager {
   /// Drops every cached family `pa` does not preserve.
   void invalidate(const PreservedAnalyses& pa);
   void invalidate_all();
-  /// Drops every cache WITHOUT counting an invalidation.  Bookkeeping for
-  /// group boundaries under sharded execution: the parent manager's
-  /// caches (keyed on Statement pointers the unit shards just rewrote)
-  /// are discarded, but no pass "caused" it, so the accounting — which
-  /// must be identical to a sequential run — is untouched.
-  void clear_caches();
 
   // --- accounting ----------------------------------------------------------
   struct Stats {

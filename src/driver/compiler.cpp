@@ -120,31 +120,27 @@ void Compiler::transform(Program& program, CompileReport* report,
   FaultArmGuard inject(cc.fault(), opts_.fault_inject);
   // Degradation events recorded before this transform (an embedder
   // reusing one context for several compiles) belong to earlier reports.
-  const std::size_t degradations_base = cc.governor().event_mark();
-  // Fuel/trip meters are never reset either, so the report carries the
-  // delta this transform burned, mirroring degradations_base.
   const ResourceGovernor& gov = cc.governor();
-  const std::uint64_t fuel_base = gov.fuel_spent();
-  const std::uint64_t trips_base[kGovernorTriggers] = {
-      gov.trip_count(GovernorTrigger::CompileFuel),
-      gov.trip_count(GovernorTrigger::PolyTerms),
-      gov.trip_count(GovernorTrigger::AtomCeiling)};
-  PassPipeline::from_options(opts_).run(program, am, ctx);
+  const std::size_t degradations_base = gov.events().size();
+  // The meters are never reset either, so the report carries the delta
+  // this transform ran up, mirroring degradations_base.
+  const GovernorMeters meters_base = gov.meters();
+  PassPipeline::from_options(opts_).run(am, ctx);
   rep.analysis = am.stats();
   rep.degradations.assign(
-      cc.governor().events().begin() +
-          static_cast<std::ptrdiff_t>(degradations_base),
-      cc.governor().events().end());
+      gov.events().begin() + static_cast<std::ptrdiff_t>(degradations_base),
+      gov.events().end());
   // The pipeline disarms the governor on exit, so the installed limit
   // must be recomputed from the options, not read off the meter.
+  const GovernorMeters spent = gov.meters() - meters_base;
   rep.resource.fuel_limit = limits_from_options(opts_).fuel;
-  rep.resource.fuel_spent = gov.fuel_spent() - fuel_base;
+  rep.resource.fuel_spent = spent.fuel;
   rep.resource.trips_compile_fuel =
-      gov.trip_count(GovernorTrigger::CompileFuel) - trips_base[0];
+      spent.trips[static_cast<int>(GovernorTrigger::CompileFuel)];
   rep.resource.trips_poly_terms =
-      gov.trip_count(GovernorTrigger::PolyTerms) - trips_base[1];
+      spent.trips[static_cast<int>(GovernorTrigger::PolyTerms)];
   rep.resource.trips_atom_ceiling =
-      gov.trip_count(GovernorTrigger::AtomCeiling) - trips_base[2];
+      spent.trips[static_cast<int>(GovernorTrigger::AtomCeiling)];
 
   // The structural verifier always runs once after the pipeline (not just
   // under -verify-each): corrupted IR must never escape into the printed

@@ -32,9 +32,9 @@ namespace polaris {
 struct CompileReport;  // driver/compiler.h; carries the pass result counters
 
 /// Everything a pass may read or update besides the unit it transforms.
-/// Under `-jobs=N` each unit shard gets its own PassContext whose report
-/// and cc are the shard's — a pass never shares mutable state with
-/// another worker.
+/// Every pass runs inside a shard, with a PassContext whose report and cc
+/// are the shard's — a pass never shares mutable state with another
+/// worker, and a failed pass leaves nothing behind in the parent.
 struct PassContext {
   Program& program;        ///< whole program (inliner, purity analysis)
   const Options& opts;     ///< transformation switches
@@ -70,11 +70,11 @@ struct PassTiming {
   long expr_delta = 0;      ///< IR expression nodes added minus removed
   std::uint64_t analysis_queries = 0;  ///< AnalysisManager lookups
   std::uint64_t analysis_hits = 0;     ///< answered from cache
-  int failures = 0;         ///< invocations rolled back (fault isolation)
+  int failures = 0;         ///< invocations dropped (fault isolation)
 };
 
 /// One isolated pass failure.  With fault recovery on (the default), the
-/// pass was rolled back on that unit and compilation continued — the LRPD
+/// pass was dropped on that unit and compilation continued — the LRPD
 /// shape: the program still compiles, just without this pass's
 /// transformation on this unit.  With recovery off, the failure aborted
 /// the compile (recovered = false) after stashing a repro bundle in
@@ -127,55 +127,55 @@ class PassPipeline {
   /// "privatization" — sub-analyses of `doall` in the standard battery).
   static std::vector<std::string> registered_passes();
 
-  /// Runs the pipeline over `program`.  Consecutive unit-scope passes are
-  /// grouped and applied unit-by-unit (each unit sees the whole group in
-  /// order before the next unit starts — the order the seed driver used);
-  /// program-scope passes form their own group.  Appends one PassTiming
-  /// per pipeline position to `ctx.report.pass_timings` and invalidates
-  /// `am` per each pass's PreservedAnalyses.
+  /// Runs the pipeline over `ctx.program`.  Consecutive unit-scope passes
+  /// are grouped and applied unit-by-unit (each unit sees the whole group
+  /// in order before the next unit starts — the order the seed driver
+  /// used); a program-scope pass forms its own group.  Appends one
+  /// PassTiming per pipeline position to `ctx.report.pass_timings` and
+  /// folds every shard's analysis accounting into `am`.
   ///
-  /// Parallel execution: unit-scope groups ALWAYS run through per-unit
-  /// shards — each unit gets a fresh CompileContext (trace epoch shared
-  /// with the parent), CompileReport fragment, AnalysisManager, and
-  /// AtomTable, all bound to the worker thread while the unit's passes
-  /// run.  `ctx.opts.jobs` workers pull unit indices from a shared
-  /// counter (1 = inline on the calling thread, same code path).  Shards
-  /// merge into the parent in unit index order, so every report artifact
-  /// is byte-identical regardless of worker count or completion order.
+  /// Shards: every group runs in shards — one per unit, or one for a
+  /// program-scope pass — each with a fresh CompileContext (trace epoch
+  /// shared with the parent), CompileReport fragment, AnalysisManager and
+  /// AtomTable, all bound to the worker thread while the passes run.
+  /// `ctx.opts.jobs` workers take units from the compilation's pool (1 =
+  /// inline on the calling thread, same code path).  Shards merge into
+  /// the parent in unit index order, so every report artifact is
+  /// byte-identical regardless of worker count or completion order.
   ///
-  /// Fault isolation: every pass invocation runs against a pre-pass deep
-  /// snapshot of its unit (all units for program-scope passes).  An
-  /// InternalError thrown by the pass or a `-verify-each` verifier
-  /// violation rolls the unit back to the snapshot, fully invalidates
-  /// `am`, unwinds the pass's diagnostics and result counters, records a
-  /// PassFailure in `ctx.report.failures`, and continues with the
-  /// remaining passes.  With Options::fault_recovery
-  /// off, the failure propagates instead after stashing a repro bundle in
-  /// `ctx.report.crash`.  With `-jobs=N` a failing unit unwinds only its
-  /// own shard; in no-recover mode the lowest-unit-index failure wins
-  /// deterministically and later shards are discarded unmerged.
+  /// Fault isolation: the shard is also the unit of rollback.  Each
+  /// (unit, group) is checkpointed once — one clone of the unit, or of
+  /// the whole program for a program-scope pass — and passes run on the
+  /// live IR.  When a (pass, unit) attempt fails — an InternalError, an
+  /// injected fault, a `-verify-each` violation, or a ResourceBlowup that
+  /// escaped the conservative query boundaries — its shard is discarded,
+  /// the unit is restored from the checkpoint, and the group re-runs from
+  /// the top in a fresh shard with that pass dropped or on its next
+  /// ladder rung.  At the pass's position the replay re-emits the failed
+  /// attempts' record: their PassFailure, `fault-isolation` warning,
+  /// `rollback`/`ladder-retry` trace instants, degradation events and
+  /// remarks, and their wall time, fuel and trip counts.  So a faulted
+  /// compile equals the pass-omitted compile by construction, plus that
+  /// record.  With Options::fault_recovery off, the failure propagates
+  /// instead after stashing a repro bundle (the unit as its group
+  /// received it) in `ctx.report.crash`; the lowest-unit-index failure
+  /// wins deterministically and later shards are discarded unmerged.
   ///
-  /// Degradation ladder (ResourceGovernor): a *resource* failure — a
-  /// ResourceBlowup that escaped the conservative query boundaries — does
-  /// not drop the pass immediately.  The (pass, unit) is rolled back and
-  /// retried on progressively cheaper option rungs (degraded_options:
-  /// "reduced", then "floor") before the final drop; only the final drop
-  /// records a PassFailure (so `failures.size()` still counts dropped
-  /// invocations, one per (pass, unit)), while each retry and the drop
-  /// are recorded as DegradationEvents on the governor plus
-  /// `pass-degraded` / `pass-dropped` remarks.  Assertion and verifier failures never
-  /// ladder, injected faults never ladder, and `-no-degrade`
-  /// (Options::degradation_ladder = false) restores the immediate-drop
-  /// behavior.  Compile fuel (`-compile-budget-ms`) is split equally
-  /// across unit shards before workers start, keeping every degradation
-  /// point — and thus every artifact — byte-identical at any `-jobs=N`.
-  void run(Program& program, AnalysisManager& am, PassContext& ctx) const;
+  /// Degradation ladder (ResourceGovernor): a resource failure does not
+  /// drop the pass at once.  The (pass, unit) is retried on progressively
+  /// cheaper option rungs (degraded_options: "reduced", then "floor")
+  /// before the final drop; only the final drop records a PassFailure (so
+  /// `failures.size()` counts dropped invocations, one per (pass, unit)),
+  /// while each retry and the drop are recorded as DegradationEvents plus
+  /// `pass-degraded` / `pass-dropped` remarks.  Assertion and verifier
+  /// failures and injected faults never ladder, and `-no-degrade`
+  /// (Options::degradation_ladder = false) drops at once.  Compile fuel
+  /// (`-compile-budget-ms`) is split equally across a group's shards
+  /// before workers start, keeping every degradation point — and thus
+  /// every artifact — byte-identical at any `-jobs=N`.
+  void run(AnalysisManager& am, PassContext& ctx) const;
 
  private:
-  void run_unit_group(std::size_t group_begin, std::size_t group_end,
-                      std::size_t first_timing, Program& program,
-                      AnalysisManager& am, PassContext& ctx) const;
-
   std::vector<std::unique_ptr<Pass>> passes_;
 };
 

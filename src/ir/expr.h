@@ -305,8 +305,7 @@ int replace_all(ExprPtr& root, const Expression& from, const Expression& to);
 int replace_var(ExprPtr& root, const Symbol* sym, const Expression& to);
 
 /// Rewrites every VarRef/ArrayRef symbol in the tree through `map`
-/// (identity for symbols not present).  Used by ProgramUnit::clone and the
-/// fault-isolation rollback (AtomTable::remap).
+/// (identity for symbols not present).  Used by ProgramUnit::clone.
 void remap_symbols(Expression& e, const SymbolMap<Symbol*>& map);
 
 }  // namespace polaris

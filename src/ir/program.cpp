@@ -18,7 +18,7 @@ void ProgramUnit::add_formal(Symbol* s) {
 }
 
 std::unique_ptr<ProgramUnit> ProgramUnit::clone(
-    const std::string& new_name, SymbolMap<Symbol*>* out_map) const {
+    const std::string& new_name) const {
   auto copy = std::make_unique<ProgramUnit>(kind_, new_name);
   SymbolMap<Symbol*> map;
 
@@ -60,13 +60,13 @@ std::unique_ptr<ProgramUnit> ProgramUnit::clone(
 
   // Statements: clone the whole list and remap.  ParallelInfo annotations
   // also carry raw Symbol* (privates, reductions, speculative arrays) and
-  // must point into the new table — the fault-isolation snapshot/rollback
-  // machinery relies on clones being fully self-contained.
+  // must point into the new table — the fault-isolation checkpoints rely
+  // on clones being fully self-contained.
   if (!stmts_.empty()) {
     std::vector<StmtPtr> frag =
         stmts_.clone_range(stmts_.first(), stmts_.last());
-    // Clones keep the originals' ids: the snapshot/rollback machinery must
-    // restore loop names ("do#<id>") bit-exactly, and under `-jobs=N` a
+    // Clones keep the originals' ids: a unit restored from its checkpoint
+    // must keep its loop names ("do#<id>") bit-exactly, and under `-jobs=N` a
     // fresh id would depend on what other workers allocated concurrently.
     {
       Statement* orig = stmts_.first();
@@ -96,7 +96,6 @@ std::unique_ptr<ProgramUnit> ProgramUnit::clone(
 
   for (Symbol* f : formals_) copy->formals_.push_back(map.at(f));
   if (result_) copy->result_ = map.at(result_);
-  if (out_map) out_map->insert(map.begin(), map.end());
   return copy;
 }
 
@@ -148,28 +147,11 @@ void Program::renumber_ids() {
   }
 }
 
-ProgramUnit* Program::replace_unit(ProgramUnit* old_unit,
-                                   std::unique_ptr<ProgramUnit> replacement) {
-  p_assert(old_unit != nullptr && replacement != nullptr);
-  for (auto& u : units_) {
-    if (u.get() != old_unit) continue;
-    u = std::move(replacement);
-    return u.get();
-  }
-  p_unreachable("replace_unit: unit not owned by this program");
-}
-
 ProgramUnit* Program::replace_unit_at(std::size_t index,
                                       std::unique_ptr<ProgramUnit> replacement) {
   p_assert(index < units_.size() && replacement != nullptr);
   units_[index] = std::move(replacement);
   return units_[index].get();
-}
-
-void Program::reset_units(std::vector<std::unique_ptr<ProgramUnit>> units) {
-  p_assert_msg(!units.empty(), "reset_units: empty unit list");
-  for (const auto& u : units) p_assert(u != nullptr);
-  units_ = std::move(units);
 }
 
 }  // namespace polaris

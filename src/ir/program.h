@@ -39,13 +39,9 @@ class ProgramUnit {
 
   /// Deep copy with a fresh symbol table; all statement/expression symbol
   /// references are remapped to the new table.  Used by the inliner to
-  /// build its per-subprogram "template" objects and by the fault-isolation
-  /// snapshot machinery.  When `out_map` is non-null the original-to-clone
-  /// symbol mapping is merged into it (the rollback path feeds it to
-  /// AtomTable::remap so interned atoms keep their ids).
-  std::unique_ptr<ProgramUnit> clone(const std::string& new_name,
-                                     SymbolMap<Symbol*>* out_map = nullptr)
-      const;
+  /// build its per-subprogram "template" objects and by the pass
+  /// manager's fault-isolation checkpoints.
+  std::unique_ptr<ProgramUnit> clone(const std::string& new_name) const;
 
   /// Highest numeric statement label used in the unit (0 when none).
   int max_label() const;
@@ -94,21 +90,13 @@ class Program {
   /// fresh global ids).
   void renumber_ids();
 
-  /// Swaps `old_unit` (must be owned by this program) for `replacement`,
-  /// destroying the old unit.  Returns the new raw pointer.  Used by the
-  /// pass manager to restore a pre-pass snapshot after a pass fault.
-  ProgramUnit* replace_unit(ProgramUnit* old_unit,
-                            std::unique_ptr<ProgramUnit> replacement);
-
-  /// Same, addressed by unit index.  Touches only that vector slot, so
-  /// concurrent per-unit workers rolling back *different* units never
-  /// scan (and race on) each other's entries.
+  /// Swaps the unit at `index` for `replacement`, destroying the old unit,
+  /// and returns the new raw pointer.  Used by the pass manager to restore
+  /// a unit from its checkpoint after a pass fault.  Touches only that
+  /// vector slot, so concurrent per-unit workers restoring *different*
+  /// units never race on each other's entries.
   ProgramUnit* replace_unit_at(std::size_t index,
                                std::unique_ptr<ProgramUnit> replacement);
-
-  /// Replaces the whole unit list (whole-program rollback for program-scope
-  /// passes).  The new list must be non-empty.
-  void reset_units(std::vector<std::unique_ptr<ProgramUnit>> units);
 
  private:
   std::vector<std::unique_ptr<ProgramUnit>> units_;

@@ -83,8 +83,8 @@ class Statement {
   StmtKind kind() const { return kind_; }
   int id() const { return id_; }
   /// Overwrites the creation-order id.  Only for ProgramUnit::clone: a
-  /// fault-isolation snapshot must restore statement identities — loop
-  /// names are "do#<id>" — exactly, or a rolled-back unit would rename
+  /// fault-isolation checkpoint must restore statement identities — loop
+  /// names are "do#<id>" — exactly, or a restored unit would rename
   /// its loops (nondeterministically so under `-jobs=N`, where clone ids
   /// interleave with other workers' allocations).
   void set_id(int id) { id_ = id; }

@@ -115,7 +115,7 @@ class Symbol {
 /// Orders symbols by Symbol::id() — allocation order, preserved relatively
 /// by ProgramUnit::clone.  Every symbol-keyed container whose iteration
 /// order can reach the output must use this instead of pointer order:
-/// after a fault-isolation rollback swaps in a cloned unit, pointer order
+/// after a fault-isolation restore swaps in a cloned unit, pointer order
 /// is arbitrary (heap reuse) but id order is stable, so compiles stay
 /// bit-identical to a run that never attempted the failed pass.
 struct SymbolIdLess {

@@ -596,6 +596,20 @@ const BenchProgram& suite_program(const std::string& name) {
   p_assert_msg(false, "unknown suite program: " + name);
 }
 
+std::string combined_suite_source() {
+  std::string src = "      program driver\n      end\n";
+  for (const BenchProgram& bp : benchmark_suite()) {
+    std::string body = bp.source;
+    const std::string card = "program " + bp.name;
+    std::size_t at = body.find(card);
+    if (at != std::string::npos)
+      body.replace(at, card.size(), "subroutine " + bp.name);
+    src += body;
+    if (!body.empty() && body.back() != '\n') src += '\n';
+  }
+  return src;
+}
+
 const char* const kTrackSource =
     "      program track\n"
     "      parameter (np = 2000, ninv = 20)\n"

@@ -31,6 +31,12 @@ const std::vector<BenchProgram>& benchmark_suite();
 /// Look up one program by name; asserts it exists.
 const BenchProgram& suite_program(const std::string& name);
 
+/// All 16 programs as units of one program: each mini's `program <name>`
+/// card demoted to `subroutine <name>` under a trivial driver (17 units),
+/// so per-unit pass groups have units to fan out over worker threads and
+/// to fault independently (the minis themselves are single-unit).
+std::string combined_suite_source();
+
 /// Figure 6's TRACK NLFILT/300-style kernel: 20 invocations of a loop that
 /// scatters through a run-time subscript array.  Strides coprime to 2000
 /// yield permutations (the loop is parallel); strides 10 and 15 collide

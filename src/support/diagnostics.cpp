@@ -48,10 +48,6 @@ void Diagnostics::remark(RemarkKind kind, const std::string& pass,
   diags_.push_back(std::move(d));
 }
 
-void Diagnostics::truncate(std::size_t n) {
-  if (n < diags_.size()) diags_.resize(n);
-}
-
 bool Diagnostics::has_errors() const {
   return count(DiagSeverity::Error) > 0;
 }

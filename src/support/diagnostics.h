@@ -84,10 +84,6 @@ class Diagnostics {
   }
 
   void clear() { diags_.clear(); }
-  /// Drops every diagnostic past the first `n` — the fault-isolation layer
-  /// unwinds a rolled-back pass's messages so the report matches a run
-  /// that never attempted the pass.
-  void truncate(std::size_t n);
   void print(std::ostream& os) const;
   /// Writes the remarks stream: one JSON object per line, with kind,
   /// pass, context, reason, message, and args.

@@ -17,6 +17,14 @@ const char* to_string(GovernorTrigger t) {
   return "?";
 }
 
+GovernorMeters operator-(const GovernorMeters& a, const GovernorMeters& b) {
+  GovernorMeters d;
+  d.fuel = a.fuel - b.fuel;
+  for (int i = 0; i < kGovernorTriggers; ++i)
+    d.trips[i] = a.trips[i] - b.trips[i];
+  return d;
+}
+
 GovernorLimits limits_from_options(const Options& opts) {
   GovernorLimits l;
   if (opts.compile_budget_ms > 0.0)
@@ -97,23 +105,24 @@ ResourceGovernor* ResourceGovernor::current() {
 }
 
 void ResourceGovernor::note_trip(GovernorTrigger t) {
-  ++trips_[static_cast<int>(t)];
+  ++meters_.trips[static_cast<int>(t)];
 }
 
-std::uint64_t ResourceGovernor::trip_count(GovernorTrigger t) const {
-  return trips_[static_cast<int>(t)];
+namespace {
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return a + b < a ? ~std::uint64_t{0} : a + b;
 }
+}  // namespace
 
 void ResourceGovernor::charge(std::uint64_t ticks) {
-  const std::uint64_t before = fuel_spent_;
-  fuel_spent_ = before + ticks < before ? ~std::uint64_t{0} : before + ticks;
+  meters_.fuel = saturating_add(meters_.fuel, ticks);
   // Every charge past the limit throws, not just the first crossing: an
   // exhausted shard stays exhausted, so each later ladder attempt trips
   // immediately and deterministically.
-  if (fuel_limit_ != 0 && fuel_spent_ >= fuel_limit_) {
+  if (fuel_limit_ != 0 && meters_.fuel >= fuel_limit_) {
     note_trip(GovernorTrigger::CompileFuel);
     std::ostringstream os;
-    os << "compile fuel exhausted (" << fuel_spent_ << " of " << fuel_limit_
+    os << "compile fuel exhausted (" << meters_.fuel << " of " << fuel_limit_
        << " ticks)";
     throw ResourceBlowup(GovernorTrigger::CompileFuel, os.str());
   }
@@ -145,9 +154,9 @@ std::uint64_t ResourceGovernor::shard_fuel_share(std::size_t n_units) const {
   return share == 0 ? 1 : share;
 }
 
-void ResourceGovernor::add_spent(std::uint64_t ticks) {
-  fuel_spent_ = fuel_spent_ + ticks < fuel_spent_ ? ~std::uint64_t{0}
-                                                  : fuel_spent_ + ticks;
+void ResourceGovernor::add_meters(const GovernorMeters& m) {
+  meters_.fuel = saturating_add(meters_.fuel, m.fuel);
+  for (int i = 0; i < kGovernorTriggers; ++i) meters_.trips[i] += m.trips[i];
 }
 
 void ResourceGovernor::set_scope(const std::string& pass,
@@ -191,11 +200,6 @@ bool ResourceGovernor::note_bailout(const char* site,
   return true;
 }
 
-void ResourceGovernor::truncate_events(std::size_t mark) {
-  if (mark < events_.size())
-    events_.resize(mark);
-}
-
 void note_conservative_bailout(const char* site, const ResourceBlowup& b) {
   CompileContext* cc = CompileContext::current();
   if (cc == nullptr) return;
@@ -212,8 +216,7 @@ void note_conservative_bailout(const char* site, const ResourceBlowup& b) {
 }
 
 void ResourceGovernor::absorb(ResourceGovernor& shard) {
-  add_spent(shard.fuel_spent_);
-  for (int i = 0; i < kGovernorTriggers; ++i) trips_[i] += shard.trips_[i];
+  add_meters(shard.meters_);
   for (DegradationEvent& ev : shard.events_)
     events_.push_back(std::move(ev));
   shard.events_.clear();

@@ -29,7 +29,7 @@
 // that escapes to the pass boundary engages the *degradation ladder* in
 // the pass manager (see driver/pass_manager.cpp): retry the (pass, unit)
 // with cheaper switches — `degraded_options` rungs "reduced" then "floor"
-// — before finally dropping the pass via the existing rollback path.
+// — before finally dropping the pass.
 // Every step is recorded as a DegradationEvent (surfaced in
 // CompileReport::degradations and `-report-json`) and as a remark with a
 // closed reason code.
@@ -96,6 +96,16 @@ struct DegradationEvent {
   std::string detail;        ///< human-readable specifics
 };
 
+/// The governor's meters: fuel spent and trips per trigger.  Never
+/// unwound: a failed attempt's meters are carried into the shard that
+/// replays its group, and a finished shard's into its parent.
+struct GovernorMeters {
+  std::uint64_t fuel = 0;
+  std::uint64_t trips[kGovernorTriggers] = {};
+};
+/// Meter-wise difference (`a` must be a later reading than `b`).
+GovernorMeters operator-(const GovernorMeters& a, const GovernorMeters& b);
+
 /// Hard limits for one compilation (or one unit shard).  0 = unlimited
 /// throughout.
 struct GovernorLimits {
@@ -135,9 +145,9 @@ Options degraded_options(const Options& base, int rung);
 /// overhead as a fault tick.
 class ResourceGovernor {
  public:
-  /// Installs limits.  Never resets fuel_spent_ or recorded events: a
-  /// ladder retry reconfigures the governor mid-compile and the meter
-  /// must keep running.
+  /// Installs limits.  Never resets the meters or recorded events: the
+  /// pipeline reconfigures the governor mid-compile and the meters must
+  /// keep running.
   void configure(const GovernorLimits& limits);
 
   /// Overrides just the fuel limit — the shard-share hook.
@@ -170,23 +180,24 @@ class ResourceGovernor {
 
   /// Bumps the trip counter for `t`.  Called at every throw site so
   /// insight can aggregate how often each ceiling fired.  Counters are
-  /// meters like fuel_spent_: folded by absorb(), never unwound by
-  /// truncate_events — a ladder retry does not un-trip the ceiling that
+  /// meters like fuel: a ladder retry does not un-trip the ceiling that
   /// caused it.
   void note_trip(GovernorTrigger t);
-  std::uint64_t trip_count(GovernorTrigger t) const;
 
   std::uint64_t fuel_limit() const { return fuel_limit_; }
-  std::uint64_t fuel_spent() const { return fuel_spent_; }
+  std::uint64_t fuel_spent() const { return meters_.fuel; }
   std::uint64_t fuel_remaining() const {
-    return fuel_spent_ >= fuel_limit_ ? 0 : fuel_limit_ - fuel_spent_;
+    return meters_.fuel >= fuel_limit_ ? 0 : fuel_limit_ - meters_.fuel;
   }
   /// Equal split of the remaining fuel across `n_units` shards, floored
   /// at 1 tick so an exhausted parent yields exhausted (not unlimited)
   /// shards.  0 when no fuel limit is set.
   std::uint64_t shard_fuel_share(std::size_t n_units) const;
-  /// Folds a finished shard's meter back into this one (saturating).
-  void add_spent(std::uint64_t ticks);
+
+  GovernorMeters meters() const { return meters_; }
+  /// Adds meters run up elsewhere — a finished shard's, or a failed
+  /// attempt's whose shard was discarded (fuel saturates).
+  void add_meters(const GovernorMeters& m);
 
   // --- attribution scope --------------------------------------------------
   /// The (pass, unit) new events are attributed to; set by the pass
@@ -204,12 +215,8 @@ class ResourceGovernor {
   /// once-per-(pass,unit,site) remark on true).
   bool note_bailout(const char* site, GovernorTrigger trigger);
   const std::vector<DegradationEvent>& events() const { return events_; }
-  /// Rollback support, mirroring Diagnostics::truncate: a failed ladder
-  /// attempt unwinds the events it recorded.
-  std::size_t event_mark() const { return events_.size(); }
-  void truncate_events(std::size_t mark);
   /// Appends a shard's events (already in that unit's deterministic
-  /// order) and folds its fuel meter; called by CompileContext::merge_shard
+  /// order) and folds its meters; called by CompileContext::merge_shard
   /// in unit index order.
   void absorb(ResourceGovernor& shard);
 
@@ -217,8 +224,7 @@ class ResourceGovernor {
   void recompute_active();
 
   std::uint64_t fuel_limit_ = 0;
-  std::uint64_t fuel_spent_ = 0;
-  std::uint64_t trips_[kGovernorTriggers] = {};  ///< by GovernorTrigger
+  GovernorMeters meters_;
   std::size_t max_poly_terms_ = 0;
   std::size_t max_atoms_ = 0;
   int simplify_depth_ = 0;

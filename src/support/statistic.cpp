@@ -58,10 +58,6 @@ StatisticSnapshot StatisticRegistry::snapshot() const {
   return snap;
 }
 
-void StatisticRegistry::restore(const StatisticSnapshot& snap) {
-  values_ = snap;
-}
-
 std::vector<StatisticValue> StatisticRegistry::delta_since(
     const StatisticSnapshot& base) const {
   std::vector<StatisticValue> out;

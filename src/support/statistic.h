@@ -9,12 +9,11 @@
 // concurrent per-unit pipelines count independently and a `++counter`
 // outside any compilation is a no-op.
 //
-// Rollback discipline: values are monotonically increasing within one
-// registry, so the fault-isolation layer snapshots the shard's registry
-// before a pass invocation and restores it when the pass is rolled back —
-// a failed pass leaves no orphan counts (see StatisticSnapshot).  Shard
-// registries are summed into the parent compile's registry in unit order
-// when a parallel unit group finishes (CompileContext::merge_shard).
+// Values are monotonically increasing within one registry.  A failed
+// pass leaves no orphan counts because its unit shard's registry is
+// discarded with the shard; surviving shard registries are summed into
+// the parent compile's registry in unit order when a unit group finishes
+// (CompileContext::merge_shard).
 #pragma once
 
 #include <cstdint>
@@ -91,7 +90,6 @@ class StatisticRegistry {
   std::vector<StatisticValue> values() const;
 
   StatisticSnapshot snapshot() const;
-  void restore(const StatisticSnapshot& snap);
 
   /// Per-counter deltas `current - base`, non-zero entries only, in
   /// catalog order.  `base` must be an earlier snapshot of this registry.

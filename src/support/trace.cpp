@@ -61,11 +61,6 @@ const std::string& TraceCollector::path() const {
   return on_ ? path_ : empty;
 }
 
-void TraceCollector::truncate(std::size_t mark) {
-  if (!on_) return;
-  if (mark < events_.size()) events_.resize(mark);
-}
-
 std::uint64_t TraceCollector::now_us() const {
   if (!on_) return 0;
   return static_cast<std::uint64_t>(
@@ -84,6 +79,10 @@ void TraceCollector::instant(
   e.ts_us = now_us();
   e.args = std::move(args);
   events_.push_back(std::move(e));
+}
+
+void TraceCollector::record(TraceEvent e) {
+  if (on_) events_.push_back(std::move(e));
 }
 
 void TraceCollector::counter(
@@ -138,8 +137,6 @@ TraceSpan::~TraceSpan() {
 }
 
 void TraceSpan::emit(bool dangling) {
-  // Unregister first: truncate() cannot drop the registration (it only
-  // trims events), so the span is always present exactly once.
   auto& open = collector_->open_spans_;
   open.erase(std::find(open.begin(), open.end(), this));
   TraceEvent e;

@@ -43,17 +43,8 @@ AtomTable::Scope::~Scope() { tls_atom_table = prev_; }
 AtomId AtomTable::intern(const Expression& e) {
   std::size_t h = e.hash();
   auto [lo, hi] = index_.equal_range(h);
-  // Scan the whole bucket for the lowest matching id: remap collisions can
-  // leave structurally equal atoms under distinct ids, and the multimap's
-  // order among equal hashes is unspecified — the lowest id is the answer
-  // the pre-collision table gave, so lookups stay deterministic.
-  AtomId found = -1;
-  for (auto it = lo; it != hi; ++it) {
-    if (atoms_[static_cast<size_t>(it->second)]->equals(e) &&
-        (found < 0 || it->second < found))
-      found = it->second;
-  }
-  if (found >= 0) return found;
+  for (auto it = lo; it != hi; ++it)
+    if (atoms_[static_cast<size_t>(it->second)]->equals(e)) return it->second;
   // Ceiling + fuel are charged before the atom is stored, so a tripped
   // governor leaves the table exactly as it was.
   if (ResourceGovernor* gov = ResourceGovernor::current()) {
@@ -62,7 +53,6 @@ AtomId AtomTable::intern(const Expression& e) {
   }
   AtomId id = static_cast<AtomId>(atoms_.size());
   atoms_.push_back(e.clone());
-  hashes_.push_back(h);
   index_.emplace(h, id);
   if (e.kind() == ExprKind::VarRef)
     symbol_ids_.emplace(static_cast<const VarRef&>(e).symbol(), id);
@@ -86,50 +76,6 @@ Symbol* AtomTable::symbol(AtomId id) const {
   if (e.kind() == ExprKind::VarRef)
     return static_cast<const VarRef&>(e).symbol();
   return nullptr;
-}
-
-void AtomTable::remap(const SymbolMap<Symbol*>& map) {
-  for (ExprPtr& a : atoms_) remap_symbols(*a, map);
-  index_.clear();
-  symbol_ids_.clear();
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
-    std::size_t h = atoms_[i]->hash();
-    hashes_[i] = h;
-    index_.emplace(h, static_cast<AtomId>(i));
-    if (atoms_[i]->kind() == ExprKind::VarRef)
-      symbol_ids_.emplace(static_cast<const VarRef&>(*atoms_[i]).symbol(),
-                          static_cast<AtomId>(i));
-  }
-}
-
-void AtomTable::truncate(std::size_t n) {
-  if (n >= atoms_.size()) return;
-  for (std::size_t i = n; i < atoms_.size(); ++i) {
-    // The stored hash pins the dropped id to one index bucket — no scan of
-    // the whole multimap as the old representation needed.
-    auto [lo, hi] = index_.equal_range(hashes_[i]);
-    for (auto it = lo; it != hi; ++it) {
-      if (static_cast<std::size_t>(it->second) == i) {
-        index_.erase(it);
-        break;
-      }
-    }
-    if (Symbol* s = symbol(static_cast<AtomId>(i))) {
-      auto sit = symbol_ids_.find(s);
-      if (sit != symbol_ids_.end() &&
-          static_cast<std::size_t>(sit->second) == i)
-        symbol_ids_.erase(sit);
-    }
-  }
-  atoms_.resize(n);
-  hashes_.resize(n);
-}
-
-void AtomTable::reset() {
-  atoms_.clear();
-  hashes_.clear();
-  index_.clear();
-  symbol_ids_.clear();
 }
 
 // --- Monomial ------------------------------------------------------------------

@@ -34,23 +34,6 @@
 namespace polaris {
 namespace {
 
-/// All 16 suite codes as units of one program (the bench_scaling shape):
-/// each mini's `program <name>` card demoted to `subroutine <name>` under
-/// a trivial driver.
-std::string combined_suite_source() {
-  std::string src = "      program driver\n      end\n";
-  for (const BenchProgram& bp : benchmark_suite()) {
-    std::string body = bp.source;
-    const std::string card = "program " + bp.name;
-    std::size_t at = body.find(card);
-    if (at != std::string::npos)
-      body.replace(at, card.size(), "subroutine " + bp.name);
-    src += body;
-    if (!body.empty() && body.back() != '\n') src += '\n';
-  }
-  return src;
-}
-
 std::map<std::string, std::int64_t> load_baseline(
     const char* path = POLARIS_STATS_BASELINE) {
   std::ifstream in(path);

@@ -125,17 +125,24 @@ TEST(Governor, BailoutAggregatesPerScopeSiteAndTrigger) {
   EXPECT_EQ(g.events().size(), 4u);
 }
 
-TEST(Governor, MarkAndTruncateUnwindEvents) {
+TEST(Governor, MetersCarryFuelAndTripsIntoAnotherGovernor) {
+  constexpr int kPolyTerms = static_cast<int>(GovernorTrigger::PolyTerms);
   ResourceGovernor g;
-  g.set_scope("induction", "main");
-  g.note_bailout("simplify", GovernorTrigger::PolyTerms);
-  const std::size_t mark = g.event_mark();
-  g.note_bailout("rangetest", GovernorTrigger::PolyTerms);
-  g.note_bailout("ddtest", GovernorTrigger::PolyTerms);
-  EXPECT_EQ(g.events().size(), 3u);
-  g.truncate_events(mark);
-  ASSERT_EQ(g.events().size(), 1u);
-  EXPECT_EQ(g.events()[0].site, "simplify");
+  g.charge(30);
+  g.note_trip(GovernorTrigger::PolyTerms);
+  const GovernorMeters before = g.meters();
+  g.charge(12);
+  g.note_trip(GovernorTrigger::PolyTerms);
+  const GovernorMeters attempt = g.meters() - before;
+  EXPECT_EQ(attempt.fuel, 12u);
+  EXPECT_EQ(attempt.trips[kPolyTerms], 1u);
+
+  ResourceGovernor replay;
+  replay.add_meters(attempt);
+  EXPECT_EQ(replay.fuel_spent(), 12u);
+  EXPECT_EQ(replay.meters().trips[kPolyTerms], 1u);
+  replay.add_meters({.fuel = ~std::uint64_t{0}});
+  EXPECT_EQ(replay.fuel_spent(), ~std::uint64_t{0});  // saturates
 }
 
 TEST(Governor, AbsorbAppendsShardEventsAndFoldsFuel) {

@@ -74,17 +74,6 @@ TEST(Statistic, DeltaSinceReportsOnlyMovedCounters) {
   EXPECT_TRUE(find_stat(delta, "widgets_built").name.empty());
 }
 
-TEST(Statistic, RestoreUnwindsIncrements) {
-  CompileContext cc;
-  CompileContext::Scope scope(&cc);
-  StatisticSnapshot snap = cc.stats().snapshot();
-  widgets_built += 100;
-  ++gizmos_seen;
-  cc.stats().restore(snap);
-  EXPECT_EQ(cc.stats().value(widgets_built), 0u);
-  EXPECT_TRUE(cc.stats().delta_since(snap).empty());
-}
-
 TEST(Statistic, MergeSumsShardCounters) {
   CompileContext parent, shard;
   {

@@ -29,7 +29,6 @@ TEST(Trace, OffByDefaultAndSpansAreNoOps) {
   c.instant("ghost", "test");
   c.counter("ghost", {{"x", 1}});
   EXPECT_EQ(c.event_count(), 0u);
-  EXPECT_EQ(c.mark(), 0u);
 }
 
 TEST(Trace, NullCollectorSpansAreNoOps) {
@@ -68,6 +67,19 @@ TEST(Trace, CollectsSpansInstantsAndCounters) {
   EXPECT_GE(evs[3].ts_us + evs[3].dur_us, evs[0].ts_us + evs[0].dur_us);
 }
 
+TEST(Trace, RecordAppendsPrebuiltEventsWhileCollecting) {
+  TraceCollector c;
+  c.record({.name = "ghost", .category = "test", .args = {}});
+  EXPECT_EQ(c.event_count(), 0u);
+  c.start("");
+  c.record(
+      {.name = "kept", .category = "test", .ts_us = 5, .dur_us = 2, .args = {}});
+  ASSERT_EQ(c.event_count(), 1u);
+  EXPECT_EQ(c.events()[0].name, "kept");
+  EXPECT_EQ(c.events()[0].ts_us, 5u);
+  EXPECT_EQ(c.events()[0].dur_us, 2u);
+}
+
 TEST(Trace, StopDisablesAndClears) {
   TraceCollector c;
   c.start("");
@@ -76,24 +88,6 @@ TEST(Trace, StopDisablesAndClears) {
   c.stop();
   EXPECT_FALSE(c.collecting());
   EXPECT_EQ(c.event_count(), 0u);
-}
-
-TEST(Trace, TruncateUnwindsEventsAfterMark) {
-  TraceCollector c;
-  c.start("");
-  c.instant("kept", "test");
-  const std::size_t mark = c.mark();
-  c.instant("dropped-1", "test");
-  c.instant("dropped-2", "test");
-  EXPECT_EQ(c.event_count(), 3u);
-  c.truncate(mark);
-  ASSERT_EQ(c.event_count(), 1u);
-  EXPECT_EQ(c.events()[0].name, "kept");
-  // A span open across the truncation still emits afterwards.
-  {
-    TraceSpan late(&c, "late", "test");
-  }
-  EXPECT_EQ(c.event_count(), 2u);
 }
 
 // The satellite regression: spans still in flight when the collector is

@@ -194,84 +194,5 @@ TEST_F(PolyTest, AtomsListsAllIndeterminates) {
   EXPECT_EQ(atoms.size(), 3u);
 }
 
-// --- hash-consing index: rollback and remap --------------------------------
-
-TEST_F(PolyTest, TruncateRollsBackHashIndex) {
-  AtomTable table;
-  AtomTable::Scope scope(&table);
-  AtomId a = table.intern_symbol(i);
-  AtomId b = table.intern_symbol(j);
-  EXPECT_EQ(table.size(), 2u);
-  ExprPtr sum = ib::add(ib::var(i), ib::var(j));
-  AtomId s = table.intern(*sum);
-  EXPECT_EQ(table.size(), 3u);
-
-  table.truncate(2);
-  EXPECT_EQ(table.size(), 2u);
-  // Retained ids answer through the index unchanged...
-  EXPECT_EQ(table.intern_symbol(i), a);
-  EXPECT_EQ(table.intern_symbol(j), b);
-  // ...and the dropped expression re-interns into the freed id, exactly
-  // as in a run that never interned it before the rollback.
-  EXPECT_EQ(table.intern(*sum), s);
-  EXPECT_EQ(table.size(), 3u);
-}
-
-TEST_F(PolyTest, TruncateDropsSymbolFastPath) {
-  AtomTable table;
-  AtomTable::Scope scope(&table);
-  table.intern_symbol(i);
-  AtomId b = table.intern_symbol(j);
-  table.truncate(static_cast<std::size_t>(b));
-  // j's dropped fast-path entry must not resurrect the stale id: an
-  // unrelated intern takes the freed slot first.
-  ExprPtr other = ib::add(ib::var(k), ib::ic(1));
-  AtomId o = table.intern(*other);
-  EXPECT_EQ(o, b);  // freed id reused by the next intern, whatever it is
-  AtomId j2 = table.intern_symbol(j);
-  EXPECT_NE(j2, o);
-  EXPECT_EQ(table.symbol(j2), j);
-}
-
-TEST_F(PolyTest, RemapRewritesAtomsAndRebuildsIndex) {
-  SymbolTable clone_tab;
-  Symbol* ic2 = clone_tab.declare("i", Type::integer(), SymbolKind::Variable);
-  AtomTable table;
-  AtomTable::Scope scope(&table);
-  AtomId a = table.intern_symbol(i);
-  ExprPtr prod = ib::mul(ib::var(i), ib::var(n));
-  AtomId p = table.intern(*prod);
-
-  SymbolMap<Symbol*> map;
-  map[i] = ic2;
-  table.remap(map);
-
-  // The clone inherits the original's atom id through the rebuilt index,
-  // for both the VarRef fast path and structural interning.
-  EXPECT_EQ(table.intern_symbol(ic2), a);
-  EXPECT_EQ(table.symbol(a), ic2);
-  ExprPtr prod2 = ib::mul(ib::var(ic2), ib::var(n));
-  EXPECT_EQ(table.intern(*prod2), p);
-  EXPECT_EQ(table.size(), 2u);  // i and i*n — nothing new interned
-}
-
-TEST_F(PolyTest, RemapCollisionKeepsLowestId) {
-  // Two distinct symbols remapped onto the same target: both old atoms
-  // become structurally equal, and interning resolves to the lowest id
-  // (the same answer the pre-remap table would give for the first one).
-  AtomTable table;
-  AtomTable::Scope scope(&table);
-  AtomId a = table.intern_symbol(i);
-  AtomId b = table.intern_symbol(j);
-  ASSERT_LT(a, b);
-  SymbolMap<Symbol*> map;
-  map[i] = k;
-  map[j] = k;
-  table.remap(map);
-  EXPECT_EQ(table.intern_symbol(k), a);
-  VarRef kref(k);
-  EXPECT_EQ(table.intern(kref), a);
-}
-
 }  // namespace
 }  // namespace polaris
