@@ -98,7 +98,7 @@ struct CompileReport {
   struct CrashInfo {
     std::string pass;         ///< failing pass
     std::string unit;         ///< failing unit
-    std::string unit_source;  ///< pre-pass snapshot of the unit, printed
+    std::string unit_source;  ///< the unit as its pass group received it
     std::string passes_spec;  ///< `-passes=` spec reproducing the pipeline
   };
   std::optional<CrashInfo> crash;

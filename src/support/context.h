@@ -28,7 +28,7 @@
 // fresh CompileContext whose trace collector shares the parent's time
 // epoch; when the unit finishes, the parent calls merge_shard() in unit
 // order, making every merged artifact deterministic regardless of worker
-// count.  A faulted unit unwinds only its shard's state.
+// count.  A faulted pass attempt discards its shard's context whole.
 #pragma once
 
 #include <memory>

@@ -80,9 +80,10 @@ struct Options {
   std::string pipeline_spec;
 
   // --- fault isolation ------------------------------------------------------
-  /// Roll a failing pass back to its pre-pass snapshot and continue with
-  /// the remaining passes (the LRPD shape: degrade to "less optimized,
-  /// still correct").  When false, pass failures propagate as
+  /// Roll a failing pass back — restore its unit from the group's
+  /// checkpoint and replay the group without it — and continue with the
+  /// remaining passes (the LRPD shape: degrade to "less optimized, still
+  /// correct").  When false, pass failures propagate as
   /// InternalError, aborting the compile.
   bool fault_recovery = true;
   /// Run the structural IR verifier after every pass; violations are
