@@ -10,7 +10,7 @@ namespace {
 std::set<std::string> called_functions(const ProgramUnit& unit) {
   std::set<std::string> out;
   for (Statement* s : unit.stmts()) {
-    for (const Expression* e : s->expressions()) {
+    for (const ExprPtr& e : s->expressions()) {
       walk(*e, [&](const Expression& n) {
         if (n.kind() == ExprKind::FuncCall) {
           const auto& f = static_cast<const FuncCall&>(n);
@@ -81,7 +81,7 @@ bool has_impure_calls(Statement* first, Statement* last,
   for (Statement* s = first; s != stop; s = s->next()) {
     p_assert(s != nullptr);
     if (s->kind() == StmtKind::Call) return true;  // subroutines: by-ref
-    for (const Expression* e : s->expressions()) {
+    for (const ExprPtr& e : s->expressions()) {
       bool impure = e->contains([&](const Expression& n) {
         if (n.kind() != ExprKind::FuncCall) return false;
         const auto& f = static_cast<const FuncCall&>(n);

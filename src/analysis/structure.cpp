@@ -161,7 +161,7 @@ FlowState walk_until(Statement*& s, Statement* stop) {
         break;
       }
       case StmtKind::Print: {
-        for (const Expression* e : s->expressions()) st.use_expr(*e);
+        for (const ExprPtr& e : s->expressions()) st.use_expr(*e);
         s = s->next();
         break;
       }
@@ -223,7 +223,7 @@ SymbolSet used_symbols(Statement* first, Statement* last) {
   Statement* stop = last ? last->next() : nullptr;
   for (Statement* s = first; s != stop; s = s->next()) {
     p_assert(s != nullptr);
-    for (const Expression* e : s->expressions()) collect_uses(*e, out);
+    for (const ExprPtr& e : s->expressions()) collect_uses(*e, out);
   }
   return out;
 }
@@ -244,7 +244,7 @@ bool has_calls(Statement* first, Statement* last) {
   for (Statement* s = first; s != stop; s = s->next()) {
     p_assert(s != nullptr);
     if (s->kind() == StmtKind::Call) return true;
-    for (const Expression* e : s->expressions())
+    for (const ExprPtr& e : s->expressions())
       if (expr_has_user_call(*e)) return true;
   }
   return false;
@@ -286,7 +286,7 @@ bool is_live_after(DoStmt* loop, Symbol* s) {
       if (a->lhs().kind() == ExprKind::VarRef && a->target() == s)
         return false;  // killed
     } else {
-      for (const Expression* e : cur->expressions()) {
+      for (const ExprPtr& e : cur->expressions()) {
         SymbolSet used;
         collect_uses(*e, used);
         if (used.count(s)) return true;

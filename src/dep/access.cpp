@@ -32,7 +32,7 @@ SymbolMap<std::vector<ArrayAccess>> collect_array_accesses(
       }
       collect_reads(a->rhs(), s, out);
     } else {
-      for (const Expression* e : s->expressions()) collect_reads(*e, s, out);
+      for (const ExprPtr& e : s->expressions()) collect_reads(*e, s, out);
     }
   }
   return out;

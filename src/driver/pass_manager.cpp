@@ -192,7 +192,7 @@ IrSize unit_ir_size(const ProgramUnit& unit) {
   IrSize size;
   for (const Statement* s : unit.stmts()) {
     ++size.stmts;
-    for (const Expression* e : s->expressions())
+    for (const ExprPtr& e : s->expressions())
       walk(*e, [&](const Expression&) { ++size.exprs; });
   }
   return size;

@@ -91,13 +91,6 @@ std::size_t hash_combine(std::size_t seed, std::size_t v) {
 }
 }  // namespace
 
-std::vector<const Expression*> Expression::children() const {
-  std::vector<const Expression*> out;
-  for (ExprPtr* slot : const_cast<Expression*>(this)->children())
-    out.push_back(slot->get());
-  return out;
-}
-
 std::string Expression::to_string() const {
   std::ostringstream os;
   print(os);
@@ -262,7 +255,7 @@ bool Expression::match(const Expression& subject, Bindings& bindings) const {
 bool Expression::contains(
     const std::function<bool(const Expression&)>& pred) const {
   if (pred(*this)) return true;
-  for (const Expression* c : children())
+  for (const ExprPtr& c : children())
     if (c->contains(pred)) return true;
   return false;
 }
@@ -342,13 +335,6 @@ ExprPtr ArrayRef::clone() const {
   return std::make_unique<ArrayRef>(sym_, std::move(subs));
 }
 
-std::vector<ExprPtr*> ArrayRef::children() {
-  std::vector<ExprPtr*> out;
-  out.reserve(subs_.size());
-  for (auto& s : subs_) out.push_back(&s);
-  return out;
-}
-
 void ArrayRef::print(std::ostream& os) const {
   os << sym_->name() << "(";
   for (size_t i = 0; i < subs_.size(); ++i) {
@@ -359,27 +345,24 @@ void ArrayRef::print(std::ostream& os) const {
 }
 
 BinOp::BinOp(BinOpKind op, ExprPtr l, ExprPtr r)
-    : Expression(ExprKind::BinOp),
-      op_(op),
-      left_(std::move(l)),
-      right_(std::move(r)) {
-  p_assert(left_ != nullptr && right_ != nullptr);
+    : Expression(ExprKind::BinOp), op_(op), ops_{std::move(l), std::move(r)} {
+  p_assert(ops_[0] != nullptr && ops_[1] != nullptr);
 }
 
 ExprPtr BinOp::clone() const {
-  return std::make_unique<BinOp>(op_, left_->clone(), right_->clone());
+  return std::make_unique<BinOp>(op_, ops_[0]->clone(), ops_[1]->clone());
 }
 
 Type BinOp::type() const {
   if (is_comparison(op_) || op_ == BinOpKind::And || op_ == BinOpKind::Or)
     return Type::logical();
-  return Type::promote(left_->type(), right_->type());
+  return Type::promote(ops_[0]->type(), ops_[1]->type());
 }
 
 void BinOp::print(std::ostream& os) const {
-  print_child(os, *this, *left_, false);
+  print_child(os, *this, *ops_[0], false);
   os << binop_spelling(op_);
-  print_child(os, *this, *right_, true);
+  print_child(os, *this, *ops_[1], true);
 }
 
 UnOp::UnOp(UnOpKind op, ExprPtr e)
@@ -412,13 +395,6 @@ ExprPtr FuncCall::clone() const {
   return std::make_unique<FuncCall>(name_, std::move(args), result_type_);
 }
 
-std::vector<ExprPtr*> FuncCall::children() {
-  std::vector<ExprPtr*> out;
-  out.reserve(args_.size());
-  for (auto& a : args_) out.push_back(&a);
-  return out;
-}
-
 void FuncCall::print(std::ostream& os) const {
   os << name_ << "(";
   for (size_t i = 0; i < args_.size(); ++i) {
@@ -439,7 +415,7 @@ void Wildcard::print(std::ostream& os) const { os << "?" << name_; }
 void walk(const Expression& e,
           const std::function<void(const Expression&)>& fn) {
   fn(e);
-  for (const Expression* c : e.children()) walk(*c, fn);
+  for (const ExprPtr& c : e.children()) walk(*c, fn);
 }
 
 void walk_slots(ExprPtr& root, const std::function<void(ExprPtr&)>& fn) {
@@ -447,7 +423,7 @@ void walk_slots(ExprPtr& root, const std::function<void(ExprPtr&)>& fn) {
   const Expression* before = root.get();
   fn(root);
   if (root.get() != before) return;  // replaced: do not descend
-  for (ExprPtr* slot : root->children()) walk_slots(*slot, fn);
+  for (ExprPtr& slot : root->children()) walk_slots(slot, fn);
 }
 
 int replace_all(ExprPtr& root, const Expression& from, const Expression& to) {
@@ -483,7 +459,7 @@ void remap_symbols(Expression& e, const SymbolMap<Symbol*>& map) {
     auto it = map.find(a.symbol());
     if (it != map.end()) a.set_symbol(it->second);
   }
-  for (ExprPtr* slot : e.children()) remap_symbols(**slot, map);
+  for (ExprPtr& slot : e.children()) remap_symbols(*slot, map);
 }
 
 }  // namespace polaris

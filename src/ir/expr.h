@@ -17,6 +17,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,9 +74,12 @@ class Expression {
   /// Structural equality (symbol identity for references, exact constants).
   bool equals(const Expression& other) const;
 
-  /// Mutable child slots, for generic traversal and in-place replacement.
-  virtual std::vector<ExprPtr*> children() = 0;
-  std::vector<const Expression*> children() const;
+  /// Child slots in operand order, a view of the node's own storage (so
+  /// traversal never allocates); assigning a slot replaces that operand.
+  virtual std::span<ExprPtr> children() = 0;
+  std::span<const ExprPtr> children() const {
+    return const_cast<Expression*>(this)->children();
+  }
 
   /// Approximate Fortran type of the expression's value.
   virtual Type type() const = 0;
@@ -113,7 +117,7 @@ class IntConst final : public Expression {
       : Expression(ExprKind::IntConst), value_(v) {}
   std::int64_t value() const { return value_; }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {}; }
+  std::span<ExprPtr> children() override { return {}; }
   Type type() const override { return Type::integer(); }
   void print(std::ostream& os) const override;
 
@@ -128,7 +132,7 @@ class RealConst final : public Expression {
   double value() const { return value_; }
   bool is_double() const { return is_double_; }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {}; }
+  std::span<ExprPtr> children() override { return {}; }
   Type type() const override {
     return is_double_ ? Type::double_precision() : Type::real();
   }
@@ -145,7 +149,7 @@ class LogicalConst final : public Expression {
       : Expression(ExprKind::LogicalConst), value_(v) {}
   bool value() const { return value_; }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {}; }
+  std::span<ExprPtr> children() override { return {}; }
   Type type() const override { return Type::logical(); }
   void print(std::ostream& os) const override;
 
@@ -159,7 +163,7 @@ class StringConst final : public Expression {
       : Expression(ExprKind::StringConst), value_(std::move(v)) {}
   const std::string& value() const { return value_; }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {}; }
+  std::span<ExprPtr> children() override { return {}; }
   Type type() const override { return Type::character(); }
   void print(std::ostream& os) const override;
 
@@ -177,7 +181,7 @@ class VarRef final : public Expression {
   Symbol* symbol() const { return sym_; }
   void set_symbol(Symbol* s) { p_assert(s); sym_ = s; }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {}; }
+  std::span<ExprPtr> children() override { return {}; }
   Type type() const override { return sym_->type(); }
   void print(std::ostream& os) const override;
 
@@ -195,7 +199,7 @@ class ArrayRef final : public Expression {
   std::vector<ExprPtr>& subscripts() { return subs_; }
   int rank() const { return static_cast<int>(subs_.size()); }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override;
+  std::span<ExprPtr> children() override { return subs_; }
   Type type() const override { return sym_->type(); }
   void print(std::ostream& os) const override;
 
@@ -208,21 +212,20 @@ class BinOp final : public Expression {
  public:
   BinOp(BinOpKind op, ExprPtr l, ExprPtr r);
   BinOpKind op() const { return op_; }
-  const Expression& left() const { return *left_; }
-  const Expression& right() const { return *right_; }
-  Expression& left() { return *left_; }
-  Expression& right() { return *right_; }
-  ExprPtr take_left() { return std::move(left_); }
-  ExprPtr take_right() { return std::move(right_); }
+  const Expression& left() const { return *ops_[0]; }
+  const Expression& right() const { return *ops_[1]; }
+  Expression& left() { return *ops_[0]; }
+  Expression& right() { return *ops_[1]; }
+  ExprPtr take_left() { return std::move(ops_[0]); }
+  ExprPtr take_right() { return std::move(ops_[1]); }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {&left_, &right_}; }
+  std::span<ExprPtr> children() override { return ops_; }
   Type type() const override;
   void print(std::ostream& os) const override;
 
  private:
   BinOpKind op_;
-  ExprPtr left_;
-  ExprPtr right_;
+  ExprPtr ops_[2];  // left, right
 };
 
 class UnOp final : public Expression {
@@ -233,7 +236,7 @@ class UnOp final : public Expression {
   Expression& operand() { return *operand_; }
   ExprPtr take_operand() { return std::move(operand_); }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {&operand_}; }
+  std::span<ExprPtr> children() override { return {&operand_, 1}; }
   Type type() const override { return operand_->type(); }
   void print(std::ostream& os) const override;
 
@@ -250,7 +253,7 @@ class FuncCall final : public Expression {
   const std::vector<ExprPtr>& args() const { return args_; }
   std::vector<ExprPtr>& args() { return args_; }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override;
+  std::span<ExprPtr> children() override { return args_; }
   Type type() const override { return result_type_; }
   void set_type(Type t) { result_type_ = t; }
   void print(std::ostream& os) const override;
@@ -277,7 +280,7 @@ class Wildcard final : public Expression {
   bool constrained() const { return constrained_; }
   ExprKind required_kind() const { return required_; }
   ExprPtr clone() const override;
-  std::vector<ExprPtr*> children() override { return {}; }
+  std::span<ExprPtr> children() override { return {}; }
   Type type() const override { return Type(); }
   void print(std::ostream& os) const override;
 

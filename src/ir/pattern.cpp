@@ -11,8 +11,8 @@ ExprPtr instantiate(const Expression& templ, const Bindings& bindings) {
     return it->second->clone();
   }
   ExprPtr copy = templ.clone();
-  for (ExprPtr* slot : copy->children())
-    *slot = instantiate(**slot, bindings);
+  for (ExprPtr& slot : copy->children())
+    slot = instantiate(*slot, bindings);
   return copy;
 }
 
@@ -36,7 +36,7 @@ const Expression* find_match(const Expression& e, const Expression& pattern,
     if (bindings) *bindings = std::move(local);
     return &e;
   }
-  for (const Expression* c : e.children()) {
+  for (const ExprPtr& c : e.children()) {
     if (const Expression* hit = find_match(*c, pattern, bindings)) return hit;
   }
   return nullptr;

@@ -89,7 +89,7 @@ std::unique_ptr<ProgramUnit> ProgramUnit::clone(
         for (Symbol*& v : d->par.speculative_arrays) remap_sym(v);
         for (ReductionInfo& r : d->par.reductions) remap_sym(r.var);
       }
-      for (ExprPtr* slot : s->expr_slots()) remap_symbols(**slot, map);
+      for (ExprPtr& slot : s->expr_slots()) remap_symbols(*slot, map);
     }
     copy->stmts_.splice_back(std::move(frag));
   }

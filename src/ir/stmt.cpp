@@ -14,13 +14,6 @@ std::atomic<int> g_next_stmt_id{1};
 
 Statement::Statement(StmtKind k) : kind_(k), id_(g_next_stmt_id.fetch_add(1)) {}
 
-std::vector<const Expression*> Statement::expressions() const {
-  std::vector<const Expression*> out;
-  for (ExprPtr* slot : const_cast<Statement*>(this)->expr_slots())
-    out.push_back(slot->get());
-  return out;
-}
-
 std::string Statement::to_string() const {
   std::ostringstream os;
   print(os);
@@ -35,28 +28,28 @@ std::ostream& operator<<(std::ostream& os, const Statement& s) {
 // --- AssignStmt ---------------------------------------------------------------
 
 AssignStmt::AssignStmt(ExprPtr lhs, ExprPtr rhs)
-    : Statement(StmtKind::Assign), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {
-  p_assert(lhs_ != nullptr && rhs_ != nullptr);
-  p_assert_msg(lhs_->kind() == ExprKind::VarRef ||
-                   lhs_->kind() == ExprKind::ArrayRef,
+    : Statement(StmtKind::Assign), slots_{std::move(lhs), std::move(rhs)} {
+  p_assert(slots_[0] != nullptr && slots_[1] != nullptr);
+  p_assert_msg(slots_[0]->kind() == ExprKind::VarRef ||
+                   slots_[0]->kind() == ExprKind::ArrayRef,
                "assignment target must be a variable or array element");
 }
 
 Symbol* AssignStmt::target() const {
-  if (lhs_->kind() == ExprKind::VarRef)
-    return static_cast<const VarRef&>(*lhs_).symbol();
-  return static_cast<const ArrayRef&>(*lhs_).symbol();
+  if (lhs().kind() == ExprKind::VarRef)
+    return static_cast<const VarRef&>(lhs()).symbol();
+  return static_cast<const ArrayRef&>(lhs()).symbol();
 }
 
 StmtPtr AssignStmt::clone() const {
-  auto s = std::make_unique<AssignStmt>(lhs_->clone(), rhs_->clone());
+  auto s = std::make_unique<AssignStmt>(lhs().clone(), rhs().clone());
   s->set_label(label());
   s->reduction_flag = reduction_flag;
   return s;
 }
 
 void AssignStmt::print(std::ostream& os) const {
-  os << *lhs_ << " = " << *rhs_;
+  os << lhs() << " = " << rhs();
 }
 
 // --- DoStmt -------------------------------------------------------------------
@@ -64,12 +57,10 @@ void AssignStmt::print(std::ostream& os) const {
 DoStmt::DoStmt(Symbol* index, ExprPtr init, ExprPtr limit, ExprPtr step)
     : Statement(StmtKind::Do),
       index_(index),
-      init_(std::move(init)),
-      limit_(std::move(limit)),
-      step_(std::move(step)) {
+      slots_{std::move(init), std::move(limit), std::move(step)} {
   p_assert(index_ != nullptr);
-  p_assert(init_ != nullptr && limit_ != nullptr);
-  if (!step_) step_ = std::make_unique<IntConst>(1);
+  p_assert(slots_[0] != nullptr && slots_[1] != nullptr);
+  if (!slots_[2]) slots_[2] = std::make_unique<IntConst>(1);
 }
 
 std::string DoStmt::loop_name() const {
@@ -78,18 +69,18 @@ std::string DoStmt::loop_name() const {
 }
 
 StmtPtr DoStmt::clone() const {
-  auto s = std::make_unique<DoStmt>(index_, init_->clone(), limit_->clone(),
-                                    step_->clone());
+  auto s = std::make_unique<DoStmt>(index_, init().clone(), limit().clone(),
+                                    step().clone());
   s->set_label(label());
   s->par = par;
   return s;
 }
 
 void DoStmt::print(std::ostream& os) const {
-  os << "do " << index_->name() << " = " << *init_ << ", " << *limit_;
-  const bool unit_step = step_->kind() == ExprKind::IntConst &&
-                         static_cast<const IntConst&>(*step_).value() == 1;
-  if (!unit_step) os << ", " << *step_;
+  os << "do " << index_->name() << " = " << init() << ", " << limit();
+  const bool unit_step = step().kind() == ExprKind::IntConst &&
+                         static_cast<const IntConst&>(step()).value() == 1;
+  if (!unit_step) os << ", " << step();
 }
 
 // --- EndDoStmt ------------------------------------------------------------------
@@ -185,13 +176,6 @@ StmtPtr CallStmt::clone() const {
   return s;
 }
 
-std::vector<ExprPtr*> CallStmt::expr_slots() {
-  std::vector<ExprPtr*> out;
-  out.reserve(args_.size());
-  for (auto& a : args_) out.push_back(&a);
-  return out;
-}
-
 void CallStmt::print(std::ostream& os) const {
   os << "call " << name_ << "(";
   for (size_t i = 0; i < args_.size(); ++i) {
@@ -233,13 +217,6 @@ StmtPtr PrintStmt::clone() const {
   auto s = std::make_unique<PrintStmt>(std::move(items));
   s->set_label(label());
   return s;
-}
-
-std::vector<ExprPtr*> PrintStmt::expr_slots() {
-  std::vector<ExprPtr*> out;
-  out.reserve(items_.size());
-  for (auto& i : items_) out.push_back(&i);
-  return out;
 }
 
 void PrintStmt::print(std::ostream& os) const {

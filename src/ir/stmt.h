@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,10 +104,13 @@ class Statement {
   /// they are derived data recomputed on insertion).
   virtual std::unique_ptr<Statement> clone() const = 0;
 
-  /// Mutable slots of every expression contained in this statement, for
-  /// generic traversal during dependence analysis and substitution.
-  virtual std::vector<ExprPtr*> expr_slots() = 0;
-  std::vector<const Expression*> expressions() const;
+  /// Slots of every expression contained in this statement, in operand
+  /// order, as a view of the statement's own storage (so traversal never
+  /// allocates); for dependence analysis and substitution.
+  virtual std::span<ExprPtr> expr_slots() = 0;
+  std::span<const ExprPtr> expressions() const {
+    return const_cast<Statement*>(this)->expr_slots();
+  }
 
   virtual void print(std::ostream& os) const = 0;
   std::string to_string() const;
@@ -138,10 +142,10 @@ using StmtPtr = std::unique_ptr<Statement>;
 class AssignStmt final : public Statement {
  public:
   AssignStmt(ExprPtr lhs, ExprPtr rhs);
-  const Expression& lhs() const { return *lhs_; }
-  const Expression& rhs() const { return *rhs_; }
-  ExprPtr& lhs_slot() { return lhs_; }
-  ExprPtr& rhs_slot() { return rhs_; }
+  const Expression& lhs() const { return *slots_[0]; }
+  const Expression& rhs() const { return *slots_[1]; }
+  ExprPtr& lhs_slot() { return slots_[0]; }
+  ExprPtr& rhs_slot() { return slots_[1]; }
   /// Symbol assigned by this statement (base symbol of the lhs).
   Symbol* target() const;
 
@@ -150,12 +154,11 @@ class AssignStmt final : public Statement {
   ReductionKind reduction_flag = ReductionKind::None;
 
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {&lhs_, &rhs_}; }
+  std::span<ExprPtr> expr_slots() override { return slots_; }
   void print(std::ostream& os) const override;
 
  private:
-  ExprPtr lhs_;
-  ExprPtr rhs_;
+  ExprPtr slots_[2];  // lhs, rhs
 };
 
 /// do index = init, limit, step
@@ -164,12 +167,12 @@ class DoStmt final : public Statement {
   DoStmt(Symbol* index, ExprPtr init, ExprPtr limit, ExprPtr step);
   Symbol* index() const { return index_; }
   void set_index(Symbol* s) { p_assert(s); index_ = s; }
-  const Expression& init() const { return *init_; }
-  const Expression& limit() const { return *limit_; }
-  const Expression& step() const { return *step_; }
-  ExprPtr& init_slot() { return init_; }
-  ExprPtr& limit_slot() { return limit_; }
-  ExprPtr& step_slot() { return step_; }
+  const Expression& init() const { return *slots_[0]; }
+  const Expression& limit() const { return *slots_[1]; }
+  const Expression& step() const { return *slots_[2]; }
+  ExprPtr& init_slot() { return slots_[0]; }
+  ExprPtr& limit_slot() { return slots_[1]; }
+  ExprPtr& step_slot() { return slots_[2]; }
 
   /// Matching ENDDO (derived; set by revalidate()).
   EndDoStmt* follow() const { return follow_; }
@@ -182,17 +185,13 @@ class DoStmt final : public Statement {
   std::string loop_name() const;
 
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override {
-    return {&init_, &limit_, &step_};
-  }
+  std::span<ExprPtr> expr_slots() override { return slots_; }
   void print(std::ostream& os) const override;
 
  private:
   friend class StmtList;
   Symbol* index_;
-  ExprPtr init_;
-  ExprPtr limit_;
-  ExprPtr step_;
+  ExprPtr slots_[3];  // init, limit, step
   EndDoStmt* follow_ = nullptr;
 };
 
@@ -202,7 +201,7 @@ class EndDoStmt final : public Statement {
   /// The DO this ENDDO closes (derived).
   DoStmt* header() const { return header_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 
  private:
@@ -220,7 +219,7 @@ class IfStmt final : public Statement {
   Statement* next_arm() const { return next_arm_; }
   EndIfStmt* end() const { return end_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {&cond_}; }
+  std::span<ExprPtr> expr_slots() override { return {&cond_, 1}; }
   void print(std::ostream& os) const override;
 
  private:
@@ -238,7 +237,7 @@ class ElseIfStmt final : public Statement {
   Statement* next_arm() const { return next_arm_; }
   EndIfStmt* end() const { return end_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {&cond_}; }
+  std::span<ExprPtr> expr_slots() override { return {&cond_, 1}; }
   void print(std::ostream& os) const override;
 
  private:
@@ -253,7 +252,7 @@ class ElseStmt final : public Statement {
   ElseStmt() : Statement(StmtKind::Else) {}
   EndIfStmt* end() const { return end_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 
  private:
@@ -265,7 +264,7 @@ class EndIfStmt final : public Statement {
  public:
   EndIfStmt() : Statement(StmtKind::EndIf) {}
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 };
 
@@ -274,7 +273,7 @@ class GotoStmt final : public Statement {
   explicit GotoStmt(int target) : Statement(StmtKind::Goto), target_(target) {}
   int target() const { return target_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 
  private:
@@ -285,7 +284,7 @@ class ContinueStmt final : public Statement {
  public:
   ContinueStmt() : Statement(StmtKind::Continue) {}
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 };
 
@@ -297,7 +296,7 @@ class CallStmt final : public Statement {
   const std::vector<ExprPtr>& args() const { return args_; }
   std::vector<ExprPtr>& args() { return args_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override;
+  std::span<ExprPtr> expr_slots() override { return args_; }
   void print(std::ostream& os) const override;
 
  private:
@@ -309,7 +308,7 @@ class ReturnStmt final : public Statement {
  public:
   ReturnStmt() : Statement(StmtKind::Return) {}
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 };
 
@@ -317,7 +316,7 @@ class StopStmt final : public Statement {
  public:
   StopStmt() : Statement(StmtKind::Stop) {}
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 };
 
@@ -327,7 +326,7 @@ class PrintStmt final : public Statement {
   explicit PrintStmt(std::vector<ExprPtr> items);
   const std::vector<ExprPtr>& items() const { return items_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override;
+  std::span<ExprPtr> expr_slots() override { return items_; }
   void print(std::ostream& os) const override;
 
  private:
@@ -341,7 +340,7 @@ class CommentStmt final : public Statement {
       : Statement(StmtKind::Comment), text_(std::move(text)) {}
   const std::string& text() const { return text_; }
   StmtPtr clone() const override;
-  std::vector<ExprPtr*> expr_slots() override { return {}; }
+  std::span<ExprPtr> expr_slots() override { return {}; }
   void print(std::ostream& os) const override;
 
  private:

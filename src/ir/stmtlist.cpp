@@ -381,7 +381,7 @@ void for_each_expr_slot(StmtList& list, Statement* first, Statement* last,
   Statement* stop = last ? last->next() : nullptr;
   for (; s != stop; s = s->next()) {
     p_assert(s != nullptr);
-    for (ExprPtr* slot : s->expr_slots()) fn(*s, *slot);
+    for (ExprPtr& slot : s->expr_slots()) fn(*s, slot);
   }
 }
 
@@ -391,7 +391,7 @@ int count_symbol_uses(const StmtList& list, const Symbol* sym) {
     if (s->kind() == StmtKind::Do &&
         static_cast<DoStmt*>(s)->index() == sym)
       ++count;
-    for (const Expression* e : s->expressions()) {
+    for (const ExprPtr& e : s->expressions()) {
       walk(*e, [&](const Expression& n) {
         if (n.kind() == ExprKind::VarRef &&
             static_cast<const VarRef&>(n).symbol() == sym)

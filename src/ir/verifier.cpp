@@ -241,8 +241,8 @@ class UnitVerifier {
   void check_statements() {
     for (const Statement* s = unit_.stmts().first(); s != nullptr;
          s = s->next()) {
-      for (const Expression* e : s->expressions())
-        check_expr_tree(e, describe(s));
+      for (const ExprPtr& e : s->expressions())
+        check_expr_tree(e.get(), describe(s));
 
       if (s->kind() == StmtKind::Assign) {
         const auto* a = static_cast<const AssignStmt*>(s);
@@ -346,7 +346,7 @@ class UnitVerifier {
         default:
           break;
       }
-      for (const Expression* c : e->children()) stack.push_back(c);
+      for (const ExprPtr& c : e->children()) stack.push_back(c.get());
     }
   }
 

@@ -1158,7 +1158,7 @@ ExprPtr parse_expression(const std::string& text, SymbolTable& symtab) {
                            SymbolKind::Variable);
       a.set_symbol(s);
     }
-    for (ExprPtr* slot : e.children()) remap(**slot);
+    for (ExprPtr& slot : e.children()) remap(*slot);
   };
   remap(*result);
   return result;

@@ -7,10 +7,10 @@ namespace polaris {
 int propagate_constants(ProgramUnit& unit) {
   int changed = 0;
   for (Statement* s : unit.stmts()) {
-    for (ExprPtr* slot : s->expr_slots()) {
-      std::string before = (*slot)->to_string();
-      simplify_in_place(*slot);
-      if ((*slot)->to_string() != before) ++changed;
+    for (ExprPtr& slot : s->expr_slots()) {
+      ExprPtr simplified = simplify(*slot);
+      if (!simplified->equals(*slot)) ++changed;
+      slot = std::move(simplified);
     }
   }
   unit.stmts().revalidate();

@@ -346,6 +346,16 @@ bool NestSolver::solve_loop(DoStmt* loop, Env& env, Env* iter_env) {
 }
 
 bool NestSolver::substitute(Statement* first, Statement* last, Env env) {
+  // Rewrites each of a statement's slots in closed form under `env`.
+  auto close_slots = [&](Statement* st) {
+    for (ExprPtr& slot : st->expr_slots()) {
+      for (Symbol* k : order_) {
+        ExprPtr closed = env[k].to_expr();
+        replace_var(slot, k, *closed);
+      }
+      simplify_in_place(slot);
+    }
+  };
   for (Statement* s = first; s != last;) {
     p_assert(s != nullptr);
     if (s->kind() == StmtKind::Assign) {
@@ -358,25 +368,12 @@ bool NestSolver::substitute(Statement* first, Statement* last, Env env) {
         s = s->next();
         continue;
       }
-      for (ExprPtr* slot : s->expr_slots()) {
-        for (Symbol* k : order_) {
-          ExprPtr closed = env[k].to_expr();
-          replace_var(*slot, k, *closed);
-        }
-        simplify_in_place(*slot);
-      }
+      close_slots(s);
       s = s->next();
     } else if (s->kind() == StmtKind::Do) {
       auto* d = static_cast<DoStmt*>(s);
       // Bounds are evaluated at loop entry: substitute with entry env.
-      for (ExprPtr* slot : {&d->init_slot(), &d->limit_slot(),
-                            &d->step_slot()}) {
-        for (Symbol* k : order_) {
-          ExprPtr closed = env[k].to_expr();
-          replace_var(*slot, k, *closed);
-        }
-        simplify_in_place(*slot);
-      }
+      close_slots(d);
       Env iter_env;
       Env env_after = env;
       if (!solve_loop(d, env_after, &iter_env)) return false;
@@ -384,13 +381,7 @@ bool NestSolver::substitute(Statement* first, Statement* last, Env env) {
       env = std::move(env_after);
       s = d->follow()->next();
     } else {
-      for (ExprPtr* slot : s->expr_slots()) {
-        for (Symbol* k : order_) {
-          ExprPtr closed = env[k].to_expr();
-          replace_var(*slot, k, *closed);
-        }
-        simplify_in_place(*slot);
-      }
+      close_slots(s);
       s = s->next();
     }
   }
@@ -496,7 +487,7 @@ int rewrite_multiplicative(ProgramUnit& unit, DoStmt* nest,
     } else if (s->kind() == StmtKind::Do) {
       invalid.insert(static_cast<DoStmt*>(s)->index());
     } else if (s->kind() == StmtKind::Call) {
-      for (const Expression* e : s->expressions()) {
+      for (const ExprPtr& e : s->expressions()) {
         walk(*e, [&](const Expression& n) {
           if (n.kind() == ExprKind::VarRef)
             invalid.insert(static_cast<const VarRef&>(n).symbol());
@@ -525,7 +516,7 @@ int rewrite_multiplicative(ProgramUnit& unit, DoStmt* nest,
           invalid.insert(k);
       }
     }
-    for (const Expression* e : s->expressions()) flag_subscript_uses(*e);
+    for (const ExprPtr& e : s->expressions()) flag_subscript_uses(*e);
   }
 
   int rewritten = 0;
@@ -554,7 +545,7 @@ int rewrite_multiplicative(ProgramUnit& unit, DoStmt* nest,
           if (site == s) is_site = true;
       }
       if (is_site) continue;
-      for (ExprPtr* slot : s->expr_slots()) replace_var(*slot, k, *closed);
+      for (ExprPtr& slot : s->expr_slots()) replace_var(slot, k, *closed);
     }
     // Sites become counter increments.
     for (AssignStmt* site : k_sites) {

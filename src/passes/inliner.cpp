@@ -172,7 +172,7 @@ bool Expander::expand(CallStmt* call) {
   // Expression rewriter: formals -> actuals, locals/commons -> new syms.
   std::function<void(ExprPtr&)> rewrite = [&](ExprPtr& e) {
     // Children first so subscripts are already in caller terms.
-    for (ExprPtr* slot : e->children()) rewrite(*slot);
+    for (ExprPtr& slot : e->children()) rewrite(slot);
 
     if (e->kind() == ExprKind::VarRef) {
       Symbol* s = static_cast<VarRef&>(*e).symbol();
@@ -310,7 +310,7 @@ bool Expander::expand(CallStmt* call) {
         }
       }
     }
-    for (ExprPtr* slot : s->expr_slots()) rewrite(*slot);
+    for (ExprPtr& slot : s->expr_slots()) rewrite(slot);
   }
 
   top_.stmts().splice_before(call, std::move(frag));

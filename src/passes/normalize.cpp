@@ -59,8 +59,8 @@ int normalize_loops(ProgramUnit& unit, const Options& opts,
 
     if (!empty) {
       for (Statement* s = body_first; s != loop->follow(); s = s->next())
-        for (ExprPtr* slot : s->expr_slots())
-          replace_var(*slot, index, *value);
+        for (ExprPtr& slot : s->expr_slots())
+          replace_var(slot, index, *value);
     }
 
     // Fortran leaves the index at its first out-of-range value; preserve

@@ -122,7 +122,7 @@ std::vector<RecognizedReduction> recognize_reductions(DoStmt* loop,
   // Phase 2: validate — A must not be referenced outside its reduction
   // statements within the loop (the paper's side condition).
   for (Statement* s = loop->next(); s != loop->follow(); s = s->next()) {
-    for (ExprPtr* slot : s->expr_slots()) {
+    for (const ExprPtr& e : s->expressions()) {
       // Skip the reduction statement's own lhs/rhs occurrences.
       auto it_stmt = [&]() -> RecognizedReduction* {
         if (s->kind() != StmtKind::Assign) return nullptr;
@@ -135,7 +135,7 @@ std::vector<RecognizedReduction> recognize_reductions(DoStmt* loop,
       }();
       for (auto& [sym, r] : candidates) {
         if (it_stmt != nullptr && it_stmt->var == sym) continue;
-        if ((*slot)->references(sym)) invalid[sym] = true;
+        if (e->references(sym)) invalid[sym] = true;
       }
     }
   }

@@ -98,8 +98,8 @@ int strength_reduce(ProgramUnit& unit, const Options& opts,
       std::vector<StmtPtr> post;    // t = t + stride increments
       for (Statement* s = inner->next(); s != inner->follow();
            s = s->next()) {
-        for (ExprPtr* slot : s->expr_slots()) {
-          walk_slots(*slot, [&](ExprPtr& node) {
+        for (ExprPtr& slot : s->expr_slots()) {
+          walk_slots(slot, [&](ExprPtr& node) {
             if (node->kind() != ExprKind::ArrayRef) return;
             auto& ar = static_cast<ArrayRef&>(*node);
             for (ExprPtr& sub : ar.subscripts()) {

@@ -47,10 +47,10 @@ SimpRes simplify_rec(const Expression& e, int depth);
 SimpRes simplify_children(const Expression& e, int depth) {
   ExprPtr copy = e.clone();
   int n = 1;
-  for (ExprPtr* slot : copy->children()) {
-    SimpRes child = simplify_rec(**slot, depth + 1);
+  for (ExprPtr& slot : copy->children()) {
+    SimpRes child = simplify_rec(*slot, depth + 1);
     n += child.n;
-    *slot = std::move(child.e);
+    slot = std::move(child.e);
   }
   return {std::move(copy), n};
 }

@@ -42,7 +42,7 @@ TEST_F(ExprTest, CloneIsDeepAndEqual) {
   EXPECT_TRUE(e->equals(*c));
   EXPECT_NE(e.get(), c.get());
   // Mutating the clone must not affect the original.
-  *c->children()[0] = ib::ic(7);
+  c->children()[0] = ib::ic(7);
   EXPECT_FALSE(e->equals(*c));
 }
 
