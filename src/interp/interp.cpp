@@ -15,6 +15,13 @@ enum class Intrinsic {
   Sign, Int, Nint, Real, Dble, Iand, Ior, Ieor,
 };
 
+std::int64_t real_to_int(double d) {
+  // 2^63 is exact as a double; NaN fails both comparisons.
+  if (!(d >= -0x1p63 && d < 0x1p63))
+    throw UserError("real value out of integer range");
+  return static_cast<std::int64_t>(d);
+}
+
 namespace {
 
 /// Fortran integer power.  Square-and-multiply in unsigned arithmetic, so
@@ -519,7 +526,8 @@ Value Interpreter::eval_intrinsic(ProgramUnit& unit, Frame& frame,
       return Value::real(a[1].as_real() >= 0 ? std::fabs(a[0].as_real())
                                             : -std::fabs(a[0].as_real()));
     case Intrinsic::Int: return Value::integer(a[0].as_int());
-    case Intrinsic::Nint: return Value::integer(std::llround(a[0].as_real()));
+    case Intrinsic::Nint:
+      return Value::integer(real_to_int(std::round(a[0].as_real())));
     case Intrinsic::Real:
     case Intrinsic::Dble: return Value::real(a[0].as_real());
     case Intrinsic::Iand:

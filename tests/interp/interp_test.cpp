@@ -89,6 +89,18 @@ TEST(InterpTest, ZeroToNegativePowerIsUserError) {
                UserError);
 }
 
+TEST(InterpTest, OutOfRangeRealToIntegerIsUserError) {
+  // Assignment, int() and nint() of NaN or |x| >= 2^63 used to be
+  // undefined behaviour (in practice INT64_MIN and exit 0).
+  for (const char* src : {"      x = 1.0e30\n      i = x\n      print *, i\n",
+                          "      print *, int(-1.0e19)\n",
+                          "      print *, nint(sqrt(-1.0))\n",
+                          "      print *, nint(9.3e18)\n"})
+    EXPECT_THROW(run_src(src), UserError) << src;
+  auto r = run_src("      print *, int(-9.2e18), nint(-2.5), nint(2.5)\n");
+  EXPECT_EQ(r.output[0], "-9200000000000000000 -3 3");
+}
+
 TEST(InterpTest, IfElseChain) {
   auto r = run_src(
       "      do i = 1, 4\n"
