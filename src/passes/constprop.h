@@ -12,7 +12,8 @@
 
 namespace polaris {
 
-/// Simplifies all expressions; returns the number of changed slots.
+/// Simplifies all expressions; returns the number of slots whose
+/// simplified tree is not equals() to the one it replaced.
 int propagate_constants(ProgramUnit& unit);
 
 }  // namespace polaris
