@@ -59,11 +59,11 @@ int main() {
     auto ref = polaris::parse_program(p.source);
     auto ref_run = run_program(*ref, MachineConfig{});
     std::printf("%-10s %12s %9s\n", "scheme", "time(units)", "speedup");
-    struct S { const char* name; Options::ReductionScheme s; };
+    struct S { const char* name; ReductionScheme s; };
     const S schemes[] = {
-        {"blocked", Options::ReductionScheme::Blocked},
-        {"private", Options::ReductionScheme::Private},
-        {"expanded", Options::ReductionScheme::Expanded},
+        {"blocked", ReductionScheme::Blocked},
+        {"private", ReductionScheme::Private},
+        {"expanded", ReductionScheme::Expanded},
     };
     for (const S& sch : schemes) {
       Compiler compiler(CompilerMode::Polaris);

@@ -36,7 +36,8 @@ int main() {
 
   Diagnostics diags;
   Options opts = Options::polaris();
-  InductionResult r = substitute_inductions(*prog->main(), opts, diags);
+  AnalysisManager am;
+  InductionResult r = substitute_inductions(*prog->main(), opts, diags, am);
   std::printf("--- after (%d inductions substituted) ---\n%s\n",
               r.substituted, to_source(*prog->main()).c_str());
 

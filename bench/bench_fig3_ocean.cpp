@@ -40,11 +40,13 @@ int main() {
     Diagnostics diags;
     Options lin = Options::baseline();
     SymbolSet none;
+    AnalysisManager lin_am;
     LoopDepStats base =
-        test_loop_arrays(loops[l], lin, diags, none, "ftrvmt");
+        test_loop_arrays(loops[l], lin, diags, none, "ftrvmt", lin_am);
     Options full = Options::polaris();
+    AnalysisManager full_am;
     LoopDepStats pol =
-        test_loop_arrays(loops[l], full, diags, none, "ftrvmt");
+        test_loop_arrays(loops[l], full, diags, none, "ftrvmt", full_am);
     std::printf("  %-16s %-22s %-22s\n", names[l],
                 base.parallel() ? "independent" : "assumed dependence",
                 pol.parallel() ? "independent (rangetest)"

@@ -36,8 +36,9 @@ int main() {
     Options opts = Options::polaris();
     opts.gsa_queries = gsa;
     Diagnostics diags;
+    AnalysisManager am;
     PrivatizationResult r =
-        analyze_privatization(*prog->main(), iloop, opts, diags);
+        analyze_privatization(*prog->main(), iloop, opts, diags, am);
     bool a_private = false;
     for (Symbol* s : r.private_arrays)
       if (s->name() == "a") a_private = true;

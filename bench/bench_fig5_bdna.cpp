@@ -23,8 +23,9 @@ int main() {
 
   Options opts = Options::polaris();
   Diagnostics diags;
+  AnalysisManager am;
   PrivatizationResult r =
-      analyze_privatization(*prog->main(), iloop, opts, diags);
+      analyze_privatization(*prog->main(), iloop, opts, diags, am);
 
   std::printf("privatization of the outer I loop:\n");
   std::printf("  private scalars:");

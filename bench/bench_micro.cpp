@@ -127,7 +127,8 @@ void BM_RangeTestTrfdNest(benchmark::State& state) {
   SymbolSet none;
   for (auto _ : state) {
     Diagnostics diags;
-    LoopDepStats s = test_loop_arrays(loop, opts, diags, none, "bm");
+    AnalysisManager am;
+    LoopDepStats s = test_loop_arrays(loop, opts, diags, none, "bm", am);
     benchmark::DoNotOptimize(&s);
   }
 }
@@ -152,7 +153,8 @@ void BM_InductionSubstitution(benchmark::State& state) {
   for (auto _ : state) {
     auto prog = parse_program(src);
     Diagnostics diags;
-    InductionResult r = substitute_inductions(*prog->main(), opts, diags);
+    AnalysisManager am;
+    InductionResult r = substitute_inductions(*prog->main(), opts, diags, am);
     benchmark::DoNotOptimize(&r);
   }
 }

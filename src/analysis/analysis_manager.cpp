@@ -27,9 +27,6 @@ const SymbolSet& AnalysisManager::region_query(StructureQuery q,
     case kExposed:
       result = polaris::upward_exposed_scalars(first, last);
       break;
-    case kUsed:
-      result = polaris::used_symbols(first, last);
-      break;
     case kNumQueries:
       p_assert(false);
   }
@@ -51,28 +48,9 @@ const SymbolSet& AnalysisManager::upward_exposed_scalars(
   return region_query(kExposed, first, last);
 }
 
-const SymbolSet& AnalysisManager::used_symbols(Statement* first,
-                                                       Statement* last) {
-  return region_query(kUsed, first, last);
-}
-
 bool AnalysisManager::is_loop_invariant(const Expression& e, DoStmt* loop) {
   return polaris::is_loop_invariant(
       e, loop, may_defined_symbols(loop, loop->follow()));
-}
-
-const std::vector<DoStmt*>& AnalysisManager::loops_postorder(
-    ProgramUnit& unit) {
-  ++stats_.queries;
-  auto it = loops_.find(&unit.stmts());
-  if (it != loops_.end()) {
-    ++stats_.hits;
-    return it->second;
-  }
-  ++stats_.recomputes;
-  return loops_
-      .emplace(&unit.stmts(), polaris::loops_postorder(unit.stmts()))
-      .first->second;
 }
 
 GsaQuery& AnalysisManager::gsa(ProgramUnit& unit) {
@@ -116,22 +94,12 @@ const FactContext& AnalysisManager::pair_fact_context(
   return pair_facts_.emplace(key, compute()).first->second;
 }
 
-void AnalysisManager::invalidate(const PreservedAnalyses& pa) {
-  if (pa.preserved_all()) return;
+void AnalysisManager::invalidate() {
   ++stats_.invalidations;
-  if (!pa.preserved(AnalysisID::StructureFacts)) {
-    for (auto& m : region_) m.clear();
-    loops_.clear();
-  }
-  if (!pa.preserved(AnalysisID::GsaFacts)) gsa_.clear();
-  if (!pa.preserved(AnalysisID::FactContexts)) {
-    facts_.clear();
-    pair_facts_.clear();
-  }
-}
-
-void AnalysisManager::invalidate_all() {
-  invalidate(PreservedAnalyses::none());
+  for (auto& m : region_) m.clear();
+  gsa_.clear();
+  facts_.clear();
+  pair_facts_.clear();
 }
 
 }  // namespace polaris

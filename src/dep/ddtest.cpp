@@ -52,7 +52,7 @@ PairVerdict test_pair_impl(DoStmt* loop, const ArrayAccess& a,
         return PairVerdict::Banerjee;
     }
     if (opts.range_test) {
-      RangeTest rt(opts, &am);
+      RangeTest rt(opts, am);
       if (rt.independent(loop, a, b)) return PairVerdict::RangeTest;
     }
   }
@@ -85,14 +85,6 @@ POLARIS_STATISTIC("ddtest", pairs_assumed_dependent,
                   "pairs no test could disprove (assumed dependent)");
 
 }  // namespace
-
-LoopDepStats test_loop_arrays(DoStmt* loop, const Options& opts,
-                              Diagnostics& diags,
-                              const SymbolSet& exempt,
-                              const std::string& context) {
-  AnalysisManager am;
-  return test_loop_arrays(loop, opts, diags, exempt, context, am);
-}
 
 LoopDepStats test_loop_arrays(DoStmt* loop, const Options& opts,
                               Diagnostics& diags,

@@ -38,10 +38,4 @@ LoopDepStats test_loop_arrays(DoStmt* loop, const Options& opts,
                               const std::string& context,
                               AnalysisManager& am);
 
-/// Convenience overload with a private AnalysisManager.
-LoopDepStats test_loop_arrays(DoStmt* loop, const Options& opts,
-                              Diagnostics& diags,
-                              const SymbolSet& exempt,
-                              const std::string& context);
-
 }  // namespace polaris

@@ -1,7 +1,6 @@
 #include "dep/rangetest.h"
 
 #include <algorithm>
-#include <array>
 #include <optional>
 #include <utility>
 
@@ -42,12 +41,6 @@ std::optional<LoopBounds> oriented_bounds(DoStmt* loop) {
 
 AtomId index_atom(const DoStmt* loop) {
   return AtomTable::current().intern_symbol(loop->index());
-}
-
-unsigned popcount(std::size_t m) {
-  unsigned n = 0;
-  for (; m != 0; m &= m - 1) ++n;
-  return n;
 }
 
 /// True if any atom of `p` is an opaque expression referencing `sym`
@@ -167,7 +160,7 @@ bool RangeTest::independent_impl(DoStmt* carrier, const ArrayAccess& a,
   p_assert(a.ref->symbol() == b.ref->symbol());
   p_assert(a.ref->rank() == b.ref->rank());
   ++pairs_queried;
-  CompileContext* cc = am_ != nullptr ? am_->context() : nullptr;
+  CompileContext* cc = am_.context();
   trace::TraceSpan pair_span(cc != nullptr ? &cc->trace() : nullptr,
                              "rangetest", "dep");
   pair_span.arg("array", a.ref->symbol()->name());
@@ -200,8 +193,8 @@ bool RangeTest::independent_impl(DoStmt* carrier, const ArrayAccess& a,
   // Facts: every enclosing loop of either access contributes its bounds,
   // plus the guard conditions around the carrier (they hold for every
   // execution of the body); ranks make inner indices eliminate first.
-  // Memoized per (carrier, pair) when an AnalysisManager is attached —
-  // DOALL probes and the final run re-test the same pairs.
+  // Memoized per (carrier, pair): DOALL probes and the final run re-test
+  // the same pairs.
   auto build_ctx = [&] {
     FactContext fc;
     add_guard_facts(fc, carrier);
@@ -228,13 +221,12 @@ bool RangeTest::independent_impl(DoStmt* carrier, const ArrayAccess& a,
     }
     return fc;
   };
-  const FactContext local_ctx = am_ ? FactContext{} : build_ctx();
   const FactContext& ctx =
-      am_ ? am_->pair_fact_context(carrier, a.stmt, b.stmt, build_ctx)
-          : local_ctx;
+      am_.pair_fact_context(carrier, a.stmt, b.stmt, build_ctx);
 
   // Enumerate fixed-subsets of the common inner loops ("loop permutations"
-  // in the paper's terms), bounded by the option.
+  // in the paper's terms) in ascending mask order, bounded by twice the
+  // permutation budget.
   const size_t n_common = common.size();
   const size_t subsets = n_common >= 10 ? 1024 : (size_t{1} << n_common);
   size_t budget = static_cast<size_t>(std::max(1, opts_.max_loop_permutations));
@@ -265,7 +257,7 @@ bool RangeTest::independent_impl(DoStmt* carrier, const ArrayAccess& a,
     return *slot;
   };
 
-  auto try_mask = [&](size_t mask) -> bool {
+  for (size_t mask = 0; mask < subsets && mask < budget * 2; ++mask) {
     ++permutations_tried;
     // Each visitation order is a unit of symbolic search work; charging
     // it keeps hostile compile budgets from degenerating into exhaustive
@@ -286,51 +278,13 @@ bool RangeTest::independent_impl(DoStmt* carrier, const ArrayAccess& a,
     std::vector<DoStmt*> elim_g = build_elim(inner_b);
 
     // Per-dimension: any provably disjoint dimension kills the pair.
-    bool ok = false;
-    for (int d = 0; d < a.ref->rank() && !ok; ++d) {
+    for (int d = 0; d < a.ref->rank(); ++d) {
       const auto& [f, g] = dim(d);
-      ok = test_dimension(carrier, f, g, elim_f, elim_g, step, ctx);
-    }
-    if (ok) {
-      ++pairs_proven;
-      if (am_ != nullptr) am_->note_range_success(popcount(mask));
-      pair_span.arg("proven", "true");
-    }
-    return ok;
-  };
-
-  if (opts_.rangetest_max_permutations <= 0) {
-    // Legacy enumeration: ascending masks, bounded by twice the
-    // permutation budget.  The default — byte-identical results.
-    for (size_t mask = 0; mask < subsets && mask < budget * 2; ++mask)
-      if (try_mask(mask)) return true;
-    return false;
-  }
-
-  // Counter-guided enumeration under a hard cap: spend the budget on
-  // popcount buckets where this unit's proofs have landed so far.  Bucket
-  // priority is (observed successes desc, popcount asc — fixing fewer
-  // loops keeps ranges wider and proofs cheaper); masks ascend within a
-  // bucket.  The histogram is read once per query, so the order is fixed
-  // before any of this query's own successes are recorded.
-  const size_t cap = static_cast<size_t>(opts_.rangetest_max_permutations);
-  const unsigned max_pop = static_cast<unsigned>(n_common >= 10 ? 10 : n_common);
-  std::array<std::uint64_t, 16> successes{};
-  if (am_ != nullptr) successes = am_->range_success_by_popcount();
-  std::vector<unsigned> bucket_order;
-  for (unsigned p = 0; p <= max_pop; ++p) bucket_order.push_back(p);
-  std::stable_sort(bucket_order.begin(), bucket_order.end(),
-                   [&](unsigned p, unsigned q) {
-                     if (successes[p] != successes[q])
-                       return successes[p] > successes[q];
-                     return p < q;
-                   });
-  size_t tried = 0;
-  for (unsigned p : bucket_order) {
-    for (size_t mask = 0; mask < subsets; ++mask) {
-      if (popcount(mask) != p) continue;
-      if (tried++ >= cap) return false;
-      if (try_mask(mask)) return true;
+      if (test_dimension(carrier, f, g, elim_f, elim_g, step, ctx)) {
+        ++pairs_proven;
+        pair_span.arg("proven", "true");
+        return true;
+      }
     }
   }
   return false;

@@ -26,10 +26,9 @@ namespace polaris {
 
 class RangeTest {
  public:
-  /// `am` (optional) memoizes the per-pair fact contexts, which dominate
-  /// setup cost when the same pairs are re-tested.
-  explicit RangeTest(const Options& opts, AnalysisManager* am = nullptr)
-      : opts_(opts), am_(am) {}
+  /// `am` memoizes the per-pair fact contexts, which dominate setup cost
+  /// when the same pairs are re-tested within a pass run.
+  RangeTest(const Options& opts, AnalysisManager& am) : opts_(opts), am_(am) {}
 
   /// True if `carrier` provably carries no dependence between accesses
   /// `a` and `b` (to the same array; at least one a write).  False means
@@ -63,7 +62,7 @@ class RangeTest {
                       std::int64_t step, const FactContext& ctx) const;
 
   const Options& opts_;
-  AnalysisManager* am_ = nullptr;
+  AnalysisManager& am_;
 };
 
 }  // namespace polaris

@@ -115,7 +115,6 @@ void Compiler::transform(Program& program, CompileReport* report,
   // induction substitution, forward substitution, DOALL recognition,
   // strength reduction — paper Sections 3.1-3.5) runs through the pass
   // manager; Options::pipeline_spec swaps in a custom `-passes=` battery.
-  AnalysisManager am(&cc);
   PassContext ctx{program, opts_, rep, cc};
   FaultArmGuard inject(cc.fault(), opts_.fault_inject);
   // Degradation events recorded before this transform (an embedder
@@ -125,8 +124,7 @@ void Compiler::transform(Program& program, CompileReport* report,
   // The meters are never reset either, so the report carries the delta
   // this transform ran up, mirroring degradations_base.
   const GovernorMeters meters_base = gov.meters();
-  PassPipeline::from_options(opts_).run(am, ctx);
-  rep.analysis = am.stats();
+  PassPipeline::from_options(opts_).run(ctx);
   rep.degradations.assign(
       gov.events().begin() + static_cast<std::ptrdiff_t>(degradations_base),
       gov.events().end());

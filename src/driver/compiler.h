@@ -6,8 +6,8 @@
 //
 // The pipeline itself is assembled by the pass manager
 // (driver/pass_manager.h): Options::pipeline_spec selects a custom
-// `-passes=` battery, otherwise the standard one runs.  An
-// AnalysisManager carries cached flow facts across passes.
+// `-passes=` battery, otherwise the standard one runs.  Each pass run
+// caches its flow facts in its own AnalysisManager.
 //
 // Two modes reproduce the paper's comparison: CompilerMode::Polaris runs
 // the full battery; CompilerMode::Baseline models the 1996 commercial
@@ -66,7 +66,7 @@ struct CompileReport {
   /// Per-pass instrumentation in pipeline order (wall time, diagnostics,
   /// IR deltas, analysis-cache hit rates) — the `-timing` CLI payload.
   std::vector<PassTiming> pass_timings;
-  /// Aggregate AnalysisManager accounting for the whole compilation.
+  /// AnalysisManager accounting summed over every pass run.
   AnalysisManager::Stats analysis;
   /// Per-compilation deltas of every POLARIS_STATISTIC counter that moved
   /// during this compile (the `-stats` payload, embedded in report JSON).

@@ -116,11 +116,6 @@ const Flag kFlags[] = {
      "restructure units on N threads (capped at the hardware's); "
      "output is identical at any N",
      [](Settings& s, const Value& v) { s.opts.jobs = cap_jobs(v.n); }},
-    {"-rangetest-max-permutations=N", nullptr, Kind::Integer,
-     "try at most N range-test masks per query, in counter-guided order",
-     [](Settings& s, const Value& v) {
-       s.opts.rangetest_max_permutations = v.n;
-     }},
     {"-trace=FILE", "POLARIS_TRACE", Kind::String,
      "write a Chrome trace of the compile",
      [](Settings& s, const Value& v) { s.opts.trace_path = v.text; }},

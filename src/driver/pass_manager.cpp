@@ -25,17 +25,11 @@ namespace polaris {
 
 namespace {
 
-/// Preserve everything when nothing changed, nothing when the IR did.
-PreservedAnalyses preserved_if_unchanged(int changes) {
-  return changes == 0 ? PreservedAnalyses::all() : PreservedAnalyses::none();
-}
-
 class InlinePass : public Pass {
  public:
   std::string name() const override { return "inline"; }
   bool program_scope() const override { return true; }
-  PreservedAnalyses run(ProgramUnit&, AnalysisManager&,
-                        PassContext& ctx) override {
+  void run(ProgramUnit&, AnalysisManager&, PassContext& ctx) override {
     InlineResult r = inline_calls(ctx.program, ctx.opts,
                                   ctx.report.diagnostics);
     // Expansion splices statement clones carrying fresh process-global
@@ -45,75 +39,65 @@ class InlinePass : public Pass {
     if (r.expanded != 0) ctx.program.renumber_ids();
     ctx.report.inlining.expanded += r.expanded;
     ctx.report.inlining.skipped += r.skipped;
-    return preserved_if_unchanged(r.expanded);
   }
 };
 
 class ConstPropPass : public Pass {
  public:
   std::string name() const override { return "constprop"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager&,
-                        PassContext&) override {
-    return preserved_if_unchanged(propagate_constants(unit));
+  void run(ProgramUnit& unit, AnalysisManager&, PassContext&) override {
+    propagate_constants(unit);
   }
 };
 
 class NormalizePass : public Pass {
  public:
   std::string name() const override { return "normalize"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
-                        PassContext& ctx) override {
-    return preserved_if_unchanged(
-        normalize_loops(unit, ctx.opts, ctx.report.diagnostics, am));
+  void run(ProgramUnit& unit, AnalysisManager& am,
+           PassContext& ctx) override {
+    normalize_loops(unit, ctx.opts, ctx.report.diagnostics, am);
   }
 };
 
 class InductionPass : public Pass {
  public:
   std::string name() const override { return "induction"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
-                        PassContext& ctx) override {
+  void run(ProgramUnit& unit, AnalysisManager& am,
+           PassContext& ctx) override {
     InductionResult r =
         substitute_inductions(unit, ctx.opts, ctx.report.diagnostics, am);
     ctx.report.induction.substituted += r.substituted;
     ctx.report.induction.rejected += r.rejected;
-    return preserved_if_unchanged(r.substituted);
   }
 };
 
 class ForwardSubPass : public Pass {
  public:
   std::string name() const override { return "forwardsub"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager&,
-                        PassContext& ctx) override {
-    return preserved_if_unchanged(
-        forward_substitute(unit, ctx.opts, ctx.report.diagnostics));
+  void run(ProgramUnit& unit, AnalysisManager&, PassContext& ctx) override {
+    forward_substitute(unit, ctx.opts, ctx.report.diagnostics);
   }
 };
 
 class DoallPass : public Pass {
  public:
   std::string name() const override { return "doall"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
-                        PassContext& ctx) override {
+  void run(ProgramUnit& unit, AnalysisManager& am,
+           PassContext& ctx) override {
     DoallSummary ds = mark_doall_loops(&ctx.program, unit, ctx.opts,
                                        ctx.report.diagnostics, am, ctx.pure);
     ctx.report.doall.loops += ds.loops;
     ctx.report.doall.parallel += ds.parallel;
     ctx.report.doall.speculative += ds.speculative;
-    // Annotation only: ParallelInfo and reduction flags do not affect any
-    // cached flow fact.
-    return PreservedAnalyses::all();
   }
 };
 
 class StrengthPass : public Pass {
  public:
   std::string name() const override { return "strength"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
-                        PassContext& ctx) override {
-    return preserved_if_unchanged(
-        strength_reduce(unit, ctx.opts, ctx.report.diagnostics, am));
+  void run(ProgramUnit& unit, AnalysisManager& am,
+           PassContext& ctx) override {
+    strength_reduce(unit, ctx.opts, ctx.report.diagnostics, am);
   }
 };
 
@@ -125,12 +109,10 @@ class StrengthPass : public Pass {
 class ReductionPass : public Pass {
  public:
   std::string name() const override { return "reduction"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
-                        PassContext& ctx) override {
+  void run(ProgramUnit& unit, AnalysisManager& am,
+           PassContext& ctx) override {
     for (DoStmt* loop : unit.stmts().loops())
       recognize_reductions(loop, ctx.opts, ctx.report.diagnostics, am);
-    // Statement flags only; no cached flow fact depends on them.
-    return PreservedAnalyses::all();
   }
 };
 
@@ -141,12 +123,11 @@ class ReductionPass : public Pass {
 class PrivatizationPass : public Pass {
  public:
   std::string name() const override { return "privatization"; }
-  PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
-                        PassContext& ctx) override {
+  void run(ProgramUnit& unit, AnalysisManager& am,
+           PassContext& ctx) override {
     for (DoStmt* loop : unit.stmts().loops())
       analyze_privatization(unit, loop, ctx.opts, ctx.report.diagnostics, am)
           .record(loop->par);
-    return PreservedAnalyses::all();
   }
 };
 
@@ -282,7 +263,6 @@ IrSize ir_size(const Program& program, std::size_t unit_index) {
 struct UnitShard {
   CompileContext cc;
   CompileReport report;             ///< fragment: counters, diags, failures
-  AnalysisManager am{&cc};
   AtomTable atoms;
   std::vector<PassTiming> timings;  ///< one row per pass in the group
   std::exception_ptr error;         ///< set only in no-recover mode
@@ -366,13 +346,14 @@ class Checkpoint {
 
 /// One attempt of `pass` on its unit with the (possibly ladder-degraded)
 /// switches `attempt_opts`; recovery and verify-each are read from
-/// `ctx.opts`, the user's options.  Returns the failure, if any: an
+/// `ctx.opts`, the user's options.  The attempt's AnalysisManager is built
+/// here and dies here; a completed attempt adds its accounting to
+/// `timing` and `ctx.report.analysis`.  Returns the failure, if any: an
 /// InternalError (genuine or injected), a ResourceBlowup that escaped the
 /// conservative query boundaries, or a `-verify-each` violation.
 std::optional<FailedAttempt> run_attempt(Pass& pass, std::size_t unit_index,
                                          PassTiming& timing, PassContext& ctx,
-                                         const Options& attempt_opts,
-                                         AnalysisManager& am) {
+                                         const Options& attempt_opts) {
   CompileContext& cc = ctx.cc;
   ProgramUnit& unit = unit_at(ctx.program, unit_index);
   const GovernorMeters meters_before = cc.governor().meters();
@@ -399,9 +380,9 @@ std::optional<FailedAttempt> run_attempt(Pass& pass, std::size_t unit_index,
     } attempt_guard{cc, ctx.opts.max_simplify_depth};
     PassContext attempt_ctx{ctx.program, attempt_opts, ctx.report, cc,
                             ctx.pure};
-    PreservedAnalyses preserved = PreservedAnalyses::all();
+    AnalysisManager am(&cc);
     try {
-      preserved = pass.run(unit, am, attempt_ctx);
+      pass.run(unit, am, attempt_ctx);
       // An armed injection that found fewer than N assertion sites in
       // this pass/unit still fires, at the unit boundary — so the recovery
       // path is exercisable for every pass regardless of its assertion
@@ -429,20 +410,22 @@ std::optional<FailedAttempt> run_attempt(Pass& pass, std::size_t unit_index,
     ms = std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
              .count();
-    if (!failure.has_value()) {
-      am.invalidate(preserved);
-      if (ctx.opts.verify_each) {
-        std::vector<VerifierViolation> vs =
-            unit_index == kProgramScope ? verify_program(ctx.program, &cc)
-                                        : verify_unit(unit, &cc);
-        if (!vs.empty()) {
-          failure.emplace();
-          failure->kind = PassFailure::Kind::Verifier;
-          failure->message = format_violations(vs);
-          failure->error = std::make_exception_ptr(
-              InternalError("verify-each", pass.name(), 0, failure->message));
-        }
+    if (!failure.has_value() && ctx.opts.verify_each) {
+      std::vector<VerifierViolation> vs =
+          unit_index == kProgramScope ? verify_program(ctx.program, &cc)
+                                      : verify_unit(unit, &cc);
+      if (!vs.empty()) {
+        failure.emplace();
+        failure->kind = PassFailure::Kind::Verifier;
+        failure->message = format_violations(vs);
+        failure->error = std::make_exception_ptr(
+            InternalError("verify-each", pass.name(), 0, failure->message));
       }
+    }
+    if (!failure.has_value()) {
+      timing.analysis_queries += am.stats().queries;
+      timing.analysis_hits += am.stats().hits;
+      ctx.report.analysis += am.stats();
     }
   }
   timing.ms += ms;
@@ -536,13 +519,11 @@ void replay_failed_attempt(const Pass& pass, const std::string& unit,
 /// one PassTiming run and at most one PassFailure, whatever the rung
 /// count; intermediate rungs surface as DegradationEvents and remarks.
 bool run_one(Pass& pass, std::size_t unit_index, PassTiming& timing,
-             PassContext& ctx, AnalysisManager& am,
-             std::vector<FailedAttempt>& failed, const Checkpoint& checkpoint,
-             const std::string& repro_spec) {
+             PassContext& ctx, std::vector<FailedAttempt>& failed,
+             const Checkpoint& checkpoint, const std::string& repro_spec) {
   CompileContext& cc = ctx.cc;
   const std::string unit = unit_at(ctx.program, unit_index).name();
   const std::size_t diags_before = ctx.report.diagnostics.all().size();
-  const AnalysisManager::Stats stats_before = am.stats();
   const IrSize before = ir_size(ctx.program, unit_index);
 
   for (std::size_t rung = 0; rung < failed.size(); ++rung)
@@ -553,7 +534,7 @@ bool run_one(Pass& pass, std::size_t unit_index, PassTiming& timing,
     const Options attempt_opts =
         degraded_options(ctx.opts, static_cast<int>(failed.size()));
     std::optional<FailedAttempt> f =
-        run_attempt(pass, unit_index, timing, ctx, attempt_opts, am);
+        run_attempt(pass, unit_index, timing, ctx, attempt_opts);
     if (f.has_value()) {
       if (!ctx.opts.fault_recovery) {
         ctx.report.crash = CompileReport::CrashInfo{
@@ -573,10 +554,8 @@ bool run_one(Pass& pass, std::size_t unit_index, PassTiming& timing,
                                    diags_before);
   timing.stmt_delta += after.stmts - before.stmts;
   timing.expr_delta += after.exprs - before.exprs;
-  timing.analysis_queries += am.stats().queries - stats_before.queries;
-  timing.analysis_hits += am.stats().hits - stats_before.hits;
   if (cc.trace().collecting()) {
-    const AnalysisManager::Stats s = am.stats();
+    const AnalysisManager::Stats& s = ctx.report.analysis;
     cc.trace().counter("analysis-cache",
                        {{"queries", static_cast<std::uint64_t>(s.queries)},
                         {"hits", static_cast<std::uint64_t>(s.hits)}});
@@ -617,7 +596,7 @@ std::unique_ptr<UnitShard> run_group(const PassList& passes,
       try {
         for (std::size_t j = begin; j < end && !replay; ++j)
           replay = !run_one(*passes[j], unit_index, sh->timings[j - begin],
-                            shard_ctx, sh->am, failed[j - begin], checkpoint,
+                            shard_ctx, failed[j - begin], checkpoint,
                             repro_spec);
       } catch (...) {
         // No-recover failures, and exceptions no pass boundary handles:
@@ -626,7 +605,6 @@ std::unique_ptr<UnitShard> run_group(const PassList& passes,
       }
     }
     if (!replay) return sh;
-    sh.reset();  // before the restore: its caches point into the unit
     checkpoint.restore(ctx.program);
   }
 }
@@ -641,6 +619,7 @@ void merge_report_fragment(CompileReport& into, CompileReport& shard) {
   into.doall.loops += shard.doall.loops;
   into.doall.parallel += shard.doall.parallel;
   into.doall.speculative += shard.doall.speculative;
+  into.analysis += shard.analysis;
   into.diagnostics.append(shard.diagnostics);
   for (PassFailure& f : shard.failures) into.failures.push_back(std::move(f));
   if (shard.crash.has_value() && !into.crash.has_value())
@@ -653,8 +632,7 @@ void merge_report_fragment(CompileReport& into, CompileReport& shard) {
 /// the parent.  `first_row` is the group's first row in
 /// `ctx.report.pass_timings`.
 void run_pass_group(const PassList& passes, std::size_t begin,
-                    std::size_t end, std::size_t first_row,
-                    AnalysisManager& am, PassContext& ctx,
+                    std::size_t end, std::size_t first_row, PassContext& ctx,
                     const std::string& repro_spec) {
   Program& program = ctx.program;
   const bool whole_program = passes[begin]->program_scope();
@@ -674,11 +652,11 @@ void run_pass_group(const PassList& passes, std::size_t begin,
       pure_snapshot = pure_functions(program);
   }
 
-  // Resource ceilings are per-shard (like the range-test histogram), and
-  // the compile-fuel budget is an equal split of the parent's *remaining*
-  // fuel — computed here, while execution is still serial, so the shares
-  // (and with them every degradation point) are identical at any
-  // `-jobs=N`.  A program-scope pass's one shard gets all of it.
+  // Resource ceilings are per-shard, and the compile-fuel budget is an
+  // equal split of the parent's *remaining* fuel — computed here, while
+  // execution is still serial, so the shares (and with them every
+  // degradation point) are identical at any `-jobs=N`.  A program-scope
+  // pass's one shard gets all of it.
   GovernorLimits limits = limits_from_options(ctx.opts);
   limits.fuel = ctx.cc.governor().shard_fuel_share(n_shards);
   std::vector<std::unique_ptr<UnitShard>> shards(n_shards);
@@ -706,11 +684,11 @@ void run_pass_group(const PassList& passes, std::size_t begin,
     ctx.cc.pool().run(n_shards, jobs, run_shard);
   }
 
-  // Deterministic merge, strictly in unit index order: report artifacts,
-  // timing rows, analysis accounting, then the shard's counters and trace
-  // events.  With recovery off the lowest failing unit index wins — its
-  // shard is merged (it carries the crash bundle), later shards are
-  // discarded, and the original exception resumes its flight.
+  // Deterministic merge, strictly in unit index order: timing rows, the
+  // report fragment (analysis accounting included), then the shard's
+  // counters and trace events.  With recovery off the lowest failing unit
+  // index wins — its shard is merged (it carries the crash bundle), later
+  // shards are discarded, and the original exception resumes its flight.
   for (std::size_t k = 0; k < n_shards; ++k) {
     UnitShard& sh = *shards[k];
     for (std::size_t j = 0; j < end - begin; ++j) {
@@ -726,7 +704,6 @@ void run_pass_group(const PassList& passes, std::size_t begin,
       dst.failures += src.failures;
     }
     merge_report_fragment(ctx.report, sh.report);
-    am.absorb_stats(sh.am.stats());
     ctx.cc.merge_shard(sh.cc);
     if (sh.error != nullptr) std::rethrow_exception(sh.error);
   }
@@ -734,7 +711,7 @@ void run_pass_group(const PassList& passes, std::size_t begin,
 
 }  // namespace
 
-void PassPipeline::run(AnalysisManager& am, PassContext& ctx) const {
+void PassPipeline::run(PassContext& ctx) const {
   // Arm the compile's resource ceilings for the pipeline's duration: each
   // group splits the remaining fuel across its shards.  Disarmed again
   // after the last pass so post-pipeline work (final verification, report
@@ -759,7 +736,7 @@ void PassPipeline::run(AnalysisManager& am, PassContext& ctx) const {
     std::size_t end = i + 1;
     if (!passes_[i]->program_scope())
       while (end < passes_.size() && !passes_[end]->program_scope()) ++end;
-    run_pass_group(passes_, i, end, first_timing + i, am, ctx, repro_spec);
+    run_pass_group(passes_, i, end, first_timing + i, ctx, repro_spec);
     i = end;
   }
   ctx.cc.governor().configure(GovernorLimits{});

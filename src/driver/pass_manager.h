@@ -2,17 +2,16 @@
 //
 // The seed hard-coded the Polaris pipeline as a fixed call sequence in
 // Compiler::transform.  This layer reifies each transformation as a Pass
-// with a uniform signature (the LLVM PassInfoMixin/PreservedAnalyses
-// idiom), assembles them into a PassPipeline — either the named standard
-// battery or a textual spec such as
+// with a uniform signature, assembles them into a PassPipeline — either
+// the named standard battery or a textual spec such as
 //
 //     -passes=inline,constprop,normalize,induction,forwardsub,doall,strength
 //
 // — and runs the pipeline with per-pass instrumentation: wall time,
 // diagnostics emitted, IR statement/expression deltas, and analysis-cache
-// hit rates.  Ablations reorder or drop passes without code edits; the
-// AnalysisManager carries flow facts across passes and is invalidated
-// according to each pass's PreservedAnalyses declaration.
+// hit rates.  Ablations reorder or drop passes without code edits.  Each
+// (pass, unit) run gets a fresh AnalysisManager, so cached flow facts
+// never outlive the pass that computed them.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +54,9 @@ class Pass {
   virtual ~Pass() = default;
   virtual std::string name() const = 0;
   virtual bool program_scope() const { return false; }
-  /// Transforms `unit` and declares which cached analyses survived.
-  virtual PreservedAnalyses run(ProgramUnit& unit, AnalysisManager& am,
-                                PassContext& ctx) = 0;
+  /// Transforms `unit`.  `am` is fresh for this run and dies with it.
+  virtual void run(ProgramUnit& unit, AnalysisManager& am,
+                   PassContext& ctx) = 0;
 };
 
 /// Per-pass instrumentation, accumulated over every unit the pass ran on.
@@ -132,12 +131,13 @@ class PassPipeline {
   /// in order before the next unit starts — the order the seed driver
   /// used); a program-scope pass forms its own group.  Appends one
   /// PassTiming per pipeline position to `ctx.report.pass_timings` and
-  /// folds every shard's analysis accounting into `am`.
+  /// adds every pass run's analysis accounting to `ctx.report.analysis`.
   ///
   /// Shards: every group runs in shards — one per unit, or one for a
   /// program-scope pass — each with a fresh CompileContext (trace epoch
-  /// shared with the parent), CompileReport fragment, AnalysisManager and
-  /// AtomTable, all bound to the worker thread while the passes run.
+  /// shared with the parent), CompileReport fragment and AtomTable, all
+  /// bound to the worker thread while the passes run.  Each (pass, unit)
+  /// attempt builds its own AnalysisManager on the shard's context.
   /// `ctx.opts.jobs` workers take units from the compilation's pool (1 =
   /// inline on the calling thread, same code path).  Shards merge into
   /// the parent in unit index order, so every report artifact is
@@ -173,7 +173,7 @@ class PassPipeline {
   /// (`-compile-budget-ms`) is split equally across a group's shards
   /// before workers start, keeping every degradation point — and thus
   /// every artifact — byte-identical at any `-jobs=N`.
-  void run(AnalysisManager& am, PassContext& ctx) const;
+  void run(PassContext& ctx) const;
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;

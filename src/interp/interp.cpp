@@ -578,156 +578,114 @@ void Interpreter::store(ProgramUnit& unit, Frame& frame,
 
 // --- calls ----------------------------------------------------------------------
 
-namespace {
-/// Copy-restore binding for array-element or expression actuals.
-struct CopyBack {
-  Cell* temp;
-  Cell* target_cell;  // array cell
-  std::size_t flat;
-};
-}  // namespace
+ProgramUnit& Interpreter::callee_of(const std::string& name, UnitKind kind,
+                                    std::size_t n_args) {
+  ProgramUnit* callee = program_.find(name);
+  if (callee == nullptr || callee->kind() != kind)
+    throw UserError((kind == UnitKind::Subroutine
+                         ? "call to unknown subroutine "
+                         : "reference to unknown function ") +
+                    name);
+  const std::size_t n_dummies = callee->formals().size();
+  if (n_args != n_dummies)
+    throw UserError("argument count mismatch calling " + name + ": " +
+                    std::to_string(n_args) + " actual, " +
+                    std::to_string(n_dummies) + " dummy");
+  return *callee;
+}
+
+Interpreter::UnitResult Interpreter::invoke(ProgramUnit& unit, Frame& frame,
+                                            ProgramUnit& callee,
+                                            const std::vector<ExprPtr>& args,
+                                            Frame& inner) {
+  charge(costs_.call);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    Symbol* dummy = callee.formals()[i];
+    const Expression& actual = *args[i];
+    // The caller's storage the actual names, if it names any: a scalar or
+    // array cell, and for an element actual the element's flat index.
+    Cell* cell = nullptr;
+    std::optional<std::size_t> element;
+    if (actual.kind() == ExprKind::VarRef) {
+      Symbol* sym = static_cast<const VarRef&>(actual).symbol();
+      if (sym->kind() != SymbolKind::Parameter) {
+        cell = frame.lookup(sym);
+        p_assert_msg(cell != nullptr, "unbound actual " + sym->name());
+      }
+    } else if (actual.kind() == ExprKind::ArrayRef) {
+      const auto& ref = static_cast<const ArrayRef&>(actual);
+      cell = frame.lookup(ref.symbol());
+      p_assert(cell != nullptr && cell->is_array);
+      element = element_index(unit, frame, ref, cell->array);
+    }
+
+    if (dummy->is_array()) {
+      if (cell == nullptr || !cell->is_array)
+        throw UserError("scalar actual for array dummy " + dummy->name() +
+                        " of " + callee.name());
+      // The whole array, or the section from the element on; bounds are
+      // resolved in callee terms below.
+      Cell* view = inner.create_local(dummy);
+      view->is_array = true;
+      view->array.data = cell->array.data;
+      view->array.offset = element ? static_cast<std::int64_t>(*element)
+                                   : cell->array.offset;
+    } else if (cell == nullptr) {
+      inner.create_local(dummy)->scalar =
+          eval(unit, frame, actual).coerce_to(dummy->type());
+    } else if (!cell->is_array) {
+      inner.bind(dummy, cell);  // scalar by reference
+    } else if (!element) {
+      throw UserError("array " + actual.to_string() +
+                      " passed to scalar dummy " + dummy->name() + " of " +
+                      callee.name());
+    } else {
+      // Copy-restore.  The copy's otherwise unused array storage
+      // remembers the element, so the copy-back below needs no side table.
+      Cell* copy = inner.create_local(dummy);
+      copy->scalar = (*cell->array.data)[*element];
+      copy->array.data = cell->array.data;
+      copy->array.offset = static_cast<std::int64_t>(*element);
+    }
+  }
+
+  // Array dummies' bounds are resolved in callee terms, after the scalar
+  // dummies they may depend on are bound.
+  for (Symbol* dummy : callee.formals())
+    if (dummy->is_array())
+      resolve_array_bounds(callee, inner, dummy, inner.lookup(dummy));
+
+  init_frame(callee, inner);
+  UnitResult r;
+  execute_unit(callee, inner, &r);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    Symbol* dummy = callee.formals()[i];
+    if (args[i]->kind() != ExprKind::ArrayRef || dummy->is_array()) continue;
+    const Cell* copy = inner.lookup(dummy);
+    (*copy->array.data)[static_cast<std::size_t>(copy->array.offset)] =
+        copy->scalar;
+  }
+  return r;
+}
 
 bool Interpreter::run_call(ProgramUnit& unit, Frame& frame,
                            const CallStmt& call) {
-  charge(costs_.call);
-  ProgramUnit* callee = program_.find(call.name());
-  p_assert_msg(callee != nullptr && callee->kind() == UnitKind::Subroutine,
-               "call to unknown subroutine " + call.name());
-  p_assert_msg(call.args().size() == callee->formals().size(),
-               "argument count mismatch calling " + call.name());
-
-  Frame inner(callee->symtab().size());
-  std::vector<CopyBack> copybacks;
-  std::vector<std::unique_ptr<Cell>> temps;
-
-  for (size_t i = 0; i < call.args().size(); ++i) {
-    Symbol* formal = callee->formals()[i];
-    const Expression& actual = *call.args()[i];
-    if (actual.kind() == ExprKind::VarRef) {
-      Symbol* asym = static_cast<const VarRef&>(actual).symbol();
-      if (asym->kind() == SymbolKind::Parameter) {
-        auto temp = std::make_unique<Cell>();
-        temp->scalar = eval(unit, frame, actual).coerce_to(formal->type());
-        inner.bind(formal, temp.get());
-        temps.push_back(std::move(temp));
-        continue;
-      }
-      Cell* cell = frame.lookup(asym);
-      p_assert_msg(cell != nullptr, "unbound actual " + asym->name());
-      if (cell->is_array) {
-        // Whole-array aliasing: share the payload; bounds re-resolved in
-        // callee terms below.
-        auto view = std::make_unique<Cell>();
-        view->is_array = true;
-        view->array.data = cell->array.data;
-        view->array.offset = cell->array.offset;
-        inner.bind(formal, view.get());
-        temps.push_back(std::move(view));
-      } else {
-        inner.bind(formal, cell);  // scalar by reference
-      }
-      continue;
-    }
-    if (actual.kind() == ExprKind::ArrayRef) {
-      const auto& aref = static_cast<const ArrayRef&>(actual);
-      Cell* cell = frame.lookup(aref.symbol());
-      p_assert(cell != nullptr && cell->is_array);
-      std::size_t flat = element_index(unit, frame, aref, cell->array);
-      if (formal->is_array()) {
-        // Array section starting at the element.
-        auto view = std::make_unique<Cell>();
-        view->is_array = true;
-        view->array.data = cell->array.data;
-        view->array.offset = static_cast<std::int64_t>(flat);
-        inner.bind(formal, view.get());
-        temps.push_back(std::move(view));
-      } else {
-        // Scalar formal bound to an array element: copy-restore.
-        auto temp = std::make_unique<Cell>();
-        temp->scalar = (*cell->array.data)[flat];
-        copybacks.push_back({temp.get(), cell, flat});
-        inner.bind(formal, temp.get());
-        temps.push_back(std::move(temp));
-      }
-      continue;
-    }
-    // Expression actual: evaluated copy (no copy-back).
-    auto temp = std::make_unique<Cell>();
-    temp->scalar = eval(unit, frame, actual).coerce_to(formal->type());
-    inner.bind(formal, temp.get());
-    temps.push_back(std::move(temp));
-  }
-
-  // Resolve bound array formals' dims in callee terms (scalars first —
-  // already bound above).
-  for (Symbol* formal : callee->formals()) {
-    if (!formal->is_array()) continue;
-    Cell* cell = inner.lookup(formal);
-    p_assert(cell != nullptr);
-    p_assert_msg(cell->is_array,
-                 "scalar actual for array formal " + formal->name());
-    resolve_array_bounds(*callee, inner, formal, cell);
-  }
-
-  init_frame(*callee, inner);
-  UnitResult r;
-  execute_unit(*callee, inner, &r);
-  for (const CopyBack& cb : copybacks)
-    (*cb.target_cell->array.data)[cb.flat] = cb.temp->scalar;
-  return r.stopped;
+  ProgramUnit& callee =
+      callee_of(call.name(), UnitKind::Subroutine, call.args().size());
+  Frame inner(callee.symtab().size());
+  return invoke(unit, frame, callee, call.args(), inner).stopped;
 }
 
 Value Interpreter::eval_user_function(ProgramUnit& unit, Frame& frame,
                                       const FuncCall& f) {
-  charge(costs_.call);
-  ProgramUnit* callee = program_.find(f.name());
-  p_assert_msg(callee != nullptr && callee->kind() == UnitKind::Function,
-               "call to unknown function " + f.name());
-  p_assert_msg(f.args().size() == callee->formals().size(),
-               "argument count mismatch calling " + f.name());
-
-  Frame inner(callee->symtab().size());
-  std::vector<std::unique_ptr<Cell>> temps;
-  for (size_t i = 0; i < f.args().size(); ++i) {
-    Symbol* formal = callee->formals()[i];
-    const Expression& actual = *f.args()[i];
-    if (actual.kind() == ExprKind::VarRef) {
-      Symbol* asym = static_cast<const VarRef&>(actual).symbol();
-      Cell* cell =
-          asym->kind() == SymbolKind::Parameter ? nullptr : frame.lookup(asym);
-      if (cell != nullptr && cell->is_array && formal->is_array()) {
-        auto view = std::make_unique<Cell>();
-        view->is_array = true;
-        view->array.data = cell->array.data;
-        view->array.offset = cell->array.offset;
-        inner.bind(formal, view.get());
-        temps.push_back(std::move(view));
-        continue;
-      }
-      if (cell != nullptr && !cell->is_array) {
-        inner.bind(formal, cell);
-        continue;
-      }
-    }
-    auto temp = std::make_unique<Cell>();
-    temp->scalar = eval(unit, frame, actual).coerce_to(formal->type());
-    inner.bind(formal, temp.get());
-    temps.push_back(std::move(temp));
-  }
-  for (Symbol* formal : callee->formals()) {
-    if (!formal->is_array()) continue;
-    Cell* cell = inner.lookup(formal);
-    p_assert(cell != nullptr && cell->is_array);
-    resolve_array_bounds(*callee, inner, formal, cell);
-  }
-  init_frame(*callee, inner);
-  UnitResult r;
-  execute_unit(*callee, inner, &r);
-  if (r.stopped) {
+  ProgramUnit& callee =
+      callee_of(f.name(), UnitKind::Function, f.args().size());
+  Frame inner(callee.symtab().size());
+  if (invoke(unit, frame, callee, f.args(), inner).stopped) {
     result_.stopped = true;
     throw UserError("STOP inside function");
   }
-  Cell* res = inner.lookup(callee->result());
+  Cell* res = inner.lookup(callee.result());
   p_assert_msg(res != nullptr && !res->is_array,
                "function result unset: " + f.name());
   return res->scalar;

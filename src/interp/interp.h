@@ -89,6 +89,21 @@ class Interpreter {
              Value v);
   /// Returns true if the callee executed STOP.
   bool run_call(ProgramUnit& unit, Frame& frame, const CallStmt& call);
+  /// The unit a CALL (kind Subroutine) or function reference (kind
+  /// Function) names; a UserError naming it when there is no such unit or
+  /// `n_args` differs from its dummy count.
+  ProgramUnit& callee_of(const std::string& name, UnitKind kind,
+                         std::size_t n_args);
+  /// Binds `args` (evaluated in `unit`'s `frame`) to `callee`'s dummies
+  /// in `inner` and runs the callee: the one argument binder of CALLs and
+  /// function references.  By reference, as in Fortran: a scalar variable
+  /// shares the caller's cell; an array dummy shares the actual array's
+  /// payload, from the element on for an element actual; an element on a
+  /// scalar dummy is copied in and back out; any other actual is an
+  /// evaluated copy.  A malformed binding is a UserError naming the
+  /// callee.
+  UnitResult invoke(ProgramUnit& unit, Frame& frame, ProgramUnit& callee,
+                    const std::vector<ExprPtr>& args, Frame& inner);
 
   /// Parallel and speculative loop execution (see class comment).
   UnitResult run_parallel_loop(ProgramUnit& unit, Frame& frame, DoStmt* d,

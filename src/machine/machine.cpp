@@ -43,18 +43,18 @@ std::uint64_t schedule_doall(const std::vector<std::uint64_t>& iter_costs,
   const std::uint64_t elems =
       static_cast<std::uint64_t>(reduction_elements);
   switch (config.reduction_scheme) {
-    case Options::ReductionScheme::Blocked:
+    case ReductionScheme::Blocked:
       // In-place synchronized updates: contention serializes a fraction
       // of every update; no merge phase.
       reduction_cost = reduction_updates * config.blocked_sync_cost;
       break;
-    case Options::ReductionScheme::Private:
+    case ReductionScheme::Private:
       // Per-processor private accumulators, merged once at the end.
       reduction_cost =
           elems * config.reduction_merge_per_elem * (p - 1) /
           std::max<std::uint64_t>(p, 1);
       break;
-    case Options::ReductionScheme::Expanded:
+    case ReductionScheme::Expanded:
       // Shared accumulators expanded by a processor dimension:
       // initialization sweep plus the merge sweep.
       reduction_cost =

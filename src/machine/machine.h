@@ -13,9 +13,18 @@
 #include <vector>
 
 #include "support/assert.h"
-#include "support/options.h"
 
 namespace polaris {
+
+/// How reductions are implemented (paper Section 3.2 / [14]):
+///   Blocked  — updates to the shared accumulator are synchronized in
+///              place: no merge phase, but every iteration pays a
+///              synchronization cost (contention-bound).
+///   Private  — per-processor private accumulators merged after the
+///              loop (the default; merge cost per element per processor).
+///   Expanded — accumulators expanded by a processor dimension in shared
+///              memory: initialization plus a merge sweep.
+enum class ReductionScheme { Blocked, Private, Expanded };
 
 struct MachineConfig {
   int processors = 8;
@@ -28,16 +37,7 @@ struct MachineConfig {
   Scheduling scheduling = Scheduling::Static;
   std::uint64_t dynamic_dispatch_cost = 8;  ///< per iteration grab (Dynamic)
 
-  /// How reductions are implemented (paper Section 3.2 / [14]):
-  ///   Blocked  — updates to the shared accumulator are synchronized in
-  ///              place: no merge phase, but every iteration pays a
-  ///              synchronization cost (contention-bound).
-  ///   Private  — per-processor private accumulators merged after the
-  ///              loop (the default; merge cost per element per processor).
-  ///   Expanded — accumulators expanded by a processor dimension in shared
-  ///              memory: initialization plus a merge sweep.
-  Options::ReductionScheme reduction_scheme =
-      Options::ReductionScheme::Private;
+  ReductionScheme reduction_scheme = ReductionScheme::Private;
   std::uint64_t blocked_sync_cost = 6;  ///< per reduction update (Blocked)
 
   // Overheads, in the interpreter's cost units (one unit ~ one simple op).

@@ -41,18 +41,6 @@ bool subscripted_subscript_blockers(DoStmt* loop,
 }  // namespace
 
 DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
-                              const Options& opts, Diagnostics& diags) {
-  AnalysisManager am;
-  return mark_doall_loops(program, unit, opts, diags, am);
-}
-
-DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
-                              const Options& opts, Diagnostics& diags,
-                              AnalysisManager& am) {
-  return mark_doall_loops(program, unit, opts, diags, am, nullptr);
-}
-
-DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
                               const Options& opts, Diagnostics& diags,
                               AnalysisManager& am,
                               const std::set<std::string>* pure_snapshot) {
@@ -230,11 +218,6 @@ DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
     }
   }
   return summary;
-}
-
-DoallSummary mark_doall_loops(ProgramUnit& unit, const Options& opts,
-                              Diagnostics& diags) {
-  return mark_doall_loops(nullptr, unit, opts, diags);
 }
 
 }  // namespace polaris

@@ -25,12 +25,11 @@ struct DoallSummary {
   int speculative = 0;
 };
 
-/// Analyzes and annotates every loop of `unit`.  The Program overload
-/// additionally computes pure functions interprocedurally so calls to them
-/// do not serialize loops; the unit-only overload treats every user
-/// function as opaque.  The pass only annotates — it preserves all cached
-/// analyses — and its sub-analyses (reductions, privatization, dependence
-/// tests) share `am`'s cached flow facts.
+/// Analyzes and annotates every loop of `unit`.  With a `program`, pure
+/// functions are computed interprocedurally so calls to them do not
+/// serialize loops; a null `program` treats every user function as
+/// opaque.  The pass only annotates, and its sub-analyses (reductions,
+/// privatization, dependence tests) share `am`'s cached flow facts.
 /// `pure` (may be null) is a precomputed pure-function set.  Under
 /// parallel per-unit execution the pass manager snapshots purity once per
 /// pass group, before units fan out to workers: pure_functions() reads
@@ -40,12 +39,5 @@ DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
                               const Options& opts, Diagnostics& diags,
                               AnalysisManager& am,
                               const std::set<std::string>* pure);
-DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
-                              const Options& opts, Diagnostics& diags,
-                              AnalysisManager& am);
-DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
-                              const Options& opts, Diagnostics& diags);
-DoallSummary mark_doall_loops(ProgramUnit& unit, const Options& opts,
-                              Diagnostics& diags);
 
 }  // namespace polaris

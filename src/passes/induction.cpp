@@ -570,12 +570,6 @@ int rewrite_multiplicative(ProgramUnit& unit, DoStmt* nest,
 }  // namespace
 
 InductionResult substitute_inductions(ProgramUnit& unit, const Options& opts,
-                                      Diagnostics& diags) {
-  AnalysisManager am;
-  return substitute_inductions(unit, opts, diags, am);
-}
-
-InductionResult substitute_inductions(ProgramUnit& unit, const Options& opts,
                                       Diagnostics& diags,
                                       AnalysisManager& am) {
   InductionResult result;
@@ -586,7 +580,7 @@ InductionResult substitute_inductions(ProgramUnit& unit, const Options& opts,
     std::string context = unit.name() + "/" + loop->loop_name();
     if (opts.multiplicative_induction) {
       int mult = rewrite_multiplicative(unit, loop, diags, context, am);
-      if (mult > 0) am.invalidate_all();  // counters spliced into the nest
+      if (mult > 0) am.invalidate();  // counters spliced into the nest
       result.substituted += mult;
     }
     NestSolver solver(unit.stmts(), loop, diags, context, am);
@@ -595,7 +589,7 @@ InductionResult substitute_inductions(ProgramUnit& unit, const Options& opts,
     result.rejected += solver.rejected_count_;
     if (!any) continue;
     result.substituted += solver.run();
-    am.invalidate_all();  // closed-form substitution rewrote the nest
+    am.invalidate();  // closed-form substitution rewrote the nest
   }
   return result;
 }

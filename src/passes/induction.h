@@ -35,8 +35,4 @@ InductionResult substitute_inductions(ProgramUnit& unit, const Options& opts,
                                       Diagnostics& diags,
                                       AnalysisManager& am);
 
-/// Convenience overload with a private AnalysisManager.
-InductionResult substitute_inductions(ProgramUnit& unit, const Options& opts,
-                                      Diagnostics& diags);
-
 }  // namespace polaris

@@ -7,12 +7,6 @@
 namespace polaris {
 
 int normalize_loops(ProgramUnit& unit, const Options& opts,
-                    Diagnostics& diags) {
-  AnalysisManager am;
-  return normalize_loops(unit, opts, diags, am);
-}
-
-int normalize_loops(ProgramUnit& unit, const Options& opts,
                     Diagnostics& diags, AnalysisManager& am) {
   if (!opts.loop_normalization) return 0;
   int rewritten = 0;
@@ -95,7 +89,7 @@ int normalize_loops(ProgramUnit& unit, const Options& opts,
                index->name() + ": step " + std::to_string(step) +
                    " loop normalized (index " + nrm->name() + ")");
     ++rewritten;
-    am.invalidate_all();  // the rewrite stales any cached region facts
+    am.invalidate();  // the rewrite stales any cached region facts
   }
   return rewritten;
 }

@@ -27,9 +27,4 @@ namespace polaris {
 int normalize_loops(ProgramUnit& unit, const Options& opts,
                     Diagnostics& diags, AnalysisManager& am);
 
-/// Convenience overload with a private AnalysisManager (no cross-pass
-/// caching).
-int normalize_loops(ProgramUnit& unit, const Options& opts,
-                    Diagnostics& diags);
-
 }  // namespace polaris

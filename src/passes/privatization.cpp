@@ -213,13 +213,6 @@ void PrivatizationResult::record(ParallelInfo& par) const {
 
 PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
                                           const Options& opts,
-                                          Diagnostics& diags) {
-  AnalysisManager am;
-  return analyze_privatization(unit, loop, opts, diags, am);
-}
-
-PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
-                                          const Options& opts,
                                           Diagnostics& diags,
                                           AnalysisManager& am) {
   PrivatizationResult result;

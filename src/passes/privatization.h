@@ -37,16 +37,11 @@ struct PrivatizationResult {
 /// Analyzes `loop` within `unit`.  Does not transform the program; the
 /// DOALL pass records the result in the loop's ParallelInfo (private
 /// storage is instantiated by the execution engine).  Flow facts and the
-/// GSA engine come from `am`, so repeated queries across loops and passes
-/// hit the cache.
+/// GSA engine come from `am`, so repeated queries across loops within a
+/// pass run hit the cache.
 PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
                                           const Options& opts,
                                           Diagnostics& diags,
                                           AnalysisManager& am);
-
-/// Convenience overload with a private AnalysisManager.
-PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
-                                          const Options& opts,
-                                          Diagnostics& diags);
 
 }  // namespace polaris

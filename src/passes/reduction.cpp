@@ -80,13 +80,6 @@ bool subscripts_clean(const AssignStmt* a) {
 
 std::vector<RecognizedReduction> recognize_reductions(DoStmt* loop,
                                                       const Options& opts,
-                                                      Diagnostics& diags) {
-  AnalysisManager am;
-  return recognize_reductions(loop, opts, diags, am);
-}
-
-std::vector<RecognizedReduction> recognize_reductions(DoStmt* loop,
-                                                      const Options& opts,
                                                       Diagnostics& diags,
                                                       AnalysisManager& am) {
   std::vector<RecognizedReduction> out;

@@ -36,9 +36,4 @@ std::vector<RecognizedReduction> recognize_reductions(DoStmt* loop,
                                                       Diagnostics& diags,
                                                       AnalysisManager& am);
 
-/// Convenience overload with a private AnalysisManager.
-std::vector<RecognizedReduction> recognize_reductions(DoStmt* loop,
-                                                      const Options& opts,
-                                                      Diagnostics& diags);
-
 }  // namespace polaris

@@ -70,12 +70,6 @@ bool is_innermost(StmtList& stmts, DoStmt* inner) {
 }  // namespace
 
 int strength_reduce(ProgramUnit& unit, const Options& opts,
-                    Diagnostics& diags) {
-  AnalysisManager am;
-  return strength_reduce(unit, opts, diags, am);
-}
-
-int strength_reduce(ProgramUnit& unit, const Options& opts,
                     Diagnostics& diags, AnalysisManager& am) {
   if (!opts.strength_reduction) return 0;
   int reduced = 0;
@@ -134,7 +128,7 @@ int strength_reduce(ProgramUnit& unit, const Options& opts,
       p_assert(before_follow != nullptr);
       stmts.splice_after(before_follow, std::move(post));
       stmts.splice_before(inner, std::move(pre));
-      am.invalidate_all();  // spliced temp assignments stale region facts
+      am.invalidate();  // spliced temp assignments stale region facts
 
       // Bookkeeping: the temps are private to every enclosing parallel
       // loop; the inner loop now carries a recurrence, so its own mark

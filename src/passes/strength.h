@@ -34,8 +34,4 @@ namespace polaris {
 int strength_reduce(ProgramUnit& unit, const Options& opts,
                     Diagnostics& diags, AnalysisManager& am);
 
-/// Convenience overload with a private AnalysisManager.
-int strength_reduce(ProgramUnit& unit, const Options& opts,
-                    Diagnostics& diags);
-
 }  // namespace polaris

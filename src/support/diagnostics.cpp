@@ -17,19 +17,34 @@ const char* to_string(RemarkKind kind) {
   return "?";
 }
 
+namespace {
+
+/// A diagnostic without a remark payload.
+Diagnostic plain(DiagSeverity severity, const std::string& pass,
+                 const std::string& context, const std::string& message) {
+  Diagnostic d;
+  d.severity = severity;
+  d.pass = pass;
+  d.context = context;
+  d.message = message;
+  return d;
+}
+
+}  // namespace
+
 void Diagnostics::note(const std::string& pass, const std::string& context,
                        const std::string& message) {
-  diags_.push_back({DiagSeverity::Note, pass, context, message});
+  diags_.push_back(plain(DiagSeverity::Note, pass, context, message));
 }
 
 void Diagnostics::warning(const std::string& pass, const std::string& context,
                           const std::string& message) {
-  diags_.push_back({DiagSeverity::Warning, pass, context, message});
+  diags_.push_back(plain(DiagSeverity::Warning, pass, context, message));
 }
 
 void Diagnostics::error(const std::string& pass, const std::string& context,
                         const std::string& message) {
-  diags_.push_back({DiagSeverity::Error, pass, context, message});
+  diags_.push_back(plain(DiagSeverity::Error, pass, context, message));
 }
 
 void Diagnostics::remark(RemarkKind kind, const std::string& pass,
@@ -37,11 +52,7 @@ void Diagnostics::remark(RemarkKind kind, const std::string& pass,
                          const std::string& reason,
                          const std::string& message,
                          std::vector<RemarkArg> args) {
-  Diagnostic d;
-  d.severity = DiagSeverity::Note;
-  d.pass = pass;
-  d.context = context;
-  d.message = message;
+  Diagnostic d = plain(DiagSeverity::Note, pass, context, message);
   d.remark = kind;
   d.reason = reason;
   d.args = std::move(args);

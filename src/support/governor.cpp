@@ -51,14 +51,9 @@ Options degraded_options(const Options& base, int rung) {
   Options o = base;
   if (rung <= 0) return o;
   if (rung == 1) {
-    // "reduced": quarter the permutation search, cap the guided budget,
-    // halve GSA substitution depth, bound simplifier recursion.
+    // "reduced": quarter the permutation search, bound simplifier
+    // recursion.
     o.max_loop_permutations = std::max(1, base.max_loop_permutations / 4);
-    o.rangetest_max_permutations =
-        base.rangetest_max_permutations > 0
-            ? std::min(base.rangetest_max_permutations, 8)
-            : 8;
-    o.max_gsa_subst_depth = std::max(1, base.max_gsa_subst_depth / 2);
     o.max_simplify_depth = base.max_simplify_depth > 0
                                ? std::min(base.max_simplify_depth, 16)
                                : 16;
@@ -69,8 +64,6 @@ Options degraded_options(const Options& base, int rung) {
   // switch here only forgoes optimization.
   o.range_test = false;
   o.max_loop_permutations = 1;
-  o.rangetest_max_permutations = 1;
-  o.max_gsa_subst_depth = 1;
   o.max_simplify_depth = 4;
   return o;
 }

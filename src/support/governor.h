@@ -132,11 +132,10 @@ constexpr int kLadderRungs = 3;
 const char* ladder_rung_name(int rung);
 
 /// The cheaper-switch derivation for ladder rung `rung`: progressively
-/// lower search limits (max_loop_permutations, capped
-/// rangetest_max_permutations, GSA substitution depth, a simplify depth
-/// limit) while leaving every correctness-relevant switch alone.  Rung 0
-/// returns `base` unchanged; the floor rung additionally turns the range
-/// test off (linear tests only — the "current compiler" baseline shape).
+/// lower search limits (max_loop_permutations and a simplify depth limit)
+/// while leaving every correctness-relevant switch alone.  Rung 0 returns
+/// `base` unchanged; the floor rung additionally turns the range test off
+/// (linear tests only — the "current compiler" baseline shape).
 Options degraded_options(const Options& base, int rung);
 
 /// Per-compilation (per-shard) resource accountant, owned by

@@ -36,16 +36,9 @@ struct Options {
 
   // --- limits --------------------------------------------------------------
   int max_inline_depth = 8;        ///< recursion guard for the inliner driver
-  int max_gsa_subst_depth = 16;    ///< demand-driven substitution budget
-  int max_loop_permutations = 24;  ///< range-test visitation orders tried
-  /// Hard cap on fixed-subset masks tried per range-test query
-  /// (`-rangetest-max-permutations=N`).  0 keeps the legacy enumeration
-  /// (ascending masks bounded by 2 * max_loop_permutations).  N > 0 tries
-  /// at most N masks in counter-guided order: popcount buckets ranked by
-  /// the shard's observed proof successes (AnalysisManager histogram),
-  /// ties broken toward fewer fixed loops, masks ascending within a
-  /// bucket — so the budget is spent where proofs actually landed.
-  int rangetest_max_permutations = 0;
+  /// Range-test visitation orders: each query tries fixed-subset masks in
+  /// ascending order, at most 2 * max_loop_permutations of them.
+  int max_loop_permutations = 24;
 
   // --- resource governor ----------------------------------------------------
   /// Whole-compile budget (`-compile-budget-ms=N` / POLARIS_COMPILE_BUDGET_MS)
@@ -69,10 +62,6 @@ struct Options {
   /// floor) before dropping the pass.  When false, overruns drop the pass
   /// immediately (the pre-ladder behavior).
   bool degradation_ladder = true;
-
-  // --- code generation ------------------------------------------------------
-  enum class ReductionScheme { Blocked, Private, Expanded };
-  ReductionScheme reduction_scheme = ReductionScheme::Private;
 
   // --- pipeline -------------------------------------------------------------
   /// Empty: the standard battery.  Otherwise a comma-separated `-passes=`

@@ -170,11 +170,16 @@ std::string to_chrome_json(const std::vector<TraceEvent>& events) {
       for (const auto& [key, value] : e.args) {
         if (!first_arg) out += ",";
         first_arg = false;
-        out += "\"" + json_escape(key) + "\":";
-        if (e.numeric_args)
+        out += '"';
+        out += json_escape(key);
+        out += "\":";
+        if (e.numeric_args) {
           out += value;
-        else
-          out += "\"" + json_escape(value) + "\"";
+        } else {
+          out += '"';
+          out += json_escape(value);
+          out += '"';
+        }
       }
       out += "}";
     }

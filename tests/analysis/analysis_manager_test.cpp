@@ -1,5 +1,5 @@
-// AnalysisManager tests: memoization (recompute counts), PreservedAnalyses
-// invalidation, and cache refresh after a mutating pass.
+// AnalysisManager tests: memoization (recompute counts) and cache refresh
+// after a rewrite inside a pass.
 #include "analysis/analysis_manager.h"
 
 #include <gtest/gtest.h>
@@ -53,64 +53,20 @@ TEST(AnalysisManagerTest, DistinctQueriesCacheIndependently) {
   AnalysisManager am;
 
   am.may_defined_symbols(stmts.first(), stmts.last());
-  am.used_symbols(stmts.first(), stmts.last());
+  am.upward_exposed_scalars(stmts.first(), stmts.last());
   EXPECT_EQ(am.stats().recomputes, 2u);  // different query kinds both miss
   am.may_defined_symbols(stmts.first(), stmts.last());
-  am.used_symbols(stmts.first(), stmts.last());
+  am.upward_exposed_scalars(stmts.first(), stmts.last());
   EXPECT_EQ(am.stats().recomputes, 2u);
   EXPECT_EQ(am.stats().hits, 2u);
 }
 
-TEST(AnalysisManagerTest, PreservingPassKeepsCache) {
-  auto p = parse(
-      "      program t\n"
-      "      x = 1.0\n"
-      "      end\n");
-  auto& stmts = p->main()->stmts();
-  AnalysisManager am;
-
-  am.must_defined_scalars(stmts.first(), stmts.last());
-  am.invalidate(PreservedAnalyses::all());  // annotation-only pass
-  am.must_defined_scalars(stmts.first(), stmts.last());
-  EXPECT_EQ(am.stats().recomputes, 1u);
-  EXPECT_EQ(am.stats().hits, 1u);
-  EXPECT_EQ(am.stats().invalidations, 0u);
-
-  am.invalidate(PreservedAnalyses::none());  // mutating pass
-  am.must_defined_scalars(stmts.first(), stmts.last());
-  EXPECT_EQ(am.stats().recomputes, 2u);
-  EXPECT_EQ(am.stats().invalidations, 1u);
-}
-
-TEST(AnalysisManagerTest, PartialPreservationIsPerFamily) {
-  auto p = parse(
-      "      program t\n"
-      "      real a(10)\n"
-      "      do i = 1, 10\n"
-      "        a(i) = 1.0\n"
-      "      end do\n"
-      "      end\n");
-  ProgramUnit& unit = *p->main();
-  auto& stmts = unit.stmts();
-  AnalysisManager am;
-
-  am.may_defined_symbols(stmts.first(), stmts.last());
-  GsaQuery* q = &am.gsa(unit);
-  const std::uint64_t recomputed = am.stats().recomputes;
-
-  // Keep GSA, drop structure facts: the region query recomputes but the
-  // GSA engine instance survives.
-  am.invalidate(PreservedAnalyses::none().preserve(AnalysisID::GsaFacts));
-  am.may_defined_symbols(stmts.first(), stmts.last());
-  EXPECT_EQ(am.stats().recomputes, recomputed + 1);
-  EXPECT_EQ(&am.gsa(unit), q);
-}
-
 TEST(AnalysisManagerTest, MutatingPassRefreshesCachedFacts) {
   // Loop normalization rewrites the body's index uses in place (the body
-  // statements survive, their expressions change), so a cached used-symbols
-  // answer for the body is stale afterwards.  The pass self-invalidates;
-  // the next query must see the normalized index, not the original.
+  // statements survive, their expressions change), so a cached
+  // upward-exposed answer for the body is stale afterwards.  The pass
+  // self-invalidates; the next query must see the normalized index, not
+  // the original.
   auto p = parse(
       "      program t\n"
       "      real a(10)\n"
@@ -125,14 +81,15 @@ TEST(AnalysisManagerTest, MutatingPassRefreshesCachedFacts) {
 
   AnalysisManager am;
   std::set<std::string> before =
-      names(am.used_symbols(body_first, body_last));
+      names(am.upward_exposed_scalars(body_first, body_last));
   EXPECT_EQ(before.count("i"), 1u);
 
   Options opts = Options::polaris();
   Diagnostics diags;
   ASSERT_EQ(normalize_loops(unit, opts, diags, am), 1);
 
-  std::set<std::string> after = names(am.used_symbols(body_first, body_last));
+  std::set<std::string> after =
+      names(am.upward_exposed_scalars(body_first, body_last));
   EXPECT_EQ(after.count("i"), 0u) << "cache served a stale pre-pass answer";
   EXPECT_NE(after, before);
   EXPECT_GE(am.stats().invalidations, 1u);

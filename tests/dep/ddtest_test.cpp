@@ -21,7 +21,8 @@ struct DriverFixture {
 
   LoopDepStats run(DoStmt* loop, const Options& opts,
                    SymbolSet exempt = {}) {
-    return test_loop_arrays(loop, opts, diags, exempt, "main/test");
+    AnalysisManager am;
+    return test_loop_arrays(loop, opts, diags, exempt, "main/test", am);
   }
 };
 

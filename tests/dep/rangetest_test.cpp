@@ -29,7 +29,11 @@ struct AccessFixture {
   }
 };
 
-Options polaris_opts() { return Options::polaris(); }
+/// RangeTest keeps a reference to its options, so they must outlive it.
+const Options& polaris_opts() {
+  static const Options opts = Options::polaris();
+  return opts;
+}
 
 TEST(RangeTestTest, SimpleInjectiveSubscript) {
   AccessFixture f(
@@ -39,7 +43,8 @@ TEST(RangeTestTest, SimpleInjectiveSubscript) {
       "        a(i) = 1.0\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   ASSERT_EQ(acc.size(), 1u);
   EXPECT_TRUE(rt.independent(f.loops[0], acc[0], acc[0]));
@@ -53,7 +58,8 @@ TEST(RangeTestTest, OverlappingWritesNotProven) {
       "        a(i) = a(i + 1)\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   ASSERT_EQ(acc.size(), 2u);
   // a(i) written, a(i+1) read: iteration i+1 writes what i read.
@@ -71,7 +77,8 @@ TEST(RangeTestTest, SymbolicStrideWithPositiveWidthFact) {
       "        end do\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   ASSERT_EQ(acc.size(), 1u);
   EXPECT_TRUE(rt.independent(f.loops[0], acc[0], acc[0]));
@@ -92,7 +99,8 @@ TEST(RangeTestTest, TrfdFigure2AllLoopsIndependent) {
       "        end do\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   ASSERT_EQ(acc.size(), 1u);
   EXPECT_TRUE(rt.independent(f.loops[0], acc[0], acc[0]))
@@ -117,7 +125,8 @@ TEST(RangeTestTest, OceanFigure3NeedsPermutation) {
       "        end do\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   ASSERT_EQ(acc.size(), 2u);
   for (size_t p = 0; p < 2; ++p) {
@@ -140,7 +149,8 @@ TEST(RangeTestTest, DecreasingSubscripts) {
       "        a(n - i + 1) = 1.0\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   EXPECT_TRUE(rt.independent(f.loops[0], acc[0], acc[0]));
 }
@@ -153,7 +163,8 @@ TEST(RangeTestTest, NegativeStepLoop) {
       "        a(i) = 1.0\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   EXPECT_TRUE(rt.independent(f.loops[0], acc[0], acc[0]));
 }
@@ -168,7 +179,8 @@ TEST(RangeTestTest, WholeRangeDisjointness) {
       "        a(i) = a(i + n)\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   ASSERT_EQ(acc.size(), 2u);
   EXPECT_TRUE(rt.independent(f.loops[0], acc[0], acc[1]));
@@ -185,7 +197,8 @@ TEST(RangeTestTest, TwoDimensionalPerDimension) {
       "        end do\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   EXPECT_TRUE(rt.independent(f.loops[0], acc[0], acc[0]));
   EXPECT_TRUE(rt.independent(f.loops[1], acc[0], acc[0]));
@@ -202,7 +215,8 @@ TEST(RangeTestTest, SubscriptedSubscriptNotProven) {
       "        a(ind(i)) = 1.0\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   // One write access via ind(i); reads of ind are separate array accesses.
   const ArrayAccess* wa = nullptr;
@@ -221,83 +235,11 @@ TEST(RangeTestTest, CoupledSubscriptsBeyondOneDistanceNotProven) {
       "        a(i) = a(i - 2)\n"
       "      end do\n"
       "      end\n");
-  RangeTest rt(polaris_opts());
+  AnalysisManager am;
+  RangeTest rt(polaris_opts(), am);
   const auto& acc = f.of("a");
   ASSERT_EQ(acc.size(), 2u);
   EXPECT_FALSE(rt.independent(f.loops[0], acc[0], acc[1]));
-}
-
-// --- counter-guided permutation cap (-rangetest-max-permutations=N) --------
-
-const char* kOceanSource =
-    "      program ocean\n"
-    "      real a(1000000)\n"
-    "      integer x, z(100)\n"
-    "      do k = 0, x - 1\n"
-    "        do j = 0, z(k)\n"
-    "          do i = 0, 128\n"
-    "            a(258*x*j + 129*k + i + 1) = 1.0\n"
-    "            a(258*x*j + 129*k + i + 1 + 129*x) = 2.0\n"
-    "          end do\n"
-    "        end do\n"
-    "      end do\n"
-    "      end\n";
-
-TEST(RangeTestTest, PermutationCapPreservesFigure3Proofs) {
-  // A generous cap proves exactly what exhaustive enumeration proves,
-  // including the outer (k) loop that needs the middle (j) loop fixed.
-  AccessFixture f(kOceanSource);
-  Options opts = polaris_opts();
-  opts.rangetest_max_permutations = 16;
-  RangeTest rt(opts);
-  const auto& acc = f.of("a");
-  ASSERT_EQ(acc.size(), 2u);
-  for (size_t p = 0; p < 2; ++p)
-    for (size_t q = 0; q < 2; ++q)
-      for (int l = 0; l < 3; ++l)
-        EXPECT_TRUE(rt.independent(f.loops[static_cast<size_t>(l)], acc[p],
-                                   acc[q]))
-            << "loop " << l << ", pair " << p << "," << q;
-}
-
-TEST(RangeTestTest, PermutationCapOneLimitsSearch) {
-  // cap=1 with no success history tries only the identity permutation
-  // (popcount-0 bucket first): a(i) still proves, but the Figure 3 outer
-  // loop — whose proof needs a nonzero mask — does not.
-  AccessFixture simple(
-      "      program t\n"
-      "      real a(100)\n"
-      "      do i = 1, n\n"
-      "        a(i) = 1.0\n"
-      "      end do\n"
-      "      end\n");
-  Options opts = polaris_opts();
-  opts.rangetest_max_permutations = 1;
-  RangeTest rt(opts);
-  EXPECT_TRUE(rt.independent(simple.loops[0], simple.of("a")[0],
-                             simple.of("a")[0]));
-
-  AccessFixture ocean(kOceanSource);
-  const auto& acc = ocean.of("a");
-  EXPECT_FALSE(rt.independent(ocean.loops[0], acc[0], acc[0]));
-}
-
-TEST(RangeTestTest, SuccessHistoryGuidesBucketOrder) {
-  // With recorded popcount-1 successes, the guided search spends its cap
-  // on single-loop-fixing masks first: the Figure 3 outer loop now proves
-  // under a cap too small for the unbiased order (which burns a slot on
-  // the identity mask).
-  AnalysisManager am;
-  am.note_range_success(1);
-  am.note_range_success(1);
-  Options opts = polaris_opts();
-  opts.rangetest_max_permutations = 2;
-  RangeTest rt(opts, &am);
-  AccessFixture ocean(kOceanSource);
-  const auto& acc = ocean.of("a");
-  EXPECT_TRUE(rt.independent(ocean.loops[0], acc[0], acc[0]));
-  // The proof itself feeds the histogram, keeping the bucket hot.
-  EXPECT_GE(am.range_success_by_popcount()[1], 3u);
 }
 
 }  // namespace

@@ -292,8 +292,11 @@ TEST(GovernedCompile, LadderWalksReducedFloorDrop) {
 
   // One timing row still counts one run for the laddered pass (ladder
   // retries are not extra runs), preserving failures == dropped runs.
-  for (const PassTiming& t : run.report.pass_timings)
-    if (t.pass == "induction") EXPECT_EQ(t.runs, 1);
+  for (const PassTiming& t : run.report.pass_timings) {
+    if (t.pass == "induction") {
+      EXPECT_EQ(t.runs, 1);
+    }
+  }
 
   // The events made it into report JSON verbatim.
   EXPECT_NE(run.report_json.find("\"action\":\"drop-pass\""),

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "driver/compiler.h"
 #include "parser/parser.h"
+#include "suite/suite.h"
 
 namespace polaris {
 namespace {
@@ -143,6 +147,32 @@ TEST(PassPipelineTest, StandardPipelineMatchesDirectBattery) {
   ASSERT_EQ(report.loops.size(), 2u);
   EXPECT_TRUE(report.loops[0].parallel);
   EXPECT_TRUE(report.loops[1].parallel);
+}
+
+// An AnalysisManager lives for one (pass, unit) run: no cached fact
+// reaches a later pass.  On the 17-unit combined suite that pins every
+// pass's (queries, hits) exactly; a manager shared across passes answers
+// 3 more doall and 3 more strength queries from an earlier pass's cache.
+TEST(PassPipelineTest, AnalysisCacheLivesOnePassRun) {
+  using QueriesHits = std::pair<std::uint64_t, std::uint64_t>;
+  const std::map<std::string, QueriesHits> expected = {
+      {"induction", {112, 56}}, {"doall", {582, 146}}, {"strength", {10, 7}}};
+  for (int jobs : {1, 4}) {
+    Options opts = Options::polaris();
+    opts.jobs = jobs;
+    CompileReport report;
+    Compiler(opts).compile(combined_suite_source(), &report);
+    ASSERT_TRUE(report.failures.empty());
+    for (const PassTiming& t : report.pass_timings) {
+      const auto it = expected.find(t.pass);
+      const QueriesHits want =
+          it == expected.end() ? QueriesHits{} : it->second;
+      EXPECT_EQ(QueriesHits(t.analysis_queries, t.analysis_hits), want)
+          << t.pass << " at jobs=" << jobs;
+    }
+    EXPECT_EQ(report.analysis.queries, 704u) << "jobs=" << jobs;
+    EXPECT_EQ(report.analysis.hits, 209u) << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

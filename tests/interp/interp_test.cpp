@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "parser/parser.h"
 
 namespace polaris {
@@ -244,6 +247,71 @@ TEST(InterpTest, UserFunction) {
       "      sq = x*x\n"
       "      end\n");
   EXPECT_EQ(r.output[0], "25");
+}
+
+TEST(InterpTest, FunctionBindsArgumentsLikeCall) {
+  // A function reference binds its actuals exactly as a CALL does: an
+  // element on a scalar dummy is copied back, and an element on an array
+  // dummy is the section starting there.
+  auto r = run_src(
+      "      program t\n"
+      "      real a(3)\n"
+      "      a(1) = 1.0\n"
+      "      a(2) = 2.0\n"
+      "      a(3) = 3.0\n"
+      "      y = g(a(2))\n"
+      "      print *, y\n"
+      "      x = f(a(2))\n"
+      "      print *, a(2), x\n"
+      "      end\n"
+      "      real function f(b)\n"
+      "      real b\n"
+      "      b = 12.0\n"
+      "      f = b\n"
+      "      end\n"
+      "      real function g(b)\n"
+      "      real b(2)\n"
+      "      g = b(1) + b(2)\n"
+      "      end\n");
+  ASSERT_EQ(r.output.size(), 2u);
+  EXPECT_EQ(r.output[0], "5");
+  EXPECT_EQ(r.output[1], "12 12");
+}
+
+TEST(InterpTest, MalformedCallsAreUserErrorsNamingTheCallee) {
+  const std::string callees =
+      "      subroutine s(c)\n"
+      "      real c\n"
+      "      end\n"
+      "      real function h(b)\n"
+      "      real b\n"
+      "      h = b\n"
+      "      end\n"
+      "      subroutine v(d)\n"
+      "      real d(2)\n"
+      "      end\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"      call nosuch(1.0)\n", "call to unknown subroutine nosuch"},
+      {"      x = nosuch(1.0)\n", "reference to unknown function nosuch"},
+      {"      call s(1.0, 2.0)\n",
+       "argument count mismatch calling s: 2 actual, 1 dummy"},
+      {"      x = h(1.0, 2.0)\n",
+       "argument count mismatch calling h: 2 actual, 1 dummy"},
+      {"      call s(a)\n", "array a passed to scalar dummy c of s"},
+      {"      x = h(a)\n", "array a passed to scalar dummy b of h"},
+      {"      call v(x)\n", "scalar actual for array dummy d of v"},
+  };
+  for (const auto& [call, message] : cases) {
+    const std::string src = "      program t\n"
+                            "      real a(3)\n" +
+                            std::string(call) + "      end\n" + callees;
+    try {
+      run_src(src);
+      ADD_FAILURE() << "no error for: " << call;
+    } catch (const UserError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << call;
+    }
+  }
 }
 
 TEST(InterpTest, CommonBlocksShareStorage) {

@@ -104,15 +104,15 @@ TEST(MachineTest, ReductionSchemesOrdering) {
   c.reduction_merge_per_elem = 6;
   c.blocked_sync_cost = 6;
 
-  auto with_scheme = [&](Options::ReductionScheme s) {
+  auto with_scheme = [&](ReductionScheme s) {
     MachineConfig m = c;
     m.reduction_scheme = s;
     return schedule_doall(iters, m, /*elements=*/4, /*lastvalues=*/0,
                           /*updates=*/6400);
   };
-  std::uint64_t blocked = with_scheme(Options::ReductionScheme::Blocked);
-  std::uint64_t priv = with_scheme(Options::ReductionScheme::Private);
-  std::uint64_t expanded = with_scheme(Options::ReductionScheme::Expanded);
+  std::uint64_t blocked = with_scheme(ReductionScheme::Blocked);
+  std::uint64_t priv = with_scheme(ReductionScheme::Private);
+  std::uint64_t expanded = with_scheme(ReductionScheme::Expanded);
   EXPECT_LT(priv, blocked);
   EXPECT_LT(priv, expanded);
   EXPECT_LT(expanded, blocked);
@@ -126,13 +126,13 @@ TEST(MachineTest, BlockedWinsForHugeSparseAccumulators) {
   c.processors = 8;
   c.fork_join_cost = 0;
   c.per_proc_dispatch = 0;
-  auto with_scheme = [&](Options::ReductionScheme s) {
+  auto with_scheme = [&](ReductionScheme s) {
     MachineConfig m = c;
     m.reduction_scheme = s;
     return schedule_doall(iters, m, /*elements=*/100000, 0, /*updates=*/64);
   };
-  EXPECT_LT(with_scheme(Options::ReductionScheme::Blocked),
-            with_scheme(Options::ReductionScheme::Private));
+  EXPECT_LT(with_scheme(ReductionScheme::Blocked),
+            with_scheme(ReductionScheme::Private));
 }
 
 }  // namespace

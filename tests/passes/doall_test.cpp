@@ -15,7 +15,10 @@ struct Fix {
   Options opts = Options::polaris();
 
   explicit Fix(const std::string& src) : prog(parse_program(src)) {}
-  DoallSummary run() { return mark_doall_loops(*prog->main(), opts, diags); }
+  DoallSummary run() {
+    AnalysisManager am;
+    return mark_doall_loops(nullptr, *prog->main(), opts, diags, am, nullptr);
+  }
   DoStmt* loop(size_t i) { return prog->main()->stmts().loops()[i]; }
 };
 

@@ -21,7 +21,8 @@ struct Fix {
     unit = prog->main();
   }
   InductionResult run() {
-    return substitute_inductions(*unit, opts, diags);
+    AnalysisManager am;
+    return substitute_inductions(*unit, opts, diags, am);
   }
   std::string source() { return to_source(*unit); }
   int count_assigns_to(const std::string& name) {

@@ -23,7 +23,7 @@ struct Fix {
     auto ref = parse_program(src);
     try {
       reference_output = run_program(*ref, MachineConfig{}).output;
-    } catch (const InternalError&) {
+    } catch (const UserError&) {
       // Deliberately malformed programs (e.g. argument-count mismatch)
       // have no reference execution; equivalence is not checked for them.
     }

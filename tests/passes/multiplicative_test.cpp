@@ -24,7 +24,8 @@ struct Fix {
     reference_output = run_program(*ref, MachineConfig{}).output;
   }
   InductionResult run() {
-    return substitute_inductions(*prog->main(), opts, diags);
+    AnalysisManager am;
+    return substitute_inductions(*prog->main(), opts, diags, am);
   }
   void expect_equivalent() {
     auto r = run_program(*prog, MachineConfig{});

@@ -22,7 +22,10 @@ struct Fix {
     auto ref = parse_program(src);
     reference_output = run_program(*ref, MachineConfig{}).output;
   }
-  int run() { return normalize_loops(*prog->main(), opts, diags); }
+  int run() {
+    AnalysisManager am;
+    return normalize_loops(*prog->main(), opts, diags, am);
+  }
   void expect_equivalent() {
     auto r = run_program(*prog, MachineConfig{});
     EXPECT_EQ(r.output, reference_output);

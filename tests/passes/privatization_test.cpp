@@ -21,9 +21,10 @@ struct Fix {
     unit = prog->main();
   }
   PrivatizationResult run(int loop_index = 0) {
+    AnalysisManager am;
     return analyze_privatization(
         *unit, unit->stmts().loops()[static_cast<size_t>(loop_index)], opts,
-        diags);
+        diags, am);
   }
   static bool has(const std::vector<Symbol*>& v, const std::string& name) {
     return std::any_of(v.begin(), v.end(), [&](Symbol* s) {

@@ -17,8 +17,10 @@ struct Fix {
     unit = prog->main();
   }
   std::vector<RecognizedReduction> run(int loop_index = 0) {
+    AnalysisManager am;
     return recognize_reductions(
-        unit->stmts().loops()[static_cast<size_t>(loop_index)], opts, diags);
+        unit->stmts().loops()[static_cast<size_t>(loop_index)], opts, diags,
+        am);
   }
 };
 

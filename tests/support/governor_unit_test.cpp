@@ -213,16 +213,11 @@ TEST(Governor, DegradedOptionsRungsOnlyEverGetCheaper) {
   EXPECT_EQ(full.max_simplify_depth, base.max_simplify_depth);
 
   EXPECT_LT(reduced.max_loop_permutations, base.max_loop_permutations);
-  EXPECT_GT(reduced.rangetest_max_permutations, 0);
-  EXPECT_LT(reduced.max_gsa_subst_depth, base.max_gsa_subst_depth);
   EXPECT_GT(reduced.max_simplify_depth, 0);
   EXPECT_TRUE(reduced.range_test);
 
   EXPECT_FALSE(floor.range_test);
   EXPECT_LE(floor.max_loop_permutations, reduced.max_loop_permutations);
-  EXPECT_LE(floor.rangetest_max_permutations,
-            reduced.rangetest_max_permutations);
-  EXPECT_LE(floor.max_gsa_subst_depth, reduced.max_gsa_subst_depth);
   EXPECT_LE(floor.max_simplify_depth, reduced.max_simplify_depth);
 
   // Correctness-relevant switches are never touched by any rung.
