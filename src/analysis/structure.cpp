@@ -218,16 +218,6 @@ SymbolSet upward_exposed_scalars(Statement* first, Statement* last) {
   return walk_region(first, last).exposed;
 }
 
-SymbolSet used_symbols(Statement* first, Statement* last) {
-  SymbolSet out;
-  Statement* stop = last ? last->next() : nullptr;
-  for (Statement* s = first; s != stop; s = s->next()) {
-    p_assert(s != nullptr);
-    for (const ExprPtr& e : s->expressions()) collect_uses(*e, out);
-  }
-  return out;
-}
-
 bool has_irregular_flow(Statement* first, Statement* last) {
   Statement* stop = last ? last->next() : nullptr;
   for (Statement* s = first; s != stop; s = s->next()) {
@@ -299,17 +289,6 @@ bool is_live_after(DoStmt* loop, Symbol* s) {
     cur = cur->next();
   }
   return false;
-}
-
-std::vector<DoStmt*> loops_postorder(StmtList& stmts) {
-  std::vector<DoStmt*> out;
-  // Source order gives outer before inner; reverse nesting via depth sort.
-  std::vector<DoStmt*> loops = stmts.loops();
-  std::stable_sort(loops.begin(), loops.end(),
-                   [&](DoStmt* a, DoStmt* b) {
-                     return stmts.depth(a) > stmts.depth(b);
-                   });
-  return loops;
 }
 
 std::vector<DoStmt*> enclosing_loops(Statement* s, DoStmt* stop) {

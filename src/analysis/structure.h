@@ -28,10 +28,6 @@ SymbolSet may_defined_symbols(Statement* first, Statement* last);
 /// may execute before any definition of the symbol in the region.
 SymbolSet upward_exposed_scalars(Statement* first, Statement* last);
 
-/// Symbols read anywhere in [first, last] (scalar uses and array bases),
-/// including loop bounds and IF conditions.
-SymbolSet used_symbols(Statement* first, Statement* last);
-
 /// True if the region contains a GOTO, a RETURN/STOP, or a statement label
 /// (conservatively treated as a join from elsewhere).
 bool has_irregular_flow(Statement* first, Statement* last);
@@ -54,9 +50,6 @@ bool is_loop_invariant(const Expression& e, DoStmt* loop,
 /// redefined (conservative: region scan to the end of the unit; GOTO makes
 /// everything live).
 bool is_live_after(DoStmt* loop, Symbol* s);
-
-/// All loops of the unit in postorder (innermost first).
-std::vector<DoStmt*> loops_postorder(StmtList& stmts);
 
 /// The loop nest around `s` (outermost first), up to and including `stop`
 /// (null = all).

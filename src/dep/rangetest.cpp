@@ -23,121 +23,51 @@ POLARIS_STATISTIC("rangetest", pairs_proven,
 POLARIS_STATISTIC("rangetest", permutations_tried,
                   "fixed-subset loop permutations enumerated");
 
-/// Bounds of a loop as polynomials oriented so lo <= index <= hi, for
-/// constant steps (negative steps swap).  nullopt for symbolic steps.
-struct LoopBounds {
-  Polynomial lo;
-  Polynomial hi;
-};
-
-std::optional<LoopBounds> oriented_bounds(DoStmt* loop) {
-  std::int64_t step = 0;
-  if (!try_fold_int(loop->step(), &step) || step == 0) return std::nullopt;
-  Polynomial init = Polynomial::from_expr(loop->init());
-  Polynomial limit = Polynomial::from_expr(loop->limit());
-  if (step > 0) return LoopBounds{init, limit};
-  return LoopBounds{limit, init};
-}
-
-AtomId index_atom(const DoStmt* loop) {
-  return AtomTable::current().intern_symbol(loop->index());
-}
-
-/// True if any atom of `p` is an opaque expression referencing `sym`
-/// (e.g. z(k) after k was eliminated) — the sweep result would then still
-/// depend on the swept index.
-bool references_through_atoms(const Polynomial& p, const Symbol* sym) {
-  for (AtomId a : p.atoms()) {
-    const Expression& e = AtomTable::current().expr(a);
-    if (AtomTable::current().symbol(a) == nullptr && e.references(sym))
-      return true;
-  }
-  return false;
-}
-
 }  // namespace
-
-RangeTest::RefRanges RangeTest::sweep(const Polynomial& f,
-                                      const std::vector<DoStmt*>& eliminate,
-                                      const FactContext& ctx) const {
-  RefRanges out;
-  out.min = f;
-  out.max = f;
-  for (DoStmt* loop : eliminate) {
-    auto bounds = oriented_bounds(loop);
-    if (!bounds) return {};
-    AtomId a = index_atom(loop);
-    Extremes lo_ext =
-        eliminate_range(*out.min, a, bounds->lo, bounds->hi, ctx);
-    Extremes hi_ext =
-        eliminate_range(*out.max, a, bounds->lo, bounds->hi, ctx);
-    if (!lo_ext.min || !hi_ext.max) return {};
-    out.min = std::move(lo_ext.min);
-    out.max = std::move(hi_ext.max);
-    if (references_through_atoms(*out.min, loop->index()) ||
-        references_through_atoms(*out.max, loop->index()))
-      return {};
-  }
-  return out;
-}
 
 bool RangeTest::test_dimension(DoStmt* carrier, const Polynomial& f,
                                const Polynomial& g,
                                const std::vector<DoStmt*>& elim_f,
                                const std::vector<DoStmt*>& elim_g,
-                               std::int64_t step,
-                               const FactContext& ctx) const {
-  RefRanges rf = sweep(f, elim_f, ctx);
-  RefRanges rg = sweep(g, elim_g, ctx);
-  if (!rf.min || !rg.min) return false;
-
-  AtomId x = index_atom(carrier);
-  auto carrier_bounds = oriented_bounds(carrier);
-  if (!carrier_bounds) return false;
+                               std::int64_t step, const FactContext& ctx,
+                               LoopBoundsMemo& bounds) const {
+  // Each reference's range over one iteration of the carrier.
+  std::optional<Interval> rf = sweep_loops({f, f}, elim_f, ctx, bounds);
+  std::optional<Interval> rg = sweep_loops({g, g}, elim_g, ctx, bounds);
+  if (!rf || !rg || bounds.get(carrier) == nullptr) return false;
 
   // (a) Whole-range disjointness: the two references never touch the same
   // elements at all (for any iteration pair, equal or not).
-  {
-    Extremes f_lo = eliminate_range(*rf.min, x, carrier_bounds->lo,
-                                    carrier_bounds->hi, ctx);
-    Extremes f_hi = eliminate_range(*rf.max, x, carrier_bounds->lo,
-                                    carrier_bounds->hi, ctx);
-    Extremes g_lo = eliminate_range(*rg.min, x, carrier_bounds->lo,
-                                    carrier_bounds->hi, ctx);
-    Extremes g_hi = eliminate_range(*rg.max, x, carrier_bounds->lo,
-                                    carrier_bounds->hi, ctx);
-    if (f_lo.min && f_hi.max && g_lo.min && g_hi.max &&
-        !references_through_atoms(*f_hi.max, carrier->index()) &&
-        !references_through_atoms(*g_lo.min, carrier->index()) &&
-        !references_through_atoms(*f_lo.min, carrier->index()) &&
-        !references_through_atoms(*g_hi.max, carrier->index())) {
-      if (prove_gt0(*g_lo.min - *f_hi.max, ctx) ||
-          prove_gt0(*f_lo.min - *g_hi.max, ctx))
-        return true;
-    }
-  }
+  DoStmt* const carrier_loop[] = {carrier};
+  std::optional<Interval> f_all = sweep_loops(*rf, carrier_loop, ctx, bounds);
+  std::optional<Interval> g_all =
+      f_all ? sweep_loops(*rg, carrier_loop, ctx, bounds) : std::nullopt;
+  if (g_all && (prove_gt0(g_all->lo - f_all->hi, ctx) ||
+                prove_gt0(f_all->lo - g_all->hi, ctx)))
+    return true;
 
   // (b) Consecutive-iteration test with the monotonicity extension.
+  AtomId x = AtomTable::current().intern_symbol(carrier->index());
   Polynomial next = Polynomial::atom(x) + Polynomial::constant(Rational(step));
-  auto direction_ok = [&](const RefRanges& from, const RefRanges& to) {
+  auto direction_ok = [&](const Interval& from, const Interval& to) {
     // Ranges increase with the iteration number: max_from(x) < min_to(x+s),
     // min_to monotone in the direction of travel.
     Monotonicity want_up =
         step > 0 ? Monotonicity::NonDecreasing : Monotonicity::NonIncreasing;
     Monotonicity want_down =
         step > 0 ? Monotonicity::NonIncreasing : Monotonicity::NonDecreasing;
-    Polynomial to_min_next = to.min->substitute(x, next);
-    if (prove_gt0(to_min_next - *from.max, ctx) &&
-        monotonicity(*to.min, x, ctx) == want_up)
+    Polynomial to_min_next = to.lo.substitute(x, next);
+    if (prove_gt0(to_min_next - from.hi, ctx) &&
+        monotonicity(to.lo, x, ctx) == want_up)
       return true;
     // Ranges decrease with the iteration number.
-    Polynomial to_max_next = to.max->substitute(x, next);
-    if (prove_gt0(*from.min - to_max_next, ctx) &&
-        monotonicity(*to.max, x, ctx) == want_down)
+    Polynomial to_max_next = to.hi.substitute(x, next);
+    if (prove_gt0(from.lo - to_max_next, ctx) &&
+        monotonicity(to.hi, x, ctx) == want_down)
       return true;
     return false;
   };
-  return direction_ok(rf, rg) && direction_ok(rg, rf);
+  return direction_ok(*rf, *rg) && direction_ok(*rg, *rf);
 }
 
 bool RangeTest::independent(DoStmt* carrier, const ArrayAccess& a,
@@ -195,30 +125,15 @@ bool RangeTest::independent_impl(DoStmt* carrier, const ArrayAccess& a,
   // execution of the body); ranks make inner indices eliminate first.
   // Memoized per (carrier, pair): DOALL probes and the final run re-test
   // the same pairs.
+  LoopBoundsMemo bounds;
   auto build_ctx = [&] {
     FactContext fc;
     add_guard_facts(fc, carrier);
     int rank = 1;
-    for (DoStmt* d : nest_a) {
-      auto bounds = oriented_bounds(d);
-      if (bounds) {
-        fc.add_ge0(Polynomial::symbol(d->index()) - bounds->lo);
-        fc.add_ge0(bounds->hi - Polynomial::symbol(d->index()));
-        fc.add_ge0(bounds->hi - bounds->lo);  // at least one iteration
-      }
-      fc.set_rank(index_atom(d), rank++);
-    }
-    for (DoStmt* d : nest_b) {
-      if (std::find(nest_a.begin(), nest_a.end(), d) != nest_a.end())
-        continue;
-      auto bounds = oriented_bounds(d);
-      if (bounds) {
-        fc.add_ge0(Polynomial::symbol(d->index()) - bounds->lo);
-        fc.add_ge0(bounds->hi - Polynomial::symbol(d->index()));
-        fc.add_ge0(bounds->hi - bounds->lo);
-      }
-      fc.set_rank(index_atom(d), rank++);
-    }
+    for (DoStmt* d : nest_a) add_loop_facts(fc, d, rank++, bounds);
+    for (DoStmt* d : nest_b)
+      if (std::find(nest_a.begin(), nest_a.end(), d) == nest_a.end())
+        add_loop_facts(fc, d, rank++, bounds);
     return fc;
   };
   const FactContext& ctx =
@@ -280,7 +195,7 @@ bool RangeTest::independent_impl(DoStmt* carrier, const ArrayAccess& a,
     // Per-dimension: any provably disjoint dimension kills the pair.
     for (int d = 0; d < a.ref->rank(); ++d) {
       const auto& [f, g] = dim(d);
-      if (test_dimension(carrier, f, g, elim_f, elim_g, step, ctx)) {
+      if (test_dimension(carrier, f, g, elim_f, elim_g, step, ctx, bounds)) {
         ++pairs_proven;
         pair_span.arg("proven", "true");
         return true;

@@ -24,6 +24,8 @@
 
 namespace polaris {
 
+class LoopBoundsMemo;
+
 class RangeTest {
  public:
   /// `am` memoizes the per-pair fact contexts, which dominate setup cost
@@ -44,22 +46,15 @@ class RangeTest {
  private:
   bool independent_impl(DoStmt* carrier, const ArrayAccess& a,
                         const ArrayAccess& b) const;
-  struct RefRanges {
-    std::optional<Polynomial> min;
-    std::optional<Polynomial> max;
-  };
 
-  /// Extremes of subscript `f` with the loops in `eliminate` swept
-  /// (innermost first); nullopt members when monotonicity fails or an
-  /// opaque atom still references an eliminated index.
-  RefRanges sweep(const Polynomial& f, const std::vector<DoStmt*>& eliminate,
-                  const FactContext& ctx) const;
-
+  /// `bounds` is the query's memo: each DO's bounds are converted once per
+  /// query, not at every mask, dimension and sweep step.
   bool test_dimension(DoStmt* carrier, const Polynomial& f,
                       const Polynomial& g,
                       const std::vector<DoStmt*>& elim_f,
                       const std::vector<DoStmt*>& elim_g,
-                      std::int64_t step, const FactContext& ctx) const;
+                      std::int64_t step, const FactContext& ctx,
+                      LoopBoundsMemo& bounds) const;
 
   const Options& opts_;
   AnalysisManager& am_;

@@ -7,20 +7,22 @@
 
 namespace polaris {
 
-namespace {
-
-struct LoopBounds {
-  Polynomial lo;
-  Polynomial hi;
-};
-
-std::optional<LoopBounds> oriented_bounds(DoStmt* loop) {
-  std::int64_t step = 0;
-  if (!try_fold_int(loop->step(), &step) || step == 0) return std::nullopt;
-  Polynomial init = Polynomial::from_expr(loop->init());
-  Polynomial limit = Polynomial::from_expr(loop->limit());
-  if (step > 0) return LoopBounds{init, limit};
-  return LoopBounds{limit, init};
+const LoopBounds* LoopBoundsMemo::get(DoStmt* loop) {
+  auto it = bounds_.find(loop);
+  if (it == bounds_.end()) {
+    std::optional<LoopBounds> b;
+    std::int64_t step = 0;
+    if (try_fold_int(loop->step(), &step) && step != 0) {
+      Polynomial init = Polynomial::from_expr(loop->init());
+      Polynomial limit = Polynomial::from_expr(loop->limit());
+      if (step > 0)
+        b.emplace(LoopBounds{std::move(init), std::move(limit)});
+      else
+        b.emplace(LoopBounds{std::move(limit), std::move(init)});
+    }
+    it = bounds_.emplace(loop, std::move(b)).first;
+  }
+  return it->second ? &*it->second : nullptr;
 }
 
 bool references_through_atoms(const Polynomial& p, const Symbol* sym) {
@@ -32,14 +34,12 @@ bool references_through_atoms(const Polynomial& p, const Symbol* sym) {
   return false;
 }
 
-}  // namespace
-
-void add_loop_facts(FactContext& ctx, DoStmt* loop, int rank) {
-  auto bounds = oriented_bounds(loop);
-  if (bounds) {
-    ctx.add_ge0(Polynomial::symbol(loop->index()) - bounds->lo);
-    ctx.add_ge0(bounds->hi - Polynomial::symbol(loop->index()));
-    ctx.add_ge0(bounds->hi - bounds->lo);
+void add_loop_facts(FactContext& ctx, DoStmt* loop, int rank,
+                    LoopBoundsMemo& bounds) {
+  if (const LoopBounds* b = bounds.get(loop)) {
+    ctx.add_ge0(Polynomial::symbol(loop->index()) - b->lo);
+    ctx.add_ge0(b->hi - Polynomial::symbol(loop->index()));
+    ctx.add_ge0(b->hi - b->lo);
   }
   ctx.set_rank(AtomTable::current().intern_symbol(loop->index()), rank);
 }
@@ -123,15 +123,37 @@ void add_guard_facts(FactContext& ctx, Statement* s) {
 
 FactContext loop_fact_context(Statement* s) {
   FactContext ctx;
+  LoopBoundsMemo bounds;
   int rank = 1;
-  for (DoStmt* d : enclosing_loops(s)) add_loop_facts(ctx, d, rank++);
+  for (DoStmt* d : enclosing_loops(s)) add_loop_facts(ctx, d, rank++, bounds);
   add_guard_facts(ctx, s);
   return ctx;
 }
 
+std::optional<Interval> sweep_loops(Interval range,
+                                    std::span<DoStmt* const> loops,
+                                    const FactContext& ctx,
+                                    LoopBoundsMemo& bounds) {
+  for (DoStmt* d : loops) {
+    const LoopBounds* b = bounds.get(d);
+    if (b == nullptr) return std::nullopt;
+    AtomId a = AtomTable::current().intern_symbol(d->index());
+    Extremes lo_ext = eliminate_range(range.lo, a, b->lo, b->hi, ctx);
+    Extremes hi_ext = eliminate_range(range.hi, a, b->lo, b->hi, ctx);
+    if (!lo_ext.min || !hi_ext.max) return std::nullopt;
+    range.lo = std::move(*lo_ext.min);
+    range.hi = std::move(*hi_ext.max);
+    if (references_through_atoms(range.lo, d->index()) ||
+        references_through_atoms(range.hi, d->index()))
+      return std::nullopt;
+  }
+  return range;
+}
+
 std::optional<Interval> access_interval(const ArrayRef& ref, int dim,
                                         Statement* stmt, DoStmt* within,
-                                        const FactContext& ctx) {
+                                        const FactContext& ctx,
+                                        LoopBoundsMemo& bounds) {
   p_assert(dim >= 0 && dim < ref.rank());
   Polynomial f = Polynomial::from_expr(*ref.subscripts()[dim]);
 
@@ -147,22 +169,7 @@ std::optional<Interval> access_interval(const ArrayRef& ref, int dim,
     sweep.push_back(d);
   }
   p_assert_msg(found, "access statement not inside the given loop");
-
-  Interval out{f, f};
-  for (DoStmt* d : sweep) {
-    auto bounds = oriented_bounds(d);
-    if (!bounds) return std::nullopt;
-    AtomId a = AtomTable::current().intern_symbol(d->index());
-    Extremes lo_ext = eliminate_range(out.lo, a, bounds->lo, bounds->hi, ctx);
-    Extremes hi_ext = eliminate_range(out.hi, a, bounds->lo, bounds->hi, ctx);
-    if (!lo_ext.min || !hi_ext.max) return std::nullopt;
-    out.lo = std::move(*lo_ext.min);
-    out.hi = std::move(*hi_ext.max);
-    if (references_through_atoms(out.lo, d->index()) ||
-        references_through_atoms(out.hi, d->index()))
-      return std::nullopt;
-  }
-  return out;
+  return sweep_loops({f, f}, sweep, ctx, bounds);
 }
 
 bool interval_contains(const Interval& outer, const Interval& inner,

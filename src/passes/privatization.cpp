@@ -43,7 +43,8 @@ bool under_if(DoStmt* loop, Statement* s) {
 /// The read's *value* interval is then [lo, hi].
 std::optional<Interval> gather_read_range(DoStmt* outer, Statement* read_stmt,
                                           const ArrayRef& read_ref,
-                                          const FactContext& ctx) {
+                                          const FactContext& ctx,
+                                          LoopBoundsMemo& bounds) {
   if (read_ref.rank() != 1) return std::nullopt;
   const Expression* sub = read_ref.subscripts()[0].get();
 
@@ -120,14 +121,9 @@ std::optional<Interval> gather_read_range(DoStmt* outer, Statement* read_stmt,
       // The stored value's interval over the compress loop's sweep.
       Polynomial v = Polynomial::from_expr(store->rhs());
       AtomId kx = AtomTable::current().intern_symbol(k_loop->index());
-      std::int64_t step = 0;
-      if (!try_fold_int(k_loop->step(), &step) || step == 0)
-        return std::nullopt;
-      Polynomial klo = Polynomial::from_expr(
-          step > 0 ? k_loop->init() : k_loop->limit());
-      Polynomial khi = Polynomial::from_expr(
-          step > 0 ? k_loop->limit() : k_loop->init());
-      Extremes ex = eliminate_range(v, kx, klo, khi, ctx);
+      const LoopBounds* kb = bounds.get(k_loop);
+      if (kb == nullptr) return std::nullopt;
+      Extremes ex = eliminate_range(v, kx, kb->lo, kb->hi, ctx);
       if (!ex.min || !ex.max) return std::nullopt;
       // IND must not be rewritten between the compress loop and the read.
       for (Statement* q = k_loop->follow(); q != read_stmt; q = q->next()) {
@@ -279,9 +275,10 @@ PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
     Statement* at = empty_body ? loop : body_first;
     FactContext ctx =
         am.fact_context(at, [&] { return loop_fact_context(at); });
+    LoopBoundsMemo bounds;
     int inner_rank = 100;
     for (DoStmt* d : unit.stmts().loops_in(loop))
-      add_loop_facts(ctx, d, inner_rank++);
+      add_loop_facts(ctx, d, inner_rank++, bounds);
     add_counter_facts(ctx, loop);
     std::vector<std::vector<Interval>> defs;  // per-dim lists
     int rank = array->rank() > 0 ? array->rank() : refs.front().ref->rank();
@@ -306,7 +303,8 @@ PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
         bool usable = true;
         std::vector<Interval> iv;
         for (int d = 0; d < rank; ++d) {
-          auto interval = access_interval(*a->ref, d, a->stmt, loop, ctx);
+          auto interval = access_interval(*a->ref, d, a->stmt, loop, ctx,
+                                          bounds);
           if (!interval) {
             usable = false;
             break;
@@ -337,12 +335,14 @@ PrivatizationResult analyze_privatization(ProgramUnit& unit, DoStmt* loop,
           }
           return false;
         };
-        auto interval = access_interval(*a->ref, d, a->stmt, loop, ctx);
+        auto interval = access_interval(*a->ref, d, a->stmt, loop, ctx,
+                                          bounds);
         bool covered = interval.has_value() && check(*interval);
         if (!covered && rank == 1 && opts.gsa_queries) {
           // The gather idiom (paper Figure 5): the subscript's *values*
           // come from a monotonic compress loop with a known range.
-          auto gathered = gather_read_range(loop, a->stmt, *a->ref, ctx);
+          auto gathered =
+              gather_read_range(loop, a->stmt, *a->ref, ctx, bounds);
           covered = gathered.has_value() && check(*gathered);
         }
         if (!covered) {

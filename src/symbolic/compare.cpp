@@ -61,8 +61,9 @@ bool prove_gt0(const Polynomial& f, const FactContext& ctx, int depth) {
     std::int64_t g = std::gcd(den, d);
     den = den / g * d;
   }
-  Polynomial scaled = f * Polynomial::constant(Rational(den));
-  return prove_ge0(scaled - Polynomial::constant(Rational(1)), ctx, depth);
+  const Polynomial one = Polynomial::constant(Rational(1));
+  if (den == 1) return prove_ge0(f - one, ctx, depth);
+  return prove_ge0(f * Polynomial::constant(Rational(den)) - one, ctx, depth);
 }
 
 Monotonicity monotonicity(const Polynomial& f, AtomId a,

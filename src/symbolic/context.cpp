@@ -5,6 +5,7 @@ namespace polaris {
 void FactContext::add_ge0(Polynomial f) {
   if (f.is_constant()) return;  // constants carry no variable information
   facts_.push_back(std::move(f));
+  bounds_.clear();
 }
 
 void FactContext::add_ge0(const Expression& e) {
@@ -32,34 +33,31 @@ int FactContext::rank(AtomId a) const {
   return it == ranks_.end() ? 0 : it->second;
 }
 
-std::vector<Polynomial> FactContext::lower_bounds(AtomId a) const {
-  // A fact f >= 0 with f = c*a + g, c a positive constant, yields
-  // a >= -g/c; with c negative it yields an upper bound instead.
-  std::vector<Polynomial> out;
+const FactContext::Bounds& FactContext::bounds_of(AtomId a) const {
+  auto it = bounds_.find(a);
+  if (it != bounds_.end()) return it->second;
+  // A fact f = c*a + g >= 0, with c a constant and g free of a, bounds a:
+  // a >= -g/c for positive c, a <= -g/c for negative c.  Built aside and
+  // stored only once complete, so a governor trip caches nothing.
+  Bounds b;
   for (const Polynomial& f : facts_) {
     if (f.degree_in(a) != 1) continue;
     Rational c = f.coefficient(Monomial::atom(a));
     if (c.is_zero()) continue;  // 'a' only occurs in composite monomials
     Polynomial g = f - Polynomial::atom(a) * Polynomial::constant(c);
     if (g.contains(a)) continue;
-    if (c.sign() > 0)
-      out.push_back(-g * Polynomial::constant(Rational(1) / c));
+    (c.sign() > 0 ? b.lower : b.upper)
+        .push_back(g * Polynomial::constant(Rational(-1) / c));
   }
-  return out;
+  return bounds_.emplace(a, std::move(b)).first->second;
 }
 
-std::vector<Polynomial> FactContext::upper_bounds(AtomId a) const {
-  std::vector<Polynomial> out;
-  for (const Polynomial& f : facts_) {
-    if (f.degree_in(a) != 1) continue;
-    Rational c = f.coefficient(Monomial::atom(a));
-    if (c.is_zero()) continue;
-    Polynomial g = f - Polynomial::atom(a) * Polynomial::constant(c);
-    if (g.contains(a)) continue;
-    if (c.sign() < 0)
-      out.push_back(g * Polynomial::constant(Rational(-1) / c));
-  }
-  return out;
+const std::vector<Polynomial>& FactContext::lower_bounds(AtomId a) const {
+  return bounds_of(a).lower;
+}
+
+const std::vector<Polynomial>& FactContext::upper_bounds(AtomId a) const {
+  return bounds_of(a).upper;
 }
 
 }  // namespace polaris

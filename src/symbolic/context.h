@@ -35,16 +35,29 @@ class FactContext {
   void set_rank(AtomId a, int rank);
   int rank(AtomId a) const;
 
-  /// Lower-bound candidates for atom `a`: polynomials L with a >= L.
-  std::vector<Polynomial> lower_bounds(AtomId a) const;
-  /// Upper-bound candidates for atom `a`: polynomials U with a <= U.
-  std::vector<Polynomial> upper_bounds(AtomId a) const;
+  /// Lower-bound candidates for atom `a`: polynomials L with a >= L, in
+  /// fact order.  Derived once per atom; valid until the next add_ge0.
+  const std::vector<Polynomial>& lower_bounds(AtomId a) const;
+  /// Upper-bound candidates for atom `a`: polynomials U with a <= U, in
+  /// fact order.  Derived once per atom; valid until the next add_ge0.
+  const std::vector<Polynomial>& upper_bounds(AtomId a) const;
 
   const std::vector<Polynomial>& facts() const { return facts_; }
 
  private:
+  /// The bounds one atom takes from the facts.
+  struct Bounds {
+    std::vector<Polynomial> lower;
+    std::vector<Polynomial> upper;
+  };
+  const Bounds& bounds_of(AtomId a) const;
+
   std::vector<Polynomial> facts_;  // each known >= 0
   std::map<AtomId, int> ranks_;
+  /// Derived from facts_ on an atom's first query (the bounding recursion
+  /// asks at every level) and dropped by add_ge0.  Queries therefore
+  /// write: one context must not serve two threads at once.
+  mutable std::map<AtomId, Bounds> bounds_;
 };
 
 }  // namespace polaris

@@ -282,6 +282,7 @@ Polynomial Polynomial::operator*(const Polynomial& o) const {
 
 Polynomial Polynomial::pow(int k) const {
   p_assert(k >= 0);
+  if (k == 1) return *this;
   Polynomial out = constant(Rational(1));
   for (int i = 0; i < k; ++i) out = out * *this;
   return out;
@@ -299,10 +300,14 @@ Polynomial Polynomial::substitute(AtomId id, const Polynomial& value) const {
       raw.emplace_back(m, c);
       continue;
     }
-    if (powers.size() <= static_cast<std::size_t>(d))
-      powers.resize(static_cast<std::size_t>(d) + 1);
-    std::optional<Polynomial>& vp = powers[static_cast<std::size_t>(d)];
-    if (!vp) vp = value.pow(d);
+    const Polynomial* vp = &value;
+    if (d > 1) {
+      if (powers.size() <= static_cast<std::size_t>(d))
+        powers.resize(static_cast<std::size_t>(d) + 1);
+      std::optional<Polynomial>& pd = powers[static_cast<std::size_t>(d)];
+      if (!pd) pd = value.pow(d);
+      vp = &*pd;
+    }
     Monomial rest = m.without(id, d);
     for (const auto& [vm, vc] : vp->terms_)
       raw.emplace_back(rest * vm, c * vc);
@@ -311,6 +316,16 @@ Polynomial Polynomial::substitute(AtomId id, const Polynomial& value) const {
 }
 
 Polynomial Polynomial::forward_difference(AtomId id) const {
+  if (degree_in(id) <= 1) {
+    // Linear in `id`: c*m*id becomes c*m*(id+1), so each such term leaves
+    // c*m behind and every other term cancels.
+    // Distinct monomials stay distinct without `id`, so nothing cancels;
+    // normalized() only restores the monomial order.
+    TermList raw;
+    for (const auto& [m, c] : terms_)
+      if (m.contains(id)) raw.emplace_back(m.without(id, 1), c);
+    return normalized(std::move(raw));
+  }
   Polynomial shifted =
       substitute(id, Polynomial::atom(id) + constant(Rational(1)));
   return shifted - *this;

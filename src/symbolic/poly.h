@@ -224,7 +224,9 @@ class Polynomial {
   Polynomial substitute(AtomId id, const Polynomial& value) const;
 
   /// Forward difference in atom `id`: f[id := id+1] - f.  The monotonicity
-  /// workhorse of the range test (paper Section 3.3.1).
+  /// workhorse of the range test (paper Section 3.3.1).  Where f is at
+  /// most linear in `id` it is read off in closed form: the coefficient
+  /// of `id`.
   Polynomial forward_difference(AtomId id) const;
 
   /// Exact symbolic summation over atom `id` from `lo` to `hi` (both

@@ -228,6 +228,10 @@ void simplify_in_place(ExprPtr& e) {
 
 bool try_fold_int(const Expression& e, std::int64_t* out) {
   p_assert(out != nullptr);
+  if (e.kind() == ExprKind::IntConst) {
+    *out = static_cast<const IntConst&>(e).value();
+    return true;
+  }
   try {
     Polynomial p = Polynomial::from_expr(e, /*exact_division=*/false);
     if (!p.is_constant() || !p.constant_value().is_integer()) return false;

@@ -196,23 +196,6 @@ TEST(StructureTest, LiveAfterLoop) {
   EXPECT_FALSE(is_live_after(loop, st.lookup("y")));
 }
 
-TEST(StructureTest, LoopsPostorderInnermostFirst) {
-  auto p = parse(
-      "      program t\n"
-      "      do i = 1, 2\n"
-      "        do j = 1, 2\n"
-      "          x = 1\n"
-      "        end do\n"
-      "      end do\n"
-      "      do k = 1, 2\n"
-      "        x = 2\n"
-      "      end do\n"
-      "      end\n");
-  auto post = loops_postorder(p->main()->stmts());
-  ASSERT_EQ(post.size(), 3u);
-  EXPECT_EQ(post[0]->index()->name(), "j");
-}
-
 TEST(StructureTest, EnclosingLoops) {
   auto p = parse(
       "      program t\n"

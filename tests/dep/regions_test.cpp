@@ -42,7 +42,8 @@ TEST(RegionsTest, IntervalSweepsInnerLoop) {
       "      end\n");
   auto [ref, stmt] = f.first_write(0);
   FactContext ctx = loop_fact_context(stmt);
-  auto iv = access_interval(*ref, 0, stmt, f.loops[0], ctx);
+  LoopBoundsMemo bounds;
+  auto iv = access_interval(*ref, 0, stmt, f.loops[0], ctx, bounds);
   ASSERT_TRUE(iv.has_value());
   EXPECT_EQ(iv->lo.to_string(), "2");
   EXPECT_EQ(iv->hi.to_string(), "n+1");
@@ -60,10 +61,11 @@ TEST(RegionsTest, IntervalKeepsOuterIndexSymbolic) {
       "      end\n");
   auto [ref, stmt] = f.first_write(0);
   FactContext ctx = loop_fact_context(stmt);
-  auto dim0 = access_interval(*ref, 0, stmt, f.loops[0], ctx);
+  LoopBoundsMemo bounds;  // shared by both dimensions' sweeps
+  auto dim0 = access_interval(*ref, 0, stmt, f.loops[0], ctx, bounds);
   ASSERT_TRUE(dim0.has_value());
   EXPECT_EQ(dim0->lo.to_string(), "i");  // the enclosing loop stays free
-  auto dim1 = access_interval(*ref, 1, stmt, f.loops[0], ctx);
+  auto dim1 = access_interval(*ref, 1, stmt, f.loops[0], ctx, bounds);
   ASSERT_TRUE(dim1.has_value());
   EXPECT_EQ(dim1->lo.to_string(), "1");
   EXPECT_EQ(dim1->hi.to_string(), "5");
@@ -82,7 +84,33 @@ TEST(RegionsTest, OpaqueSubscriptFails) {
       "      end\n");
   auto [ref, stmt] = f.first_write(0);
   FactContext ctx = loop_fact_context(stmt);
-  EXPECT_FALSE(access_interval(*ref, 0, stmt, f.loops[0], ctx).has_value());
+  LoopBoundsMemo bounds;
+  EXPECT_FALSE(
+      access_interval(*ref, 0, stmt, f.loops[0], ctx, bounds).has_value());
+}
+
+TEST(RegionsTest, BoundsMemoOrientsAndConvertsOnce) {
+  Fix f(
+      "      program t\n"
+      "      do i = 1, n\n"
+      "        do j = n, 1, -1\n"
+      "          do k = 1, n, m\n"
+      "            x = 1\n"
+      "          end do\n"
+      "        end do\n"
+      "      end do\n"
+      "      end\n");
+  LoopBoundsMemo bounds;
+  const LoopBounds* bi = bounds.get(f.loops[0]);
+  ASSERT_NE(bi, nullptr);
+  EXPECT_EQ(bi->lo.to_string(), "1");
+  EXPECT_EQ(bi->hi.to_string(), "n");
+  EXPECT_EQ(bounds.get(f.loops[0]), bi);  // the same entry, not a new one
+  const LoopBounds* bj = bounds.get(f.loops[1]);  // negative step: swapped
+  ASSERT_NE(bj, nullptr);
+  EXPECT_EQ(bj->lo.to_string(), "1");
+  EXPECT_EQ(bj->hi.to_string(), "n");
+  EXPECT_EQ(bounds.get(f.loops[2]), nullptr);  // symbolic step
 }
 
 TEST(RegionsTest, ContainmentProofs) {

@@ -72,7 +72,7 @@ void compile_expecting_clean_outcome(const std::string& src,
   // Nth assertion site so deep sites fire too, sometimes every pass.
   switch (rng() % 4) {
     case 0:
-      opts.fault_inject = "*";
+      opts.fault_inject = std::string("*");
       break;
     case 1:
       opts.fault_inject = passes[rng() % passes.size()];

@@ -403,5 +403,24 @@ TEST(GovernedCompile, BailoutsAggregateAndEmitRemarks) {
   EXPECT_EQ(remarks, bailouts);
 }
 
+// Fuel is the deterministic counter of a compile's symbolic work (atom
+// interns, normalized terms, conversion nodes, range-test masks).  Pinned
+// on the combined suite under a budget that never trips, at one and four
+// jobs, so a change in that work shows here; a change meant to move it
+// updates the value and says why.
+TEST(GovernedCompile, CombinedSuiteFuelIsPinned) {
+  constexpr std::uint64_t kCombinedSuiteFuel = 15619;
+  for (int jobs : {1, 4}) {
+    Options opts = Options::polaris();
+    opts.jobs = jobs;
+    opts.compile_budget_ms = 1e5;  // 5e9 ticks
+    CompileReport report;
+    Compiler(opts).compile(combined_suite_source(), &report);
+    EXPECT_TRUE(report.degradations.empty()) << "jobs=" << jobs;
+    EXPECT_EQ(report.resource.fuel_spent, kCombinedSuiteFuel)
+        << "jobs=" << jobs;
+  }
+}
+
 }  // namespace
 }  // namespace polaris

@@ -80,7 +80,16 @@ class ProgramGenerator {
       }
     }
     const char* ops[] = {" + ", " - ", "*"};
-    return "(" + expr(d + 1) + ops[pick(3)] + expr(d + 1) + ")";
+    // Drawn right operand first, then the operator, then the left operand:
+    // the order a seed has always generated its programs in.
+    std::string right = expr(d + 1);
+    const char* op = ops[pick(3)];
+    std::string out = "(";
+    out += expr(d + 1);
+    out += op;
+    out += right;
+    out += ')';
+    return out;
   }
 
   std::string scalar() {
@@ -102,7 +111,8 @@ class ProgramGenerator {
   }
 
   void emit_loop(bool allow_nest) {
-    std::string idx = "i" + std::to_string(++index_counter_);
+    std::string idx = "i";
+    idx += std::to_string(++index_counter_);
     out_ << indent() << "do " << idx << " = 1, n\n";
     scopes_.push_back(idx);
     ++depth_;

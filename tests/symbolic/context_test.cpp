@@ -12,6 +12,7 @@ class ContextTest : public ::testing::Test {
   SymbolTable symtab;
   Symbol* i = symtab.declare("i", Type::integer(), SymbolKind::Variable);
   Symbol* n = symtab.declare("n", Type::integer(), SymbolKind::Variable);
+  Symbol* j = symtab.declare("j", Type::integer(), SymbolKind::Variable);
   AtomId ai = AtomTable::current().intern_symbol(i);
   AtomId an = AtomTable::current().intern_symbol(n);
 
@@ -81,6 +82,51 @@ TEST_F(ContextTest, RanksDefaultZero) {
   EXPECT_EQ(ctx.rank(ai), 0);
   ctx.set_rank(ai, 3);
   EXPECT_EQ(ctx.rank(ai), 3);
+}
+
+// An atom's bounds are derived once: repeated queries hand out the same
+// stored lists, in fact order, equal to what a fresh context derives.
+TEST_F(ContextTest, BoundsDerivedOnceInFactOrder) {
+  const char* facts[] = {"i - 1", "n - i", "2*i - n", "n*i - 5", "i - j"};
+  FactContext ctx;
+  for (const char* f : facts) ctx.add_ge0(P(f));
+  const std::vector<Polynomial>& lo = ctx.lower_bounds(ai);
+  ASSERT_EQ(lo.size(), 3u);
+  EXPECT_EQ(lo[0], P("1"));
+  EXPECT_EQ(lo[1], P("n/2"));
+  EXPECT_EQ(lo[2], P("j"));
+  EXPECT_EQ(&ctx.lower_bounds(ai), &lo);  // the stored list, not a copy
+  ASSERT_EQ(ctx.upper_bounds(ai).size(), 1u);
+  EXPECT_EQ(ctx.upper_bounds(ai)[0], P("n"));
+
+  FactContext fresh;
+  for (const char* f : facts) fresh.add_ge0(P(f));
+  EXPECT_EQ(ctx.lower_bounds(ai), fresh.lower_bounds(ai));
+  EXPECT_EQ(ctx.upper_bounds(ai), fresh.upper_bounds(ai));
+  EXPECT_EQ(ctx.lower_bounds(an), fresh.lower_bounds(an));
+  EXPECT_EQ(ctx.upper_bounds(an), fresh.upper_bounds(an));
+  EXPECT_TRUE(ctx.lower_bounds(AtomTable::current().intern_symbol(j))
+                  .empty());
+}
+
+TEST_F(ContextTest, LaterFactRefreshesBounds) {
+  FactContext ctx;
+  ctx.add_ge0(P("i - 1"));
+  ASSERT_EQ(ctx.lower_bounds(ai).size(), 1u);
+  EXPECT_TRUE(ctx.upper_bounds(ai).empty());
+  EXPECT_TRUE(ctx.upper_bounds(an).empty());
+  ctx.add_ge0(P("n - i"));
+  ctx.add_ge0(P("i - 3"));
+  ASSERT_EQ(ctx.lower_bounds(ai).size(), 2u);
+  EXPECT_EQ(ctx.lower_bounds(ai)[0], P("1"));
+  EXPECT_EQ(ctx.lower_bounds(ai)[1], P("3"));
+  ASSERT_EQ(ctx.upper_bounds(ai).size(), 1u);
+  EXPECT_EQ(ctx.upper_bounds(ai)[0], P("n"));
+  ASSERT_EQ(ctx.lower_bounds(an).size(), 1u);
+  EXPECT_EQ(ctx.lower_bounds(an)[0], P("i"));
+  // A copied context carries the derived bounds along.
+  FactContext copy = ctx;
+  EXPECT_EQ(copy.lower_bounds(ai), ctx.lower_bounds(ai));
 }
 
 TEST_F(ContextTest, MultipleFactsMultipleBounds) {

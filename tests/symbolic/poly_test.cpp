@@ -120,6 +120,43 @@ TEST_F(PolyTest, ForwardDifferenceTrfdMiddle) {
   EXPECT_TRUE((b1.forward_difference(aj) - P("j")).is_zero());
 }
 
+// The closed form that answers a linear atom must agree term for term
+// with the general substitute-and-subtract path it replaces.
+TEST_F(PolyTest, ForwardDifferenceLinearMatchesShiftAndSubtract) {
+  const Polynomial one = Polynomial::constant(Rational(1));
+  auto shifted_minus = [&](const Polynomial& f, AtomId a) {
+    return f.substitute(a, Polynomial::atom(a) + one) - f;
+  };
+  const char* cases[] = {
+      "n*i + 2*i*j + k",                    // composite monomials around i
+      "i/3 + 2*n*i/5 - 7/2",                // rational coefficients
+      "mod(i, 2) + 3*i*n - mod(i + n, 3)",  // opaque atoms naming i
+      "j*k + n",                            // no i: difference zero
+  };
+  for (const char* text : cases) {
+    Polynomial f = P(text);
+    ASSERT_LE(f.degree_in(ai), 1) << text;
+    EXPECT_EQ(f.forward_difference(ai), shifted_minus(f, ai)) << text;
+  }
+  EXPECT_EQ(P("n*i + 2*i*j + k").forward_difference(ai), P("n + 2*j"));
+  EXPECT_EQ(P("i/3 + 2*n*i/5 - 7/2").forward_difference(ai),
+            P("1/3 + 2*n/5"));
+  EXPECT_TRUE(P("j*k + n").forward_difference(ai).is_zero());
+  // Quadratic atoms keep the general path.
+  Polynomial q = P("i*i*n + i");
+  EXPECT_EQ(q.forward_difference(ai), shifted_minus(q, ai));
+  EXPECT_EQ(q.forward_difference(ai), P("2*i*n + n + 1"));
+}
+
+TEST_F(PolyTest, PowZeroAndOne) {
+  Polynomial f = P("n*i + 2*j - 3");
+  EXPECT_EQ(f.pow(0), Polynomial::constant(Rational(1)));
+  EXPECT_EQ(f.pow(1), f);
+  EXPECT_EQ(f.pow(2), f * f);
+  EXPECT_EQ(Polynomial().pow(0), Polynomial::constant(Rational(1)));
+  EXPECT_TRUE(Polynomial().pow(1).is_zero());
+}
+
 TEST_F(PolyTest, FaulhaberIdentities) {
   // S_k(m) - S_k(m-1) == m^k must hold identically for every k.
   AtomId m = AtomTable::current().intern_symbol(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/build.h"
 #include "parser/parser.h"
 
 namespace polaris {
@@ -107,6 +108,23 @@ TEST_F(SimplifyTest, TryFoldInt) {
   EXPECT_EQ(v, 17);
   ExprPtr f = parse_expression("i + 1", symtab);
   EXPECT_FALSE(try_fold_int(*f, &v));
+}
+
+TEST_F(SimplifyTest, TryFoldIntConstantsAndNonConstants) {
+  std::int64_t v = 0;
+  EXPECT_TRUE(try_fold_int(*ib::ic(42), &v));  // answered without a polynomial
+  EXPECT_EQ(v, 42);
+  ExprPtr neg = parse_expression("-3", symtab);
+  EXPECT_TRUE(try_fold_int(*neg, &v));
+  EXPECT_EQ(v, -3);
+  Symbol* c = symtab.declare("cparam", Type::integer(), SymbolKind::Parameter);
+  c->set_param_value(ib::ic(12));
+  EXPECT_TRUE(try_fold_int(*ib::var(c), &v));
+  EXPECT_EQ(v, 12);
+  v = 5;
+  ExprPtr x = parse_expression("m + 1", symtab);
+  EXPECT_FALSE(try_fold_int(*x, &v));
+  EXPECT_EQ(v, 5);  // left as it was
 }
 
 TEST_F(SimplifyTest, SimplifyInsideCalls) {
