@@ -84,6 +84,21 @@ std::optional<Intrinsic> find_intrinsic(const std::string& name) {
   return it->second;
 }
 
+/// `sym`'s zero-filled payload of `n` elements.  A count no vector can
+/// hold, or an allocation that fails, is a UserError naming the array.
+std::shared_ptr<std::vector<Value>> allocate_array(const Symbol& sym,
+                                                   std::int64_t n) {
+  if (static_cast<std::uint64_t>(n) > std::vector<Value>().max_size())
+    throw UserError("array " + sym.name() + " has too many elements");
+  try {
+    return std::make_shared<std::vector<Value>>(static_cast<std::size_t>(n),
+                                                Value::zero_of(sym.type()));
+  } catch (const std::bad_alloc&) {
+    throw UserError("cannot allocate array " + sym.name() + " (" +
+                    std::to_string(n) + " elements)");
+  }
+}
+
 }  // namespace
 
 Interpreter::Interpreter(Program& program, MachineConfig config,
@@ -133,9 +148,7 @@ void Interpreter::init_frame(ProgramUnit& unit, Frame& frame) {
     if (sym->is_array()) {
       cell->is_array = true;
       resolve_array_bounds(unit, frame, sym, cell);
-      std::size_t n = static_cast<std::size_t>(cell->array.element_count());
-      cell->array.data = std::make_shared<std::vector<Value>>(
-          n, Value::zero_of(sym->type()));
+      cell->array.data = allocate_array(*sym, cell->array.element_count());
     } else {
       cell->scalar = Value::zero_of(sym->type());
     }
@@ -159,6 +172,7 @@ void Interpreter::init_frame(ProgramUnit& unit, Frame& frame) {
 void Interpreter::resolve_array_bounds(ProgramUnit& unit, Frame& frame,
                                        Symbol* sym, Cell* cell) {
   cell->array.bounds.clear();
+  std::int64_t count = 1;  // elements in the dimensions resolved so far
   for (std::size_t d = 0; d < sym->dims().size(); ++d) {
     const Dimension& dim = sym->dims()[d];
     std::int64_t lo =
@@ -173,15 +187,23 @@ void Interpreter::resolve_array_bounds(ProgramUnit& unit, Frame& frame,
                    "assumed-size dimension must be last: " + sym->name());
       p_assert_msg(cell->array.data != nullptr,
                    "assumed-size array without payload: " + sym->name());
-      std::int64_t stride = 1;
-      for (const auto& [blo, bhi] : cell->array.bounds)
-        stride *= (bhi - blo + 1);
       std::int64_t remaining =
           static_cast<std::int64_t>(cell->array.data->size()) -
           cell->array.offset;
-      hi = lo + remaining / stride - 1;
+      if (__builtin_add_overflow(lo, remaining / count - 1, &hi))
+        throw UserError("array " + sym->name() +
+                        " has an upper bound past the integer range");
     }
-    p_assert_msg(hi >= lo, "empty array dimension for " + sym->name());
+    // A hostile declaration is a user error naming the array: an empty
+    // extent, or an element count with no int64 value.
+    if (hi < lo)
+      throw UserError("array " + sym->name() + " has an empty dimension " +
+                      std::to_string(lo) + ":" + std::to_string(hi));
+    std::int64_t extent = 0;
+    if (__builtin_sub_overflow(hi, lo, &extent) ||
+        __builtin_add_overflow(extent, 1, &extent) ||
+        __builtin_mul_overflow(count, extent, &count))
+      throw UserError("array " + sym->name() + " has too many elements");
     cell->array.bounds.emplace_back(lo, hi);
   }
 }

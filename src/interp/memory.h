@@ -22,6 +22,8 @@ struct ArrayStorage {
   std::vector<std::pair<std::int64_t, std::int64_t>> bounds;
   std::int64_t offset = 0;
 
+  /// Fits int64: Interpreter::resolve_array_bounds rejects any bounds
+  /// whose element count does not.
   std::int64_t element_count() const {
     std::int64_t n = 1;
     for (const auto& [lo, hi] : bounds) n *= (hi - lo + 1);

@@ -1,6 +1,8 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 #include "support/assert.h"
 #include "support/string_util.h"
@@ -28,7 +30,7 @@ bool is_dot_op(const std::string& s) {
 
 }  // namespace
 
-std::vector<Token> tokenize(const std::string& text, int source_line) {
+std::vector<Token> tokenize(std::string_view text, int source_line) {
   std::vector<Token> out;
   size_t i = 0;
   const size_t n = text.size();
@@ -51,7 +53,7 @@ std::vector<Token> tokenize(const std::string& text, int source_line) {
     if (is_ident_start(c)) {
       size_t j = i;
       while (j < n && is_ident_char(text[j])) ++j;
-      push(TokKind::Ident, to_lower(text.substr(i, j - i)), col);
+      push(TokKind::Ident, to_lower(std::string(text.substr(i, j - i))), col);
       i = j;
       continue;
     }
@@ -90,19 +92,33 @@ std::vector<Token> tokenize(const std::string& text, int source_line) {
             ++j;
         }
       }
-      std::string lit = text.substr(i, j - i);
+      std::string lit(text.substr(i, j - i));
       Token tok;
       tok.column = col;
+      // Checked conversion: a literal with no int64/double value is a
+      // positioned UserError, never an escaped std::out_of_range.  Reals
+      // that underflow to zero or to a subnormal are rejected as well, so
+      // exactly the literals std::stod used to accept are accepted.
+      bool in_range = false;
       if (is_real) {
         for (char& ch : lit)
           if (ch == 'd' || ch == 'D') ch = 'e';
         tok.kind = TokKind::RealLit;
-        tok.real_value = std::stod(lit);
+        auto [end, ec] = std::from_chars(lit.data(), lit.data() + lit.size(),
+                                         tok.real_value);
+        in_range = ec == std::errc() &&
+                   std::fpclassify(tok.real_value) != FP_SUBNORMAL;
         tok.is_double = is_double;
       } else {
         tok.kind = TokKind::IntLit;
-        tok.int_value = std::stoll(lit);
+        auto [end, ec] = std::from_chars(lit.data(), lit.data() + lit.size(),
+                                         tok.int_value);
+        in_range = ec == std::errc();
       }
+      if (!in_range)
+        lex_error(source_line, col,
+                  "numeric literal '" + std::string(text.substr(i, j - i)) +
+                      "' is out of range");
       tok.text = lit;
       out.push_back(std::move(tok));
       i = j;
@@ -168,101 +184,113 @@ std::vector<Token> tokenize(const std::string& text, int source_line) {
   return out;
 }
 
-std::vector<LogicalLine> lex(const std::string& source) {
-  return lex(source, /*line_offset=*/0);
-}
-
-std::vector<LogicalLine> lex(const std::string& source, int line_offset) {
-  std::vector<LogicalLine> out;
-  std::vector<std::string> physical = split(source, '\n');
-
-  // Assemble logical lines.
-  std::string pending;
-  int pending_start = 0;
+std::vector<RawLine> assemble_lines(const std::string& source) {
+  std::vector<RawLine> out;
+  RawLine pending;  // statement under assembly; empty text when none
   auto flush = [&]() {
-    if (pending.empty()) return;
-    LogicalLine ll;
-    ll.source_line = pending_start;
-    // Extract a leading numeric label.
-    size_t i = 0;
-    while (i < pending.size() && (pending[i] == ' ' || pending[i] == '\t'))
-      ++i;
-    size_t lab_start = i;
-    while (i < pending.size() &&
-           std::isdigit(static_cast<unsigned char>(pending[i])))
-      ++i;
-    if (i > lab_start && i < pending.size() &&
-        (pending[i] == ' ' || pending[i] == '\t')) {
-      // Bounded accumulation instead of std::stoi: a hostile digit run
-      // ("123456789012345 continue") must surface as a positioned
-      // UserError, not escape the frontend as std::out_of_range.  The
-      // Fortran 77 bound (labels are 1-99999) is checked after the
-      // digits, so "00100" stays legal.
-      long value = 0;
-      for (size_t k = lab_start; k < i && value <= kMaxStatementLabel; ++k)
-        value = value * 10 + (pending[k] - '0');
-      if (value > kMaxStatementLabel)
-        lex_error(pending_start, static_cast<int>(lab_start) + 1,
-                  "statement label '" +
-                      pending.substr(lab_start, i - lab_start) +
-                      "' exceeds the maximum " +
-                      std::to_string(kMaxStatementLabel));
-      ll.label = static_cast<int>(value);
-      pending = pending.substr(i);
-    }
-    ll.tokens = tokenize(pending, pending_start);
-    if (ll.tokens.size() > 1 || ll.label != 0) out.push_back(std::move(ll));
-    pending.clear();
+    if (!pending.text.empty()) out.push_back(std::move(pending));
+    pending = RawLine{};
   };
 
-  for (size_t ln = 0; ln < physical.size(); ++ln) {
-    std::string line = physical[ln];
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  const std::string_view src = source;
+  int ln = 0;
+  for (std::size_t pos = 0; pos <= src.size();) {
+    std::size_t nl = src.find('\n', pos);
+    if (nl == std::string_view::npos) nl = src.size();
+    std::string_view line = src.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++ln;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
 
     // Fixed-form comment: C/c/*/! in column 1; free-form: first non-blank '!'.
-    std::string trimmed = trim(line);
+    const std::string_view trimmed = trim_view(line);
     bool comment_col1 =
         !line.empty() && (line[0] == 'C' || line[0] == 'c' || line[0] == '*');
     bool comment_bang = !trimmed.empty() && trimmed[0] == '!';
     if (comment_col1 || comment_bang) {
       // Keep directive comments ("csrd$ ..." or "!$...") verbatim; drop
       // ordinary comments.
-      std::string body = comment_bang ? trim(trimmed.substr(1)) : trimmed;
-      bool is_directive = starts_with(to_lower(body), "csrd$") ||
-                          starts_with(to_lower(body), "$");
-      if (is_directive) {
+      std::string_view body =
+          comment_bang ? trim_view(trimmed.substr(1)) : trimmed;
+      const std::string low = to_lower(std::string(body));
+      if (starts_with(low, "csrd$") || starts_with(low, "$")) {
         flush();
-        LogicalLine ll;
-        ll.source_line = line_offset + static_cast<int>(ln) + 1;
-        ll.is_comment = true;
-        ll.comment = body;
-        Token eol;
-        eol.kind = TokKind::EndOfLine;
-        ll.tokens.push_back(eol);
-        out.push_back(std::move(ll));
+        out.push_back(RawLine{std::string(body), ln, ln, true});
       }
       continue;
     }
     if (trimmed.empty()) continue;
 
     // Continuation: previous line ended with '&', or this line starts with '&'.
-    bool continues_prev =
-        (!pending.empty() && ends_with(trim(pending), "&")) ||
-        (!pending.empty() && trimmed[0] == '&');
-    if (continues_prev) {
-      std::string prev = trim(pending);
-      if (ends_with(prev, "&")) prev.pop_back();
-      std::string cur = trimmed;
-      if (!cur.empty() && cur[0] == '&') cur = cur.substr(1);
-      pending = prev + " " + cur;
+    std::string_view prev = trim_view(pending.text);
+    const bool prev_open = !prev.empty() && prev.back() == '&';
+    if (!pending.text.empty() && (prev_open || trimmed[0] == '&')) {
+      if (prev_open) prev.remove_suffix(1);
+      std::string_view cur = trimmed;
+      if (cur[0] == '&') cur.remove_prefix(1);
+      pending.text = std::string(prev) + ' ' + std::string(cur);
+      pending.last_line = ln;
       continue;
     }
     flush();
-    pending = line;
-    pending_start = line_offset + static_cast<int>(ln) + 1;
+    pending = RawLine{std::string(line), ln, ln, false};
   }
   flush();
   return out;
+}
+
+LabelField find_label(std::string_view text) {
+  std::size_t i = 0;
+  while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
+  const std::size_t begin = i;
+  while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])))
+    ++i;
+  if (i > begin && i < text.size() && (text[i] == ' ' || text[i] == '\t'))
+    return {begin, i};
+  return {};
+}
+
+std::vector<LogicalLine> lex_lines(std::span<const RawLine> lines) {
+  std::vector<LogicalLine> out;
+  out.reserve(lines.size());
+  for (const RawLine& raw : lines) {
+    LogicalLine ll;
+    ll.source_line = raw.first_line;
+    if (raw.is_directive) {
+      ll.is_comment = true;
+      ll.comment = raw.text;
+      ll.tokens.emplace_back();  // EndOfLine
+      out.push_back(std::move(ll));
+      continue;
+    }
+    const LabelField label = find_label(raw.text);
+    if (label.present()) {
+      // Bounded accumulation instead of std::stoi: a hostile digit run
+      // ("123456789012345 continue") must surface as a positioned
+      // UserError, not escape the frontend as std::out_of_range.  The
+      // Fortran 77 bound (labels are 1-99999) is checked after the
+      // digits, so "00100" stays legal.
+      long value = 0;
+      for (std::size_t k = label.begin;
+           k < label.end && value <= kMaxStatementLabel; ++k)
+        value = value * 10 + (raw.text[k] - '0');
+      if (value > kMaxStatementLabel)
+        lex_error(raw.first_line, static_cast<int>(label.begin) + 1,
+                  "statement label '" +
+                      raw.text.substr(label.begin, label.end - label.begin) +
+                      "' exceeds the maximum " +
+                      std::to_string(kMaxStatementLabel));
+      ll.label = static_cast<int>(value);
+    }
+    ll.tokens = tokenize(std::string_view(raw.text).substr(label.end),
+                         raw.first_line);
+    if (ll.tokens.size() > 1 || ll.label != 0) out.push_back(std::move(ll));
+  }
+  return out;
+}
+
+std::vector<LogicalLine> lex(const std::string& source) {
+  return lex_lines(assemble_lines(source));
 }
 
 }  // namespace polaris

@@ -132,11 +132,7 @@ class Cursor {
 
 class Parser {
  public:
-  /// `line_offset` shifts every diagnostic's line number: a parallel parse
-  /// hands each Parser one unit *slice*, and errors must still point at
-  /// whole-file lines.
-  explicit Parser(const std::string& source, int line_offset = 0)
-      : lines_(lex(source, line_offset)) {}
+  explicit Parser(std::vector<LogicalLine> lines) : lines_(std::move(lines)) {}
 
   std::unique_ptr<Program> parse() {
     auto program = std::make_unique<Program>();
@@ -1039,15 +1035,6 @@ std::string canonical_intrinsic(const std::string& name) {
   return it == intrinsic_aliases().end() ? low : it->second;
 }
 
-std::unique_ptr<Program> parse_program(const std::string& source) {
-  return parse_program(source, nullptr);
-}
-
-std::unique_ptr<Program> parse_program(const std::string& source,
-                                       CompileContext* cc) {
-  return parse_program(source, cc, /*jobs=*/1);
-}
-
 std::unique_ptr<Program> parse_program(const std::string& source,
                                        CompileContext* cc, int jobs) {
   trace::TraceSpan parse_span(cc != nullptr ? &cc->trace() : nullptr,
@@ -1057,12 +1044,13 @@ std::unique_ptr<Program> parse_program(const std::string& source,
   // degenerate source is a parser bug from the compiler's point of view,
   // but from the user's it is still just bad input.
   try {
-    // Split into per-unit slices and parse each independently — on the
-    // compilation's worker pool when jobs allow, inline otherwise.  Every
-    // slice is parsed at every jobs count (no early exit on the first bad
-    // slice): the set of parse-unit spans and per-slice outcomes must not
-    // depend on scheduling.
-    const std::vector<UnitSlice> slices = split_units(source);
+    // Assemble the logical lines once, split them into per-unit slices
+    // and lex and parse each slice independently — on the compilation's
+    // worker pool when jobs allow, inline otherwise.  Every slice is
+    // parsed at every jobs count (no early exit on the first bad slice):
+    // the set of parse-unit spans and per-slice outcomes must not depend
+    // on scheduling.
+    const std::vector<std::vector<RawLine>> slices = split_units(source);
 
     struct Fragment {
       std::unique_ptr<Program> program;
@@ -1078,7 +1066,7 @@ std::unique_ptr<Program> parse_program(const std::string& source,
       try {
         trace::TraceSpan unit_span(&frag.trace, "parse-unit", "driver");
         unit_span.arg("slice", static_cast<std::uint64_t>(i));
-        Parser p(slices[i].text, slices[i].start_line - 1);
+        Parser p(lex_lines(slices[i]));
         frag.program = p.parse();
         if (!frag.program->units().empty())
           unit_span.arg("unit", frag.program->units().front()->name());
@@ -1121,18 +1109,11 @@ std::unique_ptr<Program> parse_program(const std::string& source,
 }
 
 ExprPtr parse_expression(const std::string& text, SymbolTable& symtab) {
-  // Reuse the statement machinery: parse "tmp_expr_result = <text>" inside
-  // a scratch unit that shares symbols by name with `symtab`.
-  std::vector<Token> toks = tokenize(text);
-  Cursor c(toks, 1);
-
-  // Minimal standalone expression parser: we re-run the Parser's grammar by
-  // constructing a tiny unit around the expression would be heavyweight;
-  // instead replicate resolution here through a local lambda-based recursive
-  // descent.  To avoid duplicating the grammar we construct a Parser over a
-  // synthetic one-line program and then steal the expression.
+  // Reuse the statement machinery: parse "xpolaris_expr_tmp = <text>" as
+  // a synthetic one-line program, steal the expression, and remap its
+  // symbols into `symtab` by name.
   std::string synthetic = "xpolaris_expr_tmp = " + text + "\nend\n";
-  Parser p(synthetic);
+  Parser p(lex(synthetic));
   std::unique_ptr<Program> prog = p.parse();
   ProgramUnit* unit = prog->main();
   p_assert(unit->stmts().first() != nullptr);

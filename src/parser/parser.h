@@ -30,23 +30,21 @@ class CompileContext;  // support/context.h
 /// "program main".  Throws UserError on malformed input — including input
 /// degenerate enough to trip a parser invariant: InternalError never
 /// escapes this boundary.
-std::unique_ptr<Program> parse_program(const std::string& source);
-/// Same, attributed to a compilation: emits the "parse" trace span (with
-/// a unit-count arg) into `cc`'s collector.  Null behaves like the short
-/// form.
+///
+/// A non-null `cc` attributes the parse to a compilation: the "parse"
+/// trace span (with a unit-count arg) goes into its collector, and with
+/// `jobs > 1` program units parse in parallel on its worker pool.  The
+/// source is split into per-unit slices (see parser/splitter.h), each
+/// slice lexes and parses independently with per-slice error capture,
+/// and the fragments merge in textual unit order.  Output is
+/// byte-identical at any jobs count; a malformed unit poisons only itself
+/// and the textually-first slice error is the one reported.  After the
+/// merge, statement and symbol ids are renumbered 1..n in textual order,
+/// so id-derived names ("do#<id>") never depend on scheduling or on
+/// earlier compilations in the process.
 std::unique_ptr<Program> parse_program(const std::string& source,
-                                       CompileContext* cc);
-/// Same, parsing program units in parallel on `cc`'s worker pool when
-/// `jobs > 1`: the source is split into per-unit slices (see
-/// parser/splitter.h), each slice parses independently with per-slice
-/// error capture, and the fragments merge in textual unit order.  Output
-/// is byte-identical at any jobs count; a malformed unit poisons only
-/// itself and the textually-first slice error is the one reported.  After
-/// the merge, statement and symbol ids are renumbered 1..n in textual
-/// order, so id-derived names ("do#<id>") never depend on scheduling or
-/// on earlier compilations in the process.
-std::unique_ptr<Program> parse_program(const std::string& source,
-                                       CompileContext* cc, int jobs);
+                                       CompileContext* cc = nullptr,
+                                       int jobs = 1);
 
 /// Parses a single expression (test and tooling helper).  Symbols are
 /// resolved/created in `symtab` with implicit typing.

@@ -1,43 +1,28 @@
 #include "parser/splitter.h"
 
-#include <cctype>
-
-#include "parser/lexer.h"
-#include "support/string_util.h"
-
 namespace polaris {
 
 namespace {
 
-/// True when one assembled logical line is exactly the unit terminator:
-/// an optional statement label, then the identifier END, then end of
+/// True when one assembled line is exactly the unit terminator: an
+/// optional statement label, then the identifier END, then end of
 /// statement — the token shape Parser::parse_unit tests with
 /// `is_ident("end") && peek(1) == EndOfLine`.  Tokenization failures
 /// (the lexer would diagnose this line) mean "not a terminator": the
-/// line stays in its slice and the slice's parse reports the error.
-bool is_end_logical_line(const std::string& pending) {
-  // Mirror the lexer's label extraction: leading blanks, a digit run,
-  // then a blank — only then is the digit run a label and stripped.
-  std::size_t i = 0;
-  while (i < pending.size() && (pending[i] == ' ' || pending[i] == '\t'))
-    ++i;
-  std::size_t lab_start = i;
-  while (i < pending.size() &&
-         std::isdigit(static_cast<unsigned char>(pending[i])))
-    ++i;
-  std::size_t body_start = lab_start;
-  if (i > lab_start && i < pending.size() &&
-      (pending[i] == ' ' || pending[i] == '\t'))
-    body_start = i;
+/// line stays in its unit and the unit's lex reports the error.
+bool is_end_line(const RawLine& line) {
+  if (line.is_directive) return false;
+  // The label is stripped without its range check: an oversized label on
+  // END still ends the unit, and the unit's lex reports it.
+  const std::string_view body =
+      std::string_view(line.text).substr(find_label(line.text).end);
   // Cheap prefilter before paying for tokenization: the terminator's
   // first significant character can only be e/E.
-  std::size_t j = body_start;
-  while (j < pending.size() && (pending[j] == ' ' || pending[j] == '\t'))
-    ++j;
-  if (j >= pending.size() || (pending[j] != 'e' && pending[j] != 'E'))
+  const std::size_t j = body.find_first_not_of(" \t");
+  if (j == std::string_view::npos || (body[j] != 'e' && body[j] != 'E'))
     return false;
   try {
-    std::vector<Token> toks = tokenize(pending.substr(body_start));
+    std::vector<Token> toks = tokenize(body);
     return toks.size() == 2 && toks[0].kind == TokKind::Ident &&
            toks[0].text == "end";
   } catch (const std::exception&) {
@@ -47,91 +32,16 @@ bool is_end_logical_line(const std::string& pending) {
 
 }  // namespace
 
-std::vector<UnitSlice> split_units(const std::string& source) {
-  std::vector<UnitSlice> slices;
-  std::vector<std::string> physical = split(source, '\n');
-  // split() yields one empty element for the final '\n' (not a real blank
-  // line — finish_slice re-appends the newline itself); drop exactly it.
-  if (!physical.empty() && physical.back().empty()) physical.pop_back();
-
-  std::size_t slice_start = 0;   // first physical line of the open slice
-  bool has_content = false;      // open slice holds a logical line/directive
-  std::string pending;           // logical line under assembly (lex mirror)
-  std::size_t pending_last = 0;  // last physical line joined into pending
-
-  auto finish_slice = [&](std::size_t end) {
-    std::string text;
-    for (std::size_t k = slice_start; k < end; ++k) {
-      text += physical[k];
-      text += '\n';
-    }
-    UnitSlice s;
-    s.text = std::move(text);
-    s.start_line = static_cast<int>(slice_start) + 1;
-    slices.push_back(std::move(s));
-    slice_start = end;
-    has_content = false;
-  };
-
-  // The cut happens when the terminator's logical line is *complete*,
-  // i.e. at the next non-continuation line (or EOF) — by then comment
-  // lines may already sit between the END and the cursor, and they
-  // belong to the next slice (pending_last + 1 excludes them), so a
-  // directive comment ahead of the next unit header misparses there
-  // exactly as it does in a whole-file parse.
-  auto flush_pending = [&]() {
-    if (pending.empty()) return;
-    if (is_end_logical_line(pending)) finish_slice(pending_last + 1);
-    pending.clear();
-  };
-
-  // Line classification below mirrors lex() clause for clause; the two
-  // loops must agree on what is a comment, a continuation, and a new
-  // logical line, or a slice would lex differently than the whole file.
-  for (std::size_t ln = 0; ln < physical.size(); ++ln) {
-    std::string line = physical[ln];
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-
-    std::string trimmed = trim(line);
-    bool comment_col1 =
-        !line.empty() && (line[0] == 'C' || line[0] == 'c' || line[0] == '*');
-    bool comment_bang = !trimmed.empty() && trimmed[0] == '!';
-    if (comment_col1 || comment_bang) {
-      std::string body = comment_bang ? trim(trimmed.substr(1)) : trimmed;
-      bool is_directive = starts_with(to_lower(body), "csrd$") ||
-                          starts_with(to_lower(body), "$");
-      if (is_directive) {
-        flush_pending();
-        has_content = true;  // directives lex to a kept logical line
-      }
-      continue;
-    }
-    if (trimmed.empty()) continue;
-
-    bool continues_prev =
-        (!pending.empty() && ends_with(trim(pending), "&")) ||
-        (!pending.empty() && trimmed[0] == '&');
-    if (continues_prev) {
-      std::string prev = trim(pending);
-      if (ends_with(prev, "&")) prev.pop_back();
-      std::string cur = trimmed;
-      if (!cur.empty() && cur[0] == '&') cur = cur.substr(1);
-      pending = prev + " " + cur;
-      pending_last = ln;
-      continue;
-    }
-    flush_pending();
-    pending = line;
-    pending_last = ln;
-    has_content = true;
+std::vector<std::vector<RawLine>> split_units(const std::string& source) {
+  std::vector<std::vector<RawLine>> units(1);
+  for (RawLine& line : assemble_lines(source)) {
+    const bool ends_unit = is_end_line(line);
+    units.back().push_back(std::move(line));
+    if (ends_unit) units.emplace_back();
   }
-  flush_pending();
-  // Trailing lines after the last END: only worth a slice when they lex
-  // to something (a directive); pure comment/blank tails produce no
-  // logical lines in a whole-file parse either.
-  if (slice_start < physical.size() && has_content)
-    finish_slice(physical.size());
-  return slices;
+  // Lines after the last END form a unit of their own; none, no unit.
+  if (units.back().empty()) units.pop_back();
+  return units;
 }
 
 }  // namespace polaris

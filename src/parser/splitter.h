@@ -2,37 +2,30 @@
 //
 // Program units (PROGRAM / SUBROUTINE / FUNCTION ... END) are textually
 // independent: nothing in one unit changes how another one lexes or
-// parses.  split_units scans the *physical* lines once, mirroring the
-// lexer's logical-line discipline exactly (column-1 C/c/* and first
-// non-blank '!' comments, '&' continuations, leading statement labels),
-// and cuts a slice after every logical line that is exactly the unit
-// terminator END.  Each slice then parses on a worker independently.
+// parses.  split_units runs the lexer's stage 1 (assemble_lines) once over
+// the whole file and cuts the assembled lines after every line that is
+// exactly the unit terminator END.  Each unit's lines then go through
+// stage 2 (lex_lines) and the parse on a worker, independently, and keep
+// their whole-file line numbers.
 //
 // The splitter never diagnoses anything: a malformed line simply stays
-// inside whatever slice it falls in, and the per-slice parse reports the
-// identical UserError a whole-file parse would have.  Comment and blank
-// lines between units attach to the *following* slice, so a stray
-// directive comment before a unit header misparses the same way in both
-// modes.
+// inside whatever unit it falls in, and that unit's lex or parse reports
+// the identical UserError a whole-file parse would have.  A directive
+// between units attaches to the *following* unit, so a stray directive
+// before a unit header misparses the same way in both modes.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "parser/lexer.h"
+
 namespace polaris {
 
-/// One top-level source slice: the text of (at most) one program unit,
-/// terminator included, plus any leading comment/blank lines.
-struct UnitSlice {
-  std::string text;
-  int start_line = 1;  ///< 1-based physical line of the slice's first line
-};
-
-/// Splits source text into per-unit slices.  Concatenating the slice
-/// texts (plus dropped trailing comment/blank lines) reproduces the
-/// input line-for-line; lexing slice i with `line_offset = start_line-1`
-/// yields exactly the logical lines the whole-file lex assigns to that
-/// unit.  Never throws: splitting is pure line classification.
-std::vector<UnitSlice> split_units(const std::string& source);
+/// Splits source text into per-unit line vectors: each holds (at most) one
+/// program unit's assembled lines, terminator included, after any
+/// directives that precede its header.  Concatenated, they are exactly
+/// assemble_lines(source).  Never throws.
+std::vector<std::vector<RawLine>> split_units(const std::string& source);
 
 }  // namespace polaris

@@ -7,6 +7,8 @@
 #include "dep/ddtest.h"
 #include "passes/privatization.h"
 #include "passes/reduction.h"
+#include "support/context.h"
+#include "support/trace.h"
 
 namespace polaris {
 
@@ -51,6 +53,8 @@ DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
     pure = *pure_snapshot;
   else if (program != nullptr && opts.pure_functions)
     pure = pure_functions(*program);
+  CompileContext* cc = am.context();
+  trace::TraceCollector* trace = cc != nullptr ? &cc->trace() : nullptr;
   for (DoStmt* loop : unit.stmts().loops()) {
     ++summary.loops;
     loop->par = ParallelInfo{};
@@ -98,34 +102,37 @@ DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
 
     // Reductions first: their statements are exempt from scalar analysis
     // and their accumulators from dependence testing.
-    std::vector<RecognizedReduction> reductions =
-        recognize_reductions(loop, opts, diags, am);
-
-    // Paper Section 3.2: "the data-dependence pass later analyzes and
-    // removes the flags for those statements which it can prove have no
-    // loop-carried dependences."  An array reduction whose subscripts are
-    // provably injective across iterations (e.g. v(i) = v(i) + t) needs no
-    // reduction treatment — drop it and let the ordinary test cover it.
-    for (auto it = reductions.begin(); it != reductions.end();) {
-      if (!it->var->is_array()) {
-        ++it;
-        continue;
-      }
-      auto all_accesses = collect_array_accesses(loop);
-      SymbolSet others;
-      for (const auto& [sym, refs] : all_accesses)
-        if (sym != it->var) others.insert(sym);
-      Diagnostics scratch;
-      LoopDepStats probe =
-          test_loop_arrays(loop, opts, scratch, others, context, am);
-      if (probe.parallel()) {
-        for (AssignStmt* a : it->stmts) a->reduction_flag = ReductionKind::None;
-        diags.note("reduction", context,
-                   it->var->name() +
-                       ": flag removed, no carried dependence (ddtest)");
-        it = reductions.erase(it);
-      } else {
-        ++it;
+    std::vector<RecognizedReduction> reductions;
+    {
+      trace::TraceSpan span(trace, "recognize-reductions", "analysis");
+      reductions = recognize_reductions(loop, opts, diags, am);
+      // Paper Section 3.2: "the data-dependence pass later analyzes and
+      // removes the flags for those statements which it can prove have no
+      // loop-carried dependences."  An array reduction whose subscripts are
+      // provably injective across iterations (e.g. v(i) = v(i) + t) needs no
+      // reduction treatment — drop it and let the ordinary test cover it.
+      for (auto it = reductions.begin(); it != reductions.end();) {
+        if (!it->var->is_array()) {
+          ++it;
+          continue;
+        }
+        auto all_accesses = collect_array_accesses(loop);
+        SymbolSet others;
+        for (const auto& [sym, refs] : all_accesses)
+          if (sym != it->var) others.insert(sym);
+        Diagnostics scratch;
+        LoopDepStats probe =
+            test_loop_arrays(loop, opts, scratch, others, context, am);
+        if (probe.parallel()) {
+          for (AssignStmt* a : it->stmts)
+            a->reduction_flag = ReductionKind::None;
+          diags.note("reduction", context,
+                     it->var->name() +
+                         ": flag removed, no carried dependence (ddtest)");
+          it = reductions.erase(it);
+        } else {
+          ++it;
+        }
       }
     }
 
@@ -133,8 +140,10 @@ DoallSummary mark_doall_loops(Program* program, ProgramUnit& unit,
     for (const RecognizedReduction& r : reductions) exempt.insert(r.var);
 
     // Privatization of scalars and arrays.
-    PrivatizationResult priv =
-        analyze_privatization(unit, loop, opts, diags, am);
+    PrivatizationResult priv = [&] {
+      trace::TraceSpan span(trace, "analyze-privatization", "analysis");
+      return analyze_privatization(unit, loop, opts, diags, am);
+    }();
     for (Symbol* s : priv.private_scalars) exempt.insert(s);
     for (Symbol* s : priv.private_arrays) exempt.insert(s);
 

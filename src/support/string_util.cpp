@@ -19,9 +19,11 @@ std::string to_upper(const std::string& s) {
   return r;
 }
 
-std::string trim(const std::string& s) {
+std::string trim(const std::string& s) { return std::string(trim_view(s)); }
+
+std::string_view trim_view(std::string_view s) {
   size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
+  if (b == std::string_view::npos) return {};
   size_t e = s.find_last_not_of(" \t\r\n");
   return s.substr(b, e - b + 1);
 }

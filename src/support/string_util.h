@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace polaris {
@@ -13,6 +14,8 @@ std::string to_upper(const std::string& s);
 
 /// Strips leading and trailing whitespace.
 std::string trim(const std::string& s);
+/// Same, as a view into `s`.
+std::string_view trim_view(std::string_view s);
 
 /// Splits on a single character, keeping empty fields.
 std::vector<std::string> split(const std::string& s, char sep);

@@ -104,6 +104,41 @@ TEST(InterpTest, OutOfRangeRealToIntegerIsUserError) {
   EXPECT_EQ(r.output[0], "-9200000000000000000 -3 3");
 }
 
+TEST(InterpTest, BadArrayExtentsAreUserErrorsNamingTheArray) {
+  // None of these may attempt its allocation: under the sanitize presets
+  // ASan's allocation-size check would abort a huge one.
+  const std::pair<const char*, const char*> cases[] = {
+      {"      real a(0)\n", "array a has an empty dimension 1:0"},
+      {"      real b(5:4)\n", "array b has an empty dimension 5:4"},
+      {"      real c(3000000000,3000000000,3000000000)\n",
+       "array c has too many elements"},
+      {"      real d(-9000000000000000000:9000000000000000000)\n",
+       "array d has too many elements"},
+      // Fits int64, but no vector can hold it.
+      {"      real e(3000000000,3000000000)\n",
+       "array e has too many elements"},
+  };
+  for (const auto& [decl, message] : cases) {
+    try {
+      run_src(std::string("      program t\n") + decl + "      end\n");
+      FAIL() << "expected UserError for " << decl;
+    } catch (const UserError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << decl;
+    }
+  }
+  // An assumed-size upper bound that int64 cannot hold.
+  try {
+    run_src(
+        "      program t\n      real a(10)\n      call s(a)\n      end\n"
+        "      subroutine s(b)\n      real b(9223372036854775807:*)\n"
+        "      end\n");
+    FAIL() << "expected UserError";
+  } catch (const UserError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "array b has an upper bound past the integer range");
+  }
+}
+
 TEST(InterpTest, IfElseChain) {
   auto r = run_src(
       "      do i = 1, 4\n"

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <span>
+
 #include "support/assert.h"
 
 namespace polaris {
@@ -148,16 +152,69 @@ TEST(LexerTest, OversizedLabelIsPositionedUserError) {
   }
 }
 
-TEST(LexerTest, LineOffsetShiftsDiagnosticsAndSourceLines) {
-  auto lines = lex("      x = 1\ncsrd$ doall\n", /*line_offset=*/10);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].source_line, 11);
-  EXPECT_EQ(lines[1].source_line, 12);
+TEST(LexerTest, OutOfRangeLiteralsArePositionedUserErrors) {
+  // No int64/double value: a positioned lex error that names the
+  // literal, never an escaped std::out_of_range.
+  for (const char* lit : {"99999999999999999999", "1.0e999", "1.0d-999"}) {
+    try {
+      lex(std::string("      x = 1\n      x = ") + lit + "\n");
+      FAIL() << "expected UserError for " << lit;
+    } catch (const UserError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("line 2, column 11"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(std::string("'") + lit + "' is out of range"),
+                std::string::npos)
+          << msg;
+    }
+  }
+}
+
+TEST(LexerTest, LiteralsAtTheRangeEdgesKeepTheirValues) {
+  auto toks = tokenize(
+      "9223372036854775807 1.7976931348623157d308 2.2250738585072014e-308 "
+      "0e999");
+  EXPECT_EQ(toks[0].int_value, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(toks[1].real_value, std::numeric_limits<double>::max());
+  EXPECT_EQ(toks[2].real_value, std::numeric_limits<double>::min());
+  EXPECT_EQ(toks[3].real_value, 0.0);
+  EXPECT_THROW(tokenize("9223372036854775808"), UserError);
+  // Subnormal results are out of range too, as they were for std::stod.
+  EXPECT_THROW(tokenize("1.0e-310"), UserError);
+}
+
+TEST(LexerTest, AssembledLinesCarryWholeFilePhysicalLines) {
+  const std::string src =
+      "c header\n"          // 1
+      "      x = 1 + &\n"   // 2
+      "     &    2\n"       // 3
+      "csrd$ doall\n"       // 4
+      "\n"                  // 5
+      "  100 continue\n";   // 6
+  std::vector<RawLine> raw = assemble_lines(src);
+  ASSERT_EQ(raw.size(), 3u);
+  EXPECT_EQ(raw[0].first_line, 2);
+  EXPECT_EQ(raw[0].last_line, 3);
+  EXPECT_TRUE(raw[1].is_directive);
+  EXPECT_EQ(raw[1].text, "csrd$ doall");
+  EXPECT_EQ(raw[1].first_line, 4);
+  EXPECT_EQ(raw[1].last_line, 4);
+  EXPECT_EQ(raw[2].first_line, 6);
+  EXPECT_EQ(find_label(raw[2].text).begin, 2u);
+  EXPECT_EQ(find_label(raw[2].text).end, 5u);
+
+  // Stage 2 on a tail of the lines keeps whole-file line numbers, in
+  // source_line and in diagnostics.
+  std::vector<LogicalLine> tail = lex_lines(std::span(raw).subspan(1));
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].source_line, 4);
+  EXPECT_EQ(tail[1].source_line, 6);
+  EXPECT_EQ(tail[1].label, 100);
+  std::vector<RawLine> bad = assemble_lines("      x = 1\n\n      y = 'oops\n");
   try {
-    lex("      x = 'oops\n", /*line_offset=*/41);
+    lex_lines(std::span(bad).subspan(1));
     FAIL() << "expected UserError";
   } catch (const UserError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 42"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
         << e.what();
   }
 }
