@@ -20,6 +20,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "driver/compiler.h"
 #include "driver/profile_dir.h"
 #include "driver/report_json.h"
@@ -65,17 +69,28 @@ struct Flag {
   void (*set)(Settings&, const Value&);
 };
 
-/// The hardware-concurrency cap on `-jobs`: extra workers only add
-/// contention, and output is independent of the worker count anyway.
-/// Audible, not silent, so CI logs show why -jobs=32 did not scale.
+/// The CPUs this process may run on: its affinity mask (which taskset
+/// and cpusets narrow), else the hardware concurrency; 0 when unknown.
+unsigned usable_cpus() {
+#ifdef __linux__
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof mask, &mask) == 0)
+    return static_cast<unsigned>(CPU_COUNT(&mask));
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+/// The usable-CPU cap on `-jobs`: extra workers only time-share CPUs, and
+/// output is independent of the worker count anyway.  Audible, not
+/// silent, so CI logs show why -jobs=32 did not scale.
 int cap_jobs(int n) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || n <= static_cast<int>(hw)) return n;
+  const unsigned cpus = usable_cpus();
+  if (cpus == 0 || n <= static_cast<int>(cpus)) return n;
   std::fprintf(stderr,
-               "polaris: note: -jobs=%d capped to this machine's %u "
-               "hardware thread%s\n",
-               n, hw, hw == 1 ? "" : "s");
-  return static_cast<int>(hw);
+               "polaris: note: -jobs=%d capped to the %u CPU%s this "
+               "process may run on\n",
+               n, cpus, cpus == 1 ? "" : "s");
+  return static_cast<int>(cpus);
 }
 
 // Rows are applied in table order, not argv order.  -baseline comes first
@@ -113,7 +128,7 @@ const Flag kFlags[] = {
      "per-pass wall time, IR deltas and analysis-cache hit rates",
      [](Settings& s, const Value&) { s.timing = true; }},
     {"-jobs=N", "POLARIS_JOBS", Kind::Integer,
-     "restructure units on N threads (capped at the hardware's); "
+     "restructure units on N threads (capped at the usable CPUs); "
      "output is identical at any N",
      [](Settings& s, const Value& v) { s.opts.jobs = cap_jobs(v.n); }},
     {"-trace=FILE", "POLARIS_TRACE", Kind::String,

@@ -3,17 +3,11 @@
 #include <cmath>
 #include <optional>
 #include <sstream>
-#include <string_view>
-#include <unordered_map>
 
 #include "dep/access.h"
+#include "interp/lowered.h"
 
 namespace polaris {
-
-enum class Intrinsic {
-  Abs, Max, Min, Mod, Sqrt, Exp, Log, Log10, Sin, Cos, Tan, Atan, Atan2,
-  Sign, Int, Nint, Real, Dble, Iand, Ior, Ieor,
-};
 
 std::int64_t real_to_int(double d) {
   // 2^63 is exact as a double; NaN fails both comparisons.
@@ -62,28 +56,6 @@ std::string format_value(const Value& v) {
   return os.str();
 }
 
-/// One hash probe on the parser's canonical intrinsic name (aliases such
-/// as dsqrt are already folded by canonical_intrinsic); nullopt for a user
-/// function.
-std::optional<Intrinsic> find_intrinsic(const std::string& name) {
-  static const std::unordered_map<std::string_view, Intrinsic> table = {
-      {"abs", Intrinsic::Abs},     {"max", Intrinsic::Max},
-      {"min", Intrinsic::Min},     {"mod", Intrinsic::Mod},
-      {"sqrt", Intrinsic::Sqrt},   {"exp", Intrinsic::Exp},
-      {"log", Intrinsic::Log},     {"log10", Intrinsic::Log10},
-      {"sin", Intrinsic::Sin},     {"cos", Intrinsic::Cos},
-      {"tan", Intrinsic::Tan},     {"atan", Intrinsic::Atan},
-      {"atan2", Intrinsic::Atan2}, {"sign", Intrinsic::Sign},
-      {"int", Intrinsic::Int},     {"nint", Intrinsic::Nint},
-      {"real", Intrinsic::Real},   {"dble", Intrinsic::Dble},
-      {"iand", Intrinsic::Iand},   {"ior", Intrinsic::Ior},
-      {"ieor", Intrinsic::Ieor},
-  };
-  auto it = table.find(name);
-  if (it == table.end()) return std::nullopt;
-  return it->second;
-}
-
 /// `sym`'s zero-filled payload of `n` elements.  A count no vector can
 /// hold, or an allocation that fails, is a UserError naming the array.
 std::shared_ptr<std::vector<Value>> allocate_array(const Symbol& sym,
@@ -99,427 +71,50 @@ std::shared_ptr<std::vector<Value>> allocate_array(const Symbol& sym,
   }
 }
 
-}  // namespace
+// The lowered ops' failed binding checks, out of line: each raises the
+// InternalError the tree walk raised there, condition and message alike.
 
-Interpreter::Interpreter(Program& program, MachineConfig config,
-                         CostModel costs)
-    : program_(program), config_(config), costs_(costs) {}
-
-RunResult run_program(Program& program, MachineConfig config) {
-  Interpreter interp(program, config);
-  return interp.run();
+[[noreturn, gnu::cold, gnu::noinline]] void load_failed(const Symbol* sym,
+                                                       const Cell* cell) {
+  if (cell == nullptr)
+    detail::assert_failed("cell != nullptr", __FILE__, __LINE__,
+                          "unbound variable " + sym->name());
+  detail::assert_failed("!cell->is_array", __FILE__, __LINE__,
+                        "whole array used as a value: " + sym->name());
 }
 
-void Interpreter::count_statement() {
-  ++result_.statements;
-  if (result_.statements > stmt_limit_)
-    throw UserError("interpreter statement limit exceeded");
+/// An array's binding check: on a read (`store` false) or a store.
+[[noreturn, gnu::cold, gnu::noinline]] void array_failed(const Symbol* sym,
+                                                        bool store) {
+  detail::assert_failed(
+      "cell != nullptr && cell->is_array", __FILE__, __LINE__,
+      (store ? "bad array store to " : "array not bound: ") + sym->name());
 }
 
-RunResult Interpreter::run() {
-  result_ = RunResult{};
-  segment_cost_ = 0;
-  cost_acc_ = &segment_cost_;
-  ProgramUnit* main = program_.main();
-  Frame frame(main->symtab().size());
-  init_frame(*main, frame);
-  UnitResult r;
-  execute_unit(*main, frame, &r);
-  result_.stopped = r.stopped;
-  result_.clock.add_sequential(segment_cost_);
-  segment_cost_ = 0;
-  return result_;
+[[noreturn, gnu::cold, gnu::noinline]] void scalar_store_failed(
+    const Symbol* sym) {
+  detail::assert_failed("cell != nullptr && !cell->is_array", __FILE__,
+                        __LINE__, "bad scalar store to " + sym->name());
 }
 
-void Interpreter::init_frame(ProgramUnit& unit, Frame& frame) {
-  for (Symbol* sym : unit.symtab().symbols()) {
-    if (frame.bound(sym)) continue;  // formal already bound by the caller
-    if (sym->kind() != SymbolKind::Variable) continue;
-    Cell* cell = nullptr;
-    if (sym->in_common()) {
-      cell = commons_.lookup(sym->common_block(), sym->name());
-      bool fresh = (cell == nullptr);
-      if (fresh) cell = commons_.create(sym->common_block(), sym->name());
-      frame.bind(sym, cell);
-      if (!fresh) continue;  // already initialized by another unit
-    } else {
-      cell = frame.create_local(sym);
-    }
-    if (sym->is_array()) {
-      cell->is_array = true;
-      resolve_array_bounds(unit, frame, sym, cell);
-      cell->array.data = allocate_array(*sym, cell->array.element_count());
-    } else {
-      cell->scalar = Value::zero_of(sym->type());
-    }
-    // DATA initialization.
-    if (!sym->data_values().empty()) {
-      if (sym->is_array()) {
-        p_assert_msg(sym->data_values().size() ==
-                         cell->array.data->size(),
-                     "DATA value count mismatch for " + sym->name());
-        for (std::size_t i = 0; i < cell->array.data->size(); ++i)
-          (*cell->array.data)[i] =
-              eval(unit, frame, *sym->data_values()[i]).coerce_to(sym->type());
-      } else {
-        cell->scalar =
-            eval(unit, frame, *sym->data_values()[0]).coerce_to(sym->type());
-      }
-    }
-  }
+/// `sym`'s array cell in `frame`, checked as the element access's binding
+/// check.
+Cell* array_cell(const Frame& frame, const Symbol* sym, bool store) {
+  Cell* cell = frame.lookup(sym);
+  if (cell == nullptr || !cell->is_array) [[unlikely]]
+    array_failed(sym, store);
+  return cell;
 }
 
-void Interpreter::resolve_array_bounds(ProgramUnit& unit, Frame& frame,
-                                       Symbol* sym, Cell* cell) {
-  cell->array.bounds.clear();
-  std::int64_t count = 1;  // elements in the dimensions resolved so far
-  for (std::size_t d = 0; d < sym->dims().size(); ++d) {
-    const Dimension& dim = sym->dims()[d];
-    std::int64_t lo =
-        dim.lower ? eval(unit, frame, *dim.lower).as_int() : 1;
-    std::int64_t hi;
-    if (dim.upper) {
-      hi = eval(unit, frame, *dim.upper).as_int();
-    } else {
-      // Assumed size: must be the last dimension of a bound formal whose
-      // payload already exists.
-      p_assert_msg(d + 1 == sym->dims().size(),
-                   "assumed-size dimension must be last: " + sym->name());
-      p_assert_msg(cell->array.data != nullptr,
-                   "assumed-size array without payload: " + sym->name());
-      std::int64_t remaining =
-          static_cast<std::int64_t>(cell->array.data->size()) -
-          cell->array.offset;
-      if (__builtin_add_overflow(lo, remaining / count - 1, &hi))
-        throw UserError("array " + sym->name() +
-                        " has an upper bound past the integer range");
-    }
-    // A hostile declaration is a user error naming the array: an empty
-    // extent, or an element count with no int64 value.
-    if (hi < lo)
-      throw UserError("array " + sym->name() + " has an empty dimension " +
-                      std::to_string(lo) + ":" + std::to_string(hi));
-    std::int64_t extent = 0;
-    if (__builtin_sub_overflow(hi, lo, &extent) ||
-        __builtin_add_overflow(extent, 1, &extent) ||
-        __builtin_mul_overflow(count, extent, &count))
-      throw UserError("array " + sym->name() + " has too many elements");
-    cell->array.bounds.emplace_back(lo, hi);
-  }
+/// The flat index of the `rank` integer subscripts at `subs`.
+std::size_t element_of(const ArrayStorage& array, const Value* subs,
+                       std::size_t rank) {
+  std::int64_t index[kMaxArrayRank];
+  for (std::size_t d = 0; d < rank; ++d) index[d] = subs[d].int_unchecked();
+  return array.flat_index(index, rank);
 }
 
-void Interpreter::execute_unit(ProgramUnit& unit, Frame& frame,
-                               UnitResult* out) {
-  UnitResult r = execute_range(unit, frame, unit.stmts().first(), nullptr);
-  if (out) *out = r;
-}
-
-Interpreter::UnitResult Interpreter::execute_range(ProgramUnit& unit,
-                                                   Frame& frame,
-                                                   Statement* first,
-                                                   Statement* stop) {
-  Statement* s = first;
-  while (s != stop && s != nullptr) {
-    UnitResult r = execute_statement(unit, frame, s);
-    if (r.returned || r.stopped) return r;
-  }
-  return {};
-}
-
-Interpreter::UnitResult Interpreter::execute_statement(ProgramUnit& unit,
-                                                       Frame& frame,
-                                                       Statement*& s) {
-  count_statement();
-  switch (s->kind()) {
-    case StmtKind::Assign: {
-      auto* a = static_cast<AssignStmt*>(s);
-      if (in_parallel_ && a->reduction_flag != ReductionKind::None)
-        ++reduction_updates_;
-      Value v = eval(unit, frame, a->rhs());
-      store(unit, frame, a->lhs(), v);
-      s = s->next();
-      return {};
-    }
-    case StmtKind::Do: {
-      auto* d = static_cast<DoStmt*>(s);
-      std::int64_t init = eval(unit, frame, d->init()).as_int();
-      std::int64_t limit = eval(unit, frame, d->limit()).as_int();
-      std::int64_t step = eval(unit, frame, d->step()).as_int();
-      p_assert_msg(step != 0, "DO step is zero");
-
-      const bool wants_parallel =
-          (d->par.is_parallel || d->par.speculative) && !in_parallel_ &&
-          config_.processors > 1;
-      if (wants_parallel) {
-        UnitResult r =
-            d->par.speculative
-                ? run_speculative_loop(unit, frame, d, init, limit, step)
-                : run_parallel_loop(unit, frame, d, init, limit, step);
-        if (r.returned || r.stopped) return r;
-        s = d->follow()->next();
-        return {};
-      }
-
-      Cell* idx = frame.lookup(d->index());
-      p_assert(idx != nullptr && !idx->is_array);
-      for (std::int64_t v = init; step > 0 ? v <= limit : v >= limit;
-           v += step) {
-        idx->scalar = Value::integer(v);
-        charge(costs_.loop_iter);
-        UnitResult r = execute_range(unit, frame, d->next(), d->follow());
-        if (r.returned || r.stopped) return r;
-      }
-      idx->scalar = Value::integer(do_exit_value(init, limit, step));
-      s = d->follow()->next();
-      return {};
-    }
-    case StmtKind::EndDo:
-      s = s->next();
-      return {};
-    case StmtKind::If: {
-      // Dispatch over the whole arm chain here; arm headers reached by
-      // *sequential flow* (below) mean the previous arm completed and jump
-      // to the END IF instead.
-      Statement* arm = s;
-      while (true) {
-        if (arm->kind() == StmtKind::If || arm->kind() == StmtKind::ElseIf) {
-          charge(costs_.branch);
-          const Expression& cond =
-              arm->kind() == StmtKind::If
-                  ? static_cast<IfStmt*>(arm)->cond()
-                  : static_cast<ElseIfStmt*>(arm)->cond();
-          if (eval(unit, frame, cond).as_logical()) {
-            s = arm->next();
-            return {};
-          }
-          arm = arm->kind() == StmtKind::If
-                    ? static_cast<IfStmt*>(arm)->next_arm()
-                    : static_cast<ElseIfStmt*>(arm)->next_arm();
-        } else {
-          // ELSE (unconditionally taken) or END IF (no arm taken).
-          s = arm->next();
-          return {};
-        }
-      }
-    }
-    case StmtKind::ElseIf:
-      s = static_cast<ElseIfStmt*>(s)->end();  // previous arm completed
-      return {};
-    case StmtKind::Else:
-      s = static_cast<ElseStmt*>(s)->end();  // previous arm completed
-      return {};
-    case StmtKind::EndIf:
-      s = s->next();
-      return {};
-    case StmtKind::Goto: {
-      charge(costs_.branch);
-      Statement* target =
-          unit.stmts().find_label(static_cast<GotoStmt*>(s)->target());
-      p_assert_msg(target != nullptr, "GOTO to unknown label");
-      s = target;
-      return {};
-    }
-    case StmtKind::Continue:
-    case StmtKind::Comment:
-      s = s->next();
-      return {};
-    case StmtKind::Call: {
-      bool stopped = run_call(unit, frame, *static_cast<CallStmt*>(s));
-      if (stopped) {
-        UnitResult r;
-        r.stopped = true;
-        return r;
-      }
-      s = s->next();
-      return {};
-    }
-    case StmtKind::Return: {
-      UnitResult r;
-      r.returned = true;
-      return r;
-    }
-    case StmtKind::Stop: {
-      UnitResult r;
-      r.stopped = true;
-      return r;
-    }
-    case StmtKind::Print: {
-      auto* p = static_cast<PrintStmt*>(s);
-      std::ostringstream line;
-      bool first_item = true;
-      for (const ExprPtr& item : p->items()) {
-        if (!first_item) line << " ";
-        first_item = false;
-        if (item->kind() == ExprKind::StringConst) {
-          line << static_cast<const StringConst&>(*item).value();
-        } else {
-          line << format_value(eval(unit, frame, *item));
-        }
-      }
-      result_.output.push_back(line.str());
-      s = s->next();
-      return {};
-    }
-  }
-  p_unreachable("bad statement kind");
-}
-
-// --- expression evaluation ------------------------------------------------------
-
-Value Interpreter::eval(ProgramUnit& unit, Frame& frame,
-                        const Expression& e) {
-  switch (e.kind()) {
-    case ExprKind::IntConst:
-      return Value::integer(static_cast<const IntConst&>(e).value());
-    case ExprKind::RealConst:
-      return Value::real(static_cast<const RealConst&>(e).value());
-    case ExprKind::LogicalConst:
-      return Value::logical(static_cast<const LogicalConst&>(e).value());
-    case ExprKind::StringConst:
-      p_assert_msg(false, "string value outside PRINT");
-    case ExprKind::VarRef: {
-      Symbol* sym = static_cast<const VarRef&>(e).symbol();
-      if (sym->kind() == SymbolKind::Parameter) {
-        p_assert(sym->param_value() != nullptr);
-        return eval(unit, frame, *sym->param_value()).coerce_to(sym->type());
-      }
-      Cell* cell = frame.lookup(sym);
-      p_assert_msg(cell != nullptr, "unbound variable " + sym->name());
-      p_assert_msg(!cell->is_array,
-                   "whole array used as a value: " + sym->name());
-      charge(costs_.mem);
-      return cell->scalar;
-    }
-    case ExprKind::ArrayRef: {
-      const auto& ref = static_cast<const ArrayRef&>(e);
-      Cell* cell = frame.lookup(ref.symbol());
-      p_assert_msg(cell != nullptr && cell->is_array,
-                   "array not bound: " + ref.symbol()->name());
-      std::size_t flat = element_index(unit, frame, ref, cell->array);
-      charge(costs_.mem);
-      auto shadow = shadows_.find(ref.symbol());
-      if (shadow != shadows_.end()) shadow->second->record_read(flat);
-      return (*cell->array.data)[flat];
-    }
-    case ExprKind::BinOp: {
-      const auto& b = static_cast<const BinOp&>(e);
-      Value l = eval(unit, frame, b.left());
-      Value r = eval(unit, frame, b.right());
-      switch (b.op()) {
-        case BinOpKind::Add:
-          charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::integer(l.as_int() + r.as_int());
-          return Value::real(l.as_real() + r.as_real());
-        case BinOpKind::Sub:
-          charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::integer(l.as_int() - r.as_int());
-          return Value::real(l.as_real() - r.as_real());
-        case BinOpKind::Mul:
-          charge(costs_.mul);
-          if (l.is_integer() && r.is_integer())
-            return Value::integer(l.as_int() * r.as_int());
-          return Value::real(l.as_real() * r.as_real());
-        case BinOpKind::Div:
-          charge(costs_.div);
-          if (l.is_integer() && r.is_integer()) {
-            p_assert_msg(r.as_int() != 0, "integer division by zero");
-            return Value::integer(l.as_int() / r.as_int());
-          }
-          return Value::real(l.as_real() / r.as_real());
-        case BinOpKind::Pow:
-          charge(costs_.pow);
-          if (l.is_integer() && r.is_integer())
-            return Value::integer(ipow(l.as_int(), r.as_int()));
-          return Value::real(std::pow(l.as_real(), r.as_real()));
-        case BinOpKind::Eq: charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::logical(l.as_int() == r.as_int());
-          return Value::logical(l.as_real() == r.as_real());
-        case BinOpKind::Ne: charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::logical(l.as_int() != r.as_int());
-          return Value::logical(l.as_real() != r.as_real());
-        case BinOpKind::Lt: charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::logical(l.as_int() < r.as_int());
-          return Value::logical(l.as_real() < r.as_real());
-        case BinOpKind::Le: charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::logical(l.as_int() <= r.as_int());
-          return Value::logical(l.as_real() <= r.as_real());
-        case BinOpKind::Gt: charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::logical(l.as_int() > r.as_int());
-          return Value::logical(l.as_real() > r.as_real());
-        case BinOpKind::Ge: charge(costs_.add);
-          if (l.is_integer() && r.is_integer())
-            return Value::logical(l.as_int() >= r.as_int());
-          return Value::logical(l.as_real() >= r.as_real());
-        case BinOpKind::And:
-          charge(costs_.add);
-          return Value::logical(l.as_logical() && r.as_logical());
-        case BinOpKind::Or:
-          charge(costs_.add);
-          return Value::logical(l.as_logical() || r.as_logical());
-      }
-      p_unreachable("bad binop");
-    }
-    case ExprKind::UnOp: {
-      const auto& u = static_cast<const UnOp&>(e);
-      Value v = eval(unit, frame, u.operand());
-      charge(costs_.add);
-      if (u.op() == UnOpKind::Neg) {
-        if (v.is_integer()) return Value::integer(-v.as_int());
-        return Value::real(-v.as_real());
-      }
-      return Value::logical(!v.as_logical());
-    }
-    case ExprKind::FuncCall: {
-      const auto& f = static_cast<const FuncCall&>(e);
-      if (std::optional<Intrinsic> k = find_intrinsic(f.name()))
-        return eval_intrinsic(unit, frame, *k, f);
-      return eval_user_function(unit, frame, f);
-    }
-    case ExprKind::Wildcard:
-      p_assert_msg(false, "wildcard evaluated at run time");
-  }
-  p_unreachable("bad expression kind");
-}
-
-Value Interpreter::eval_intrinsic(ProgramUnit& unit, Frame& frame,
-                                  Intrinsic k, const FuncCall& f) {
-  charge(costs_.intrinsic);
-  const std::vector<ExprPtr>& exprs = f.args();
-  if (k == Intrinsic::Max || k == Intrinsic::Min) {
-    // Folded in argument order; the result is integer iff every argument
-    // is.
-    p_assert_msg(exprs.size() >= 2, "bad arity for " + f.name());
-    const bool is_max = k == Intrinsic::Max;
-    Value v = eval(unit, frame, *exprs[0]);
-    bool all_int = v.is_integer();
-    std::int64_t ir = all_int ? v.as_int() : 0;
-    double rr = v.as_real();
-    for (std::size_t i = 1; i < exprs.size(); ++i) {
-      v = eval(unit, frame, *exprs[i]);
-      all_int = all_int && v.is_integer();
-      if (all_int)
-        ir = is_max ? std::max(ir, v.as_int()) : std::min(ir, v.as_int());
-      rr = is_max ? std::max(rr, v.as_real()) : std::min(rr, v.as_real());
-    }
-    return all_int ? Value::integer(ir) : Value::real(rr);
-  }
-
-  // Every other intrinsic takes one or two arguments.
-  const bool binary = k == Intrinsic::Mod || k == Intrinsic::Atan2 ||
-                      k == Intrinsic::Sign || k == Intrinsic::Iand ||
-                      k == Intrinsic::Ior || k == Intrinsic::Ieor;
-  p_assert_msg(exprs.size() == (binary ? 2u : 1u),
-               "bad arity for intrinsic " + f.name());
-  Value a[2];
-  for (std::size_t i = 0; i < exprs.size(); ++i)
-    a[i] = eval(unit, frame, *exprs[i]);
+Value apply_intrinsic(Intrinsic k, const Value* a) {
   switch (k) {
     case Intrinsic::Abs:
       if (a[0].is_integer()) return Value::integer(std::abs(a[0].as_int()));
@@ -560,42 +155,462 @@ Value Interpreter::eval_intrinsic(ProgramUnit& unit, Frame& frame,
       return Value::integer(a[0].as_int() ^ a[1].as_int());
     case Intrinsic::Max:
     case Intrinsic::Min:
-      break;  // folded above
+      break;  // OpCode::Max and OpCode::Min
   }
   p_unreachable("bad intrinsic");
 }
 
-std::size_t Interpreter::element_index(ProgramUnit& unit, Frame& frame,
-                                       const ArrayRef& ref,
-                                       const ArrayStorage& array) {
-  const std::vector<ExprPtr>& exprs = ref.subscripts();
-  p_assert_msg(exprs.size() <= kMaxArrayRank,
-               "array rank above 7: " + ref.symbol()->name());
-  std::int64_t subs[kMaxArrayRank] = {};
-  for (std::size_t d = 0; d < exprs.size(); ++d)
-    subs[d] = eval(unit, frame, *exprs[d]).as_int();
-  return array.flat_index(subs, exprs.size());
+}  // namespace
+
+Interpreter::Interpreter(Program& program, MachineConfig config,
+                         CostModel costs)
+    : program_(program), config_(config), costs_(costs), stack_(256) {}
+
+Interpreter::~Interpreter() = default;
+
+RunResult run_program(Program& program, MachineConfig config) {
+  Interpreter interp(program, config);
+  return interp.run();
 }
 
-void Interpreter::store(ProgramUnit& unit, Frame& frame,
-                        const Expression& lhs, Value v) {
-  charge(costs_.mem);
-  if (lhs.kind() == ExprKind::VarRef) {
-    Symbol* sym = static_cast<const VarRef&>(lhs).symbol();
-    Cell* cell = frame.lookup(sym);
-    p_assert_msg(cell != nullptr && !cell->is_array,
-                 "bad scalar store to " + sym->name());
-    cell->scalar = v.coerce_to(sym->type());
-    return;
+void Interpreter::count_statement() {
+  ++result_.statements;
+  if (result_.statements > stmt_limit_)
+    throw UserError("interpreter statement limit exceeded");
+}
+
+RunResult Interpreter::run() {
+  result_ = RunResult{};
+  segment_cost_ = 0;
+  cost_acc_ = &segment_cost_;
+  plans_.clear();
+  stack_top_ = 0;
+  ProgramUnit* main = program_.main();
+  Plan& plan = plan_of(*main);
+  Frame frame(main->symtab().size());
+  init_frame(*main, plan, frame);
+  UnitResult r = execute_range(plan, frame, 0, kNoStmt);
+  result_.stopped = r.stopped;
+  result_.clock.add_sequential(segment_cost_);
+  segment_cost_ = 0;
+  return result_;
+}
+
+void Interpreter::init_frame(ProgramUnit& unit, Plan& plan, Frame& frame) {
+  for (Symbol* sym : unit.symtab().symbols()) {
+    if (frame.bound(sym)) continue;  // formal already bound by the caller
+    if (sym->kind() != SymbolKind::Variable) continue;
+    const auto slot = static_cast<std::size_t>(sym->slot());
+    Cell* cell = nullptr;
+    if (sym->in_common()) {
+      cell = commons_.lookup(sym->common_block(), sym->name());
+      bool fresh = (cell == nullptr);
+      if (fresh) cell = commons_.create(sym->common_block(), sym->name());
+      frame.bind(sym, cell);
+      if (!fresh) continue;  // already initialized by another unit
+    } else {
+      cell = frame.create_local(sym);
+    }
+    if (sym->is_array()) {
+      cell->is_array = true;
+      resolve_array_bounds(plan, frame, sym, cell);
+      cell->array.data = allocate_array(*sym, cell->array.element_count());
+    } else {
+      cell->scalar = Value::zero_of(sym->type());
+    }
+    // DATA initialization.
+    const std::vector<Code>& data = plan.symbols[slot].data;
+    if (!data.empty()) {
+      if (sym->is_array()) {
+        p_assert_msg(data.size() == cell->array.data->size(),
+                     "DATA value count mismatch for " + sym->name());
+        for (std::size_t i = 0; i < cell->array.data->size(); ++i)
+          (*cell->array.data)[i] = eval(data[i], frame).coerce_to(sym->type());
+      } else {
+        cell->scalar = eval(data[0], frame).coerce_to(sym->type());
+      }
+    }
   }
-  const auto& ref = static_cast<const ArrayRef&>(lhs);
-  Cell* cell = frame.lookup(ref.symbol());
-  p_assert_msg(cell != nullptr && cell->is_array,
-               "bad array store to " + ref.symbol()->name());
-  std::size_t flat = element_index(unit, frame, ref, cell->array);
-  auto shadow = shadows_.find(ref.symbol());
-  if (shadow != shadows_.end()) shadow->second->record_write(flat);
-  (*cell->array.data)[flat] = v.coerce_to(ref.symbol()->type());
+}
+
+void Interpreter::resolve_array_bounds(Plan& plan, Frame& frame, Symbol* sym,
+                                       Cell* cell) {
+  const Plan::SymbolCode& code =
+      plan.symbols[static_cast<std::size_t>(sym->slot())];
+  ArrayStorage& array = cell->array;
+  array.dims.clear();
+  std::int64_t count = 1;  // elements in the dimensions resolved so far
+  for (std::size_t d = 0; d < sym->dims().size(); ++d) {
+    std::int64_t lo =
+        code.lower[d].ops.empty() ? 1 : eval(code.lower[d], frame).as_int();
+    std::int64_t hi;
+    if (!code.upper[d].ops.empty()) {
+      hi = eval(code.upper[d], frame).as_int();
+    } else {
+      // Assumed size: must be the last dimension of a bound formal whose
+      // payload already exists.
+      p_assert_msg(d + 1 == sym->dims().size(),
+                   "assumed-size dimension must be last: " + sym->name());
+      p_assert_msg(array.data != nullptr,
+                   "assumed-size array without payload: " + sym->name());
+      std::int64_t remaining =
+          static_cast<std::int64_t>(array.data->size()) - array.offset;
+      if (__builtin_add_overflow(lo, remaining / count - 1, &hi))
+        throw UserError("array " + sym->name() +
+                        " has an upper bound past the integer range");
+    }
+    // A hostile declaration is a user error naming the array: an empty
+    // extent, or an element count with no int64 value.
+    if (hi < lo)
+      throw UserError("array " + sym->name() + " has an empty dimension " +
+                      std::to_string(lo) + ":" + std::to_string(hi));
+    std::int64_t extent = 0;
+    if (__builtin_sub_overflow(hi, lo, &extent) ||
+        __builtin_add_overflow(extent, 1, &extent) ||
+        __builtin_mul_overflow(count, extent, &count))
+      throw UserError("array " + sym->name() + " has too many elements");
+    array.add_dim(lo, hi);
+  }
+}
+
+Interpreter::UnitResult Interpreter::execute_range(Plan& plan, Frame& frame,
+                                                   std::size_t pc,
+                                                   std::size_t stop) {
+  while (pc != stop && pc < plan.stmts.size()) {
+    UnitResult r = execute_statement(plan, frame, pc);
+    if (r.returned || r.stopped) return r;
+  }
+  return {};
+}
+
+Interpreter::UnitResult Interpreter::execute_statement(Plan& plan,
+                                                       Frame& frame,
+                                                       std::size_t& pc) {
+  count_statement();
+  const StmtPlan& e = plan.stmts[pc];
+  Statement* s = e.stmt;
+  switch (s->kind()) {
+    case StmtKind::Assign: {
+      auto* a = static_cast<AssignStmt*>(s);
+      if (in_parallel_ && a->reduction_flag != ReductionKind::None)
+        ++reduction_updates_;
+      exec(e.codes[0], frame);
+      ++pc;
+      return {};
+    }
+    case StmtKind::Do: {
+      auto* d = static_cast<DoStmt*>(s);
+      std::int64_t init = eval(e.codes[0], frame).as_int();
+      std::int64_t limit = eval(e.codes[1], frame).as_int();
+      std::int64_t step = eval(e.codes[2], frame).as_int();
+      p_assert_msg(step != 0, "DO step is zero");
+
+      const bool wants_parallel =
+          (d->par.is_parallel || d->par.speculative) && !in_parallel_ &&
+          config_.processors > 1;
+      if (wants_parallel) {
+        UnitResult r =
+            d->par.speculative
+                ? run_speculative_loop(plan, frame, pc, init, limit, step)
+                : run_parallel_loop(plan, frame, pc, init, limit, step);
+        if (r.returned || r.stopped) return r;
+        pc = e.jump + 1;
+        return {};
+      }
+
+      Cell* idx = frame.lookup(d->index());
+      p_assert(idx != nullptr && !idx->is_array);
+      for (std::int64_t v = init; step > 0 ? v <= limit : v >= limit;
+           v += step) {
+        idx->scalar = Value::integer(v);
+        charge(costs_.loop_iter);
+        UnitResult r = execute_range(plan, frame, pc + 1, e.jump);
+        if (r.returned || r.stopped) return r;
+      }
+      idx->scalar = Value::integer(do_exit_value(init, limit, step));
+      pc = e.jump + 1;
+      return {};
+    }
+    case StmtKind::EndDo:
+      ++pc;
+      return {};
+    case StmtKind::If: {
+      // Dispatch over the whole arm chain here; arm headers reached by
+      // *sequential flow* (below) mean the previous arm completed and jump
+      // to the END IF instead.  Each condition carries its branch charge.
+      std::size_t arm = pc;
+      while (true) {
+        const StmtPlan& a = plan.stmts[arm];
+        const StmtKind kind = a.stmt->kind();
+        if (kind == StmtKind::If || kind == StmtKind::ElseIf) {
+          if (eval(a.codes[0], frame).as_logical()) {
+            pc = arm + 1;
+            return {};
+          }
+          arm = a.jump;
+        } else {
+          // ELSE (unconditionally taken) or END IF (no arm taken).
+          pc = arm + 1;
+          return {};
+        }
+      }
+    }
+    case StmtKind::ElseIf:
+      pc = e.end;  // previous arm completed
+      return {};
+    case StmtKind::Else:
+      pc = e.jump;  // previous arm completed
+      return {};
+    case StmtKind::EndIf:
+      ++pc;
+      return {};
+    case StmtKind::Goto: {
+      charge(costs_.branch);
+      const StmtPlan* target =
+          e.jump == kNoStmt ? nullptr : &plan.stmts[e.jump];
+      p_assert_msg(target != nullptr, "GOTO to unknown label");
+      pc = e.jump;
+      return {};
+    }
+    case StmtKind::Continue:
+    case StmtKind::Comment:
+      ++pc;
+      return {};
+    case StmtKind::Call: {
+      if (run_call(frame, *e.call)) {
+        UnitResult r;
+        r.stopped = true;
+        return r;
+      }
+      ++pc;
+      return {};
+    }
+    case StmtKind::Return: {
+      UnitResult r;
+      r.returned = true;
+      return r;
+    }
+    case StmtKind::Stop: {
+      UnitResult r;
+      r.stopped = true;
+      return r;
+    }
+    case StmtKind::Print: {
+      const auto& items = static_cast<PrintStmt*>(s)->items();
+      std::ostringstream line;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i != 0) line << " ";
+        if (items[i]->kind() == ExprKind::StringConst) {
+          line << static_cast<const StringConst&>(*items[i]).value();
+        } else {
+          line << format_value(eval(e.codes[i], frame));
+        }
+      }
+      result_.output.push_back(line.str());
+      ++pc;
+      return {};
+    }
+  }
+  p_unreachable("bad statement kind");
+}
+
+// --- lowered code -----------------------------------------------------------
+
+Value* Interpreter::stack_for(const Code& code) {
+  if (stack_top_ + code.depth > stack_.size())
+    stack_.resize(std::max(2 * stack_.size(), stack_top_ + code.depth));
+  return stack_.data() + stack_top_;
+}
+
+Value Interpreter::eval(const Code& code, Frame& frame) {
+  charge(code.charge);
+  return run_ops(code.ops.data(), stack_for(code), frame)[-1];
+}
+
+void Interpreter::exec(const Code& code, Frame& frame) {
+  charge(code.charge);
+  run_ops(code.ops.data(), stack_for(code), frame);
+}
+
+Value Interpreter::eval_pure(const Code& code) {
+  Frame none(0);
+  return run_ops(code.ops.data(), stack_for(code), none)[-1];
+}
+
+Value* Interpreter::run_ops(const Op* op, Value* sp, Frame& frame) {
+  for (;; ++op) {
+    switch (op->code) {
+      case OpCode::End:
+        return sp;
+      case OpCode::Const:
+        *sp++ = op->imm;
+        break;
+      case OpCode::LoadVar: {
+        const Cell* cell = frame.lookup(op->sym);
+        if (cell == nullptr || cell->is_array) [[unlikely]]
+          load_failed(op->sym, cell);
+        *sp++ = cell->scalar;
+        break;
+      }
+      case OpCode::CheckArray:
+        array_cell(frame, op->sym, op->n != 0);
+        break;
+      case OpCode::ToInt:
+        sp[-1] = Value::integer(sp[-1].as_int());
+        break;
+      case OpCode::CheckNum:
+        (void)sp[-1].as_real();
+        break;
+      case OpCode::LoadElem: {
+        sp -= op->n;
+        const Cell* cell = array_cell(frame, op->sym, false);
+        const std::size_t flat = element_of(cell->array, sp, op->n);
+        if (!shadows_.empty()) [[unlikely]] {
+          auto shadow = shadows_.find(op->sym);
+          if (shadow != shadows_.end()) shadow->second->record_read(flat);
+        }
+        *sp++ = (*cell->array.data)[flat];
+        break;
+      }
+      case OpCode::ElemIndex: {
+        sp -= op->n;
+        const std::size_t flat =
+            element_of(frame.lookup(op->sym)->array, sp, op->n);
+        *sp++ = Value::integer(static_cast<std::int64_t>(flat));
+        break;
+      }
+      case OpCode::StoreVar: {
+        Cell* cell = frame.lookup(op->sym);
+        if (cell == nullptr || cell->is_array) [[unlikely]]
+          scalar_store_failed(op->sym);
+        --sp;
+        cell->scalar = op->same ? *sp : sp->coerce_to(op->sym->type());
+        break;
+      }
+      case OpCode::StoreElem: {
+        sp -= op->n;
+        Cell* cell = array_cell(frame, op->sym, true);
+        const std::size_t flat = element_of(cell->array, sp, op->n);
+        if (!shadows_.empty()) [[unlikely]] {
+          auto shadow = shadows_.find(op->sym);
+          if (shadow != shadows_.end()) shadow->second->record_write(flat);
+        }
+        --sp;
+        (*cell->array.data)[flat] =
+            op->same ? *sp : sp->coerce_to(op->sym->type());
+        break;
+      }
+      case OpCode::Coerce:
+        sp[-1] = sp[-1].coerce_to(op->sym->type());
+        break;
+      case OpCode::Fail:
+        if (op->fail->cond == nullptr) throw UserError(op->fail->msg);
+        detail::assert_failed(op->fail->cond, __FILE__, __LINE__,
+                              op->fail->msg);
+
+#define POLARIS_BINARY(name, expr)     \
+  case OpCode::name: {                 \
+    const Value& l = sp[-2];           \
+    const Value& r = sp[-1];           \
+    sp[-2] = (expr);                   \
+    --sp;                              \
+    break;                             \
+  }
+#define POLARIS_ARITH(name, op)                                         \
+  POLARIS_BINARY(name, l.is_integer() && r.is_integer()                 \
+                           ? Value::integer(l.int_unchecked()           \
+                                                op r.int_unchecked())   \
+                           : Value::real(l.as_real() op r.as_real()))   \
+  POLARIS_BINARY(name##I, Value::integer(l.int_unchecked()              \
+                                             op r.int_unchecked()))     \
+  POLARIS_BINARY(name##R, Value::real(l.real_unchecked()                \
+                                          op r.real_unchecked()))
+#define POLARIS_COMPARE(name, op)                                       \
+  POLARIS_BINARY(name, Value::logical(                                  \
+                           l.is_integer() && r.is_integer()             \
+                               ? l.int_unchecked() op r.int_unchecked() \
+                               : l.as_real() op r.as_real()))           \
+  POLARIS_BINARY(name##I, Value::logical(l.int_unchecked()              \
+                                             op r.int_unchecked()))     \
+  POLARIS_BINARY(name##R, Value::logical(l.real_unchecked()             \
+                                             op r.real_unchecked()))
+
+      POLARIS_ARITH(Add, +)
+      POLARIS_ARITH(Sub, -)
+      POLARIS_ARITH(Mul, *)
+      POLARIS_COMPARE(Eq, ==)
+      POLARIS_COMPARE(Ne, !=)
+      POLARIS_COMPARE(Lt, <)
+      POLARIS_COMPARE(Le, <=)
+      POLARIS_COMPARE(Gt, >)
+      POLARIS_COMPARE(Ge, >=)
+      POLARIS_BINARY(DivR, Value::real(l.real_unchecked() / r.real_unchecked()))
+      POLARIS_BINARY(Pow, l.is_integer() && r.is_integer()
+                              ? Value::integer(ipow(l.int_unchecked(),
+                                                    r.int_unchecked()))
+                              : Value::real(std::pow(l.as_real(), r.as_real())))
+      POLARIS_BINARY(And, Value::logical(l.as_logical() && r.as_logical()))
+      POLARIS_BINARY(Or, Value::logical(l.as_logical() || r.as_logical()))
+      POLARIS_BINARY(Max, l.is_integer() && r.is_integer()
+                              ? Value::integer(std::max(l.int_unchecked(),
+                                                        r.int_unchecked()))
+                              : Value::real(std::max(l.as_real(), r.as_real())))
+      POLARIS_BINARY(Min, l.is_integer() && r.is_integer()
+                              ? Value::integer(std::min(l.int_unchecked(),
+                                                        r.int_unchecked()))
+                              : Value::real(std::min(l.as_real(), r.as_real())))
+#undef POLARIS_COMPARE
+#undef POLARIS_ARITH
+#undef POLARIS_BINARY
+
+      case OpCode::Div:
+        if (!(sp[-2].is_integer() && sp[-1].is_integer())) {
+          sp[-2] = Value::real(sp[-2].as_real() / sp[-1].as_real());
+          --sp;
+          break;
+        }
+        [[fallthrough]];
+      case OpCode::DivI: {
+        const Value& r = sp[-1];
+        p_assert_msg(r.as_int() != 0, "integer division by zero");
+        sp[-2] = Value::integer(sp[-2].int_unchecked() / r.int_unchecked());
+        --sp;
+        break;
+      }
+      case OpCode::Neg:
+        sp[-1] = sp[-1].is_integer() ? Value::integer(-sp[-1].int_unchecked())
+                                     : Value::real(-sp[-1].as_real());
+        break;
+      case OpCode::NegI:
+        sp[-1] = Value::integer(-sp[-1].int_unchecked());
+        break;
+      case OpCode::NegR:
+        sp[-1] = Value::real(-sp[-1].real_unchecked());
+        break;
+      case OpCode::Not:
+        sp[-1] = Value::logical(!sp[-1].as_logical());
+        break;
+      case OpCode::Intrinsic: {
+        const auto k = static_cast<Intrinsic>(op->n);
+        sp -= is_binary(k) ? 2 : 1;
+        *sp = apply_intrinsic(k, sp);
+        ++sp;
+        break;
+      }
+      case OpCode::UserCall: {
+        // The callee's evaluations run above this one's operands, and may
+        // grow the stack: keep positions, not pointers, across the call.
+        const std::size_t at = static_cast<std::size_t>(sp - stack_.data());
+        const std::size_t saved_top = stack_top_;
+        stack_top_ = at;
+        Value result = call_function(frame, *op->call);
+        stack_top_ = saved_top;
+        sp = stack_.data() + at;
+        *sp++ = result;
+        break;
+      }
+    }
+  }
 }
 
 // --- calls ----------------------------------------------------------------------
@@ -616,29 +631,26 @@ ProgramUnit& Interpreter::callee_of(const std::string& name, UnitKind kind,
   return *callee;
 }
 
-Interpreter::UnitResult Interpreter::invoke(ProgramUnit& unit, Frame& frame,
-                                            ProgramUnit& callee,
-                                            const std::vector<ExprPtr>& args,
+Interpreter::UnitResult Interpreter::invoke(Frame& frame, const CallSite& site,
                                             Frame& inner) {
+  ProgramUnit& callee = *site.callee;
+  if (site.plan == nullptr) site.plan = &plan_of(callee);
+  Plan& plan = *site.plan;
   charge(costs_.call);
-  for (std::size_t i = 0; i < args.size(); ++i) {
+  for (std::size_t i = 0; i < site.args.size(); ++i) {
     Symbol* dummy = callee.formals()[i];
-    const Expression& actual = *args[i];
+    const CallArg& arg = site.args[i];
     // The caller's storage the actual names, if it names any: a scalar or
     // array cell, and for an element actual the element's flat index.
     Cell* cell = nullptr;
     std::optional<std::size_t> element;
-    if (actual.kind() == ExprKind::VarRef) {
-      Symbol* sym = static_cast<const VarRef&>(actual).symbol();
-      if (sym->kind() != SymbolKind::Parameter) {
-        cell = frame.lookup(sym);
-        p_assert_msg(cell != nullptr, "unbound actual " + sym->name());
-      }
-    } else if (actual.kind() == ExprKind::ArrayRef) {
-      const auto& ref = static_cast<const ArrayRef&>(actual);
-      cell = frame.lookup(ref.symbol());
+    if (arg.pass == CallArg::Pass::Variable) {
+      cell = frame.lookup(arg.sym);
+      p_assert_msg(cell != nullptr, "unbound actual " + arg.sym->name());
+    } else if (arg.pass == CallArg::Pass::Element) {
+      cell = frame.lookup(arg.sym);
       p_assert(cell != nullptr && cell->is_array);
-      element = element_index(unit, frame, ref, cell->array);
+      element = static_cast<std::size_t>(eval(arg.code, frame).int_unchecked());
     }
 
     if (dummy->is_array()) {
@@ -654,11 +666,11 @@ Interpreter::UnitResult Interpreter::invoke(ProgramUnit& unit, Frame& frame,
                                    : cell->array.offset;
     } else if (cell == nullptr) {
       inner.create_local(dummy)->scalar =
-          eval(unit, frame, actual).coerce_to(dummy->type());
+          eval(arg.code, frame).coerce_to(dummy->type());
     } else if (!cell->is_array) {
       inner.bind(dummy, cell);  // scalar by reference
     } else if (!element) {
-      throw UserError("array " + actual.to_string() +
+      throw UserError("array " + arg.expr->to_string() +
                       " passed to scalar dummy " + dummy->name() + " of " +
                       callee.name());
     } else {
@@ -675,14 +687,14 @@ Interpreter::UnitResult Interpreter::invoke(ProgramUnit& unit, Frame& frame,
   // dummies they may depend on are bound.
   for (Symbol* dummy : callee.formals())
     if (dummy->is_array())
-      resolve_array_bounds(callee, inner, dummy, inner.lookup(dummy));
+      resolve_array_bounds(plan, inner, dummy, inner.lookup(dummy));
 
-  init_frame(callee, inner);
-  UnitResult r;
-  execute_unit(callee, inner, &r);
-  for (std::size_t i = 0; i < args.size(); ++i) {
+  init_frame(callee, plan, inner);
+  UnitResult r = execute_range(plan, inner, 0, kNoStmt);
+  for (std::size_t i = 0; i < site.args.size(); ++i) {
     Symbol* dummy = callee.formals()[i];
-    if (args[i]->kind() != ExprKind::ArrayRef || dummy->is_array()) continue;
+    if (site.args[i].pass != CallArg::Pass::Element || dummy->is_array())
+      continue;
     const Cell* copy = inner.lookup(dummy);
     (*copy->array.data)[static_cast<std::size_t>(copy->array.offset)] =
         copy->scalar;
@@ -690,26 +702,25 @@ Interpreter::UnitResult Interpreter::invoke(ProgramUnit& unit, Frame& frame,
   return r;
 }
 
-bool Interpreter::run_call(ProgramUnit& unit, Frame& frame,
-                           const CallStmt& call) {
-  ProgramUnit& callee =
-      callee_of(call.name(), UnitKind::Subroutine, call.args().size());
-  Frame inner(callee.symtab().size());
-  return invoke(unit, frame, callee, call.args(), inner).stopped;
+bool Interpreter::run_call(Frame& frame, const CallSite& site) {
+  // A call lowering could not resolve raises callee_of's UserError here.
+  if (site.callee == nullptr)
+    callee_of(*site.name, site.kind, site.args.size());
+  Frame inner(site.callee->symtab().size());
+  return invoke(frame, site, inner).stopped;
 }
 
-Value Interpreter::eval_user_function(ProgramUnit& unit, Frame& frame,
-                                      const FuncCall& f) {
-  ProgramUnit& callee =
-      callee_of(f.name(), UnitKind::Function, f.args().size());
-  Frame inner(callee.symtab().size());
-  if (invoke(unit, frame, callee, f.args(), inner).stopped) {
+Value Interpreter::call_function(Frame& frame, const CallSite& site) {
+  if (site.callee == nullptr)
+    callee_of(*site.name, site.kind, site.args.size());
+  Frame inner(site.callee->symtab().size());
+  if (invoke(frame, site, inner).stopped) {
     result_.stopped = true;
     throw UserError("STOP inside function");
   }
-  Cell* res = inner.lookup(callee.result());
+  Cell* res = inner.lookup(site.callee->result());
   p_assert_msg(res != nullptr && !res->is_array,
-               "function result unset: " + f.name());
+               "function result unset: " + *site.name);
   return res->scalar;
 }
 
@@ -728,8 +739,10 @@ std::size_t Interpreter::reduction_elements(Frame& frame, const DoStmt* d) {
 }
 
 Interpreter::UnitResult Interpreter::run_parallel_loop(
-    ProgramUnit& unit, Frame& frame, DoStmt* d, std::int64_t init,
+    Plan& plan, Frame& frame, std::size_t pc, std::int64_t init,
     std::int64_t limit, std::int64_t step) {
+  auto* d = static_cast<DoStmt*>(plan.stmts[pc].stmt);
+  const std::size_t end_do = plan.stmts[pc].jump;
   ++result_.parallel_instances;
   in_parallel_ = true;
   Cell* idx = frame.lookup(d->index());
@@ -744,7 +757,7 @@ Interpreter::UnitResult Interpreter::run_parallel_loop(
     idx->scalar = Value::integer(v);
     std::uint64_t iter_cost = costs_.loop_iter;
     cost_acc_ = &iter_cost;
-    UnitResult r = execute_range(unit, frame, d->next(), d->follow());
+    UnitResult r = execute_range(plan, frame, pc + 1, end_do);
     cost_acc_ = saved_acc;
     iter_costs.push_back(iter_cost);
     if (r.returned || r.stopped) {
@@ -767,8 +780,10 @@ Interpreter::UnitResult Interpreter::run_parallel_loop(
 }
 
 Interpreter::UnitResult Interpreter::run_speculative_loop(
-    ProgramUnit& unit, Frame& frame, DoStmt* d, std::int64_t init,
+    Plan& plan, Frame& frame, std::size_t pc, std::int64_t init,
     std::int64_t limit, std::int64_t step) {
+  auto* d = static_cast<DoStmt*>(plan.stmts[pc].stmt);
+  const std::size_t end_do = plan.stmts[pc].jump;
   ++result_.speculative_attempts;
   Cell* idx = frame.lookup(d->index());
   p_assert(idx != nullptr);
@@ -819,7 +834,7 @@ Interpreter::UnitResult Interpreter::run_speculative_loop(
     for (auto& sh : shadow_storage) sh->begin_iteration();
     std::uint64_t iter_cost = costs_.loop_iter;
     cost_acc_ = &iter_cost;
-    UnitResult r = execute_range(unit, frame, d->next(), d->follow());
+    UnitResult r = execute_range(plan, frame, pc + 1, end_do);
     cost_acc_ = saved_acc;
     for (auto& sh : shadow_storage) sh->end_iteration();
     iter_costs.push_back(iter_cost);
@@ -874,7 +889,7 @@ Interpreter::UnitResult Interpreter::run_speculative_loop(
        v += step) {
     idx->scalar = Value::integer(v);
     charge(costs_.loop_iter);
-    r2 = execute_range(unit, frame, d->next(), d->follow());
+    r2 = execute_range(plan, frame, pc + 1, end_do);
     if (r2.returned || r2.stopped) break;
   }
   cost_acc_ = saved_acc;

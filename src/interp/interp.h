@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "interp/memory.h"
@@ -47,12 +48,16 @@ struct RunResult {
   bool stopped = false;              ///< STOP executed
 };
 
-enum class Intrinsic;  // interp.cpp: the intrinsics the interpreter runs
+struct Plan;
+struct Code;
+struct CallSite;
+struct Op;
 
 class Interpreter {
  public:
   explicit Interpreter(Program& program, MachineConfig config = {},
                        CostModel costs = {});
+  ~Interpreter();
 
   /// Executes the main program to completion.
   RunResult run();
@@ -61,40 +66,44 @@ class Interpreter {
   void set_statement_limit(std::uint64_t limit) { stmt_limit_ = limit; }
 
  private:
+  friend class Lowerer;  // lower.cpp: builds Plans, folds PARAMETERs
+
   struct UnitResult {
     bool returned = false;
     bool stopped = false;
   };
 
-  void execute_unit(ProgramUnit& unit, Frame& frame, UnitResult* out);
-  UnitResult execute_range(ProgramUnit& unit, Frame& frame,
-                           Statement* first, Statement* stop);
-  UnitResult execute_statement(ProgramUnit& unit, Frame& frame,
-                               Statement*& s);
+  /// `unit`'s lowered form, built at its first activation in the run.
+  Plan& plan_of(ProgramUnit& unit);
 
-  void init_frame(ProgramUnit& unit, Frame& frame);
-  void resolve_array_bounds(ProgramUnit& unit, Frame& frame, Symbol* sym,
+  UnitResult execute_range(Plan& plan, Frame& frame, std::size_t pc,
+                           std::size_t stop);
+  UnitResult execute_statement(Plan& plan, Frame& frame, std::size_t& pc);
+
+  void init_frame(ProgramUnit& unit, Plan& plan, Frame& frame);
+  void resolve_array_bounds(Plan& plan, Frame& frame, Symbol* sym,
                             Cell* cell);
 
-  Value eval(ProgramUnit& unit, Frame& frame, const Expression& e);
-  Value eval_intrinsic(ProgramUnit& unit, Frame& frame, Intrinsic k,
-                       const FuncCall& f);
-  Value eval_user_function(ProgramUnit& unit, Frame& frame,
-                           const FuncCall& f);
-  /// Evaluates `ref`'s subscripts into a fixed kMaxArrayRank buffer and
-  /// returns the element's flat index in `array`.
-  std::size_t element_index(ProgramUnit& unit, Frame& frame,
-                            const ArrayRef& ref, const ArrayStorage& array);
-  void store(ProgramUnit& unit, Frame& frame, const Expression& lhs,
-             Value v);
-  /// Returns true if the callee executed STOP.
-  bool run_call(ProgramUnit& unit, Frame& frame, const CallStmt& call);
+  /// Evaluates lowered code: charges its static charge, runs its ops on
+  /// the value stack above every evaluation in progress, and returns the
+  /// value it leaves on top (exec: the code leaves none).
+  Value eval(const Code& code, Frame& frame);
+  void exec(const Code& code, Frame& frame);
+  /// Evaluates code of pure ops (no frame, no callee, no charge): a
+  /// PARAMETER's value, folded at lowering.
+  Value eval_pure(const Code& code);
+  /// The value stack from stack_top_ on, with room for `code`.
+  Value* stack_for(const Code& code);
+  /// The one evaluator loop: runs `op` on until End with the stack top at
+  /// `sp`; returns the new top.
+  Value* run_ops(const Op* op, Value* sp, Frame& frame);
+
   /// The unit a CALL (kind Subroutine) or function reference (kind
   /// Function) names; a UserError naming it when there is no such unit or
   /// `n_args` differs from its dummy count.
   ProgramUnit& callee_of(const std::string& name, UnitKind kind,
                          std::size_t n_args);
-  /// Binds `args` (evaluated in `unit`'s `frame`) to `callee`'s dummies
+  /// Binds `site`'s actuals (evaluated in `frame`) to `callee`'s dummies
   /// in `inner` and runs the callee: the one argument binder of CALLs and
   /// function references.  By reference, as in Fortran: a scalar variable
   /// shares the caller's cell; an array dummy shares the actual array's
@@ -102,14 +111,17 @@ class Interpreter {
   /// scalar dummy is copied in and back out; any other actual is an
   /// evaluated copy.  A malformed binding is a UserError naming the
   /// callee.
-  UnitResult invoke(ProgramUnit& unit, Frame& frame, ProgramUnit& callee,
-                    const std::vector<ExprPtr>& args, Frame& inner);
+  UnitResult invoke(Frame& frame, const CallSite& site, Frame& inner);
+  /// Returns true if the callee executed STOP.
+  bool run_call(Frame& frame, const CallSite& site);
+  Value call_function(Frame& frame, const CallSite& site);
 
-  /// Parallel and speculative loop execution (see class comment).
-  UnitResult run_parallel_loop(ProgramUnit& unit, Frame& frame, DoStmt* d,
+  /// Parallel and speculative loop execution (see class comment).  `pc`
+  /// is the DO's plan entry.
+  UnitResult run_parallel_loop(Plan& plan, Frame& frame, std::size_t pc,
                                std::int64_t init, std::int64_t limit,
                                std::int64_t step);
-  UnitResult run_speculative_loop(ProgramUnit& unit, Frame& frame, DoStmt* d,
+  UnitResult run_speculative_loop(Plan& plan, Frame& frame, std::size_t pc,
                                   std::int64_t init, std::int64_t limit,
                                   std::int64_t step);
   std::size_t reduction_elements(Frame& frame, const DoStmt* d);
@@ -128,6 +140,9 @@ class Interpreter {
   std::uint64_t reduction_updates_ = 0;  ///< flagged-stmt executions
   std::uint64_t stmt_limit_ = 500'000'000;
   SymbolMap<ShadowArrays*> shadows_;  ///< active PD-test shadows
+  std::unordered_map<const ProgramUnit*, std::unique_ptr<Plan>> plans_;
+  std::vector<Value> stack_;      ///< the value stack of every evaluation
+  std::size_t stack_top_ = 0;     ///< where the next evaluation starts
 };
 
 /// Convenience: run a program and return the result.

@@ -1,0 +1,589 @@
+// Lowering: builds a unit's Plan (lowered.h) at its first activation.
+#include <algorithm>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
+
+#include "interp/interp.h"
+#include "interp/lowered.h"
+
+namespace polaris {
+
+namespace {
+
+/// What lowering knows of a value's kind.
+enum class Kind : std::uint8_t { Int, Real, Logical, Unknown };
+
+/// The kind of a value coerced to `t` (Value::coerce_to, Value::zero_of).
+Kind kind_of(Type t) {
+  if (t.is_integer()) return Kind::Int;
+  if (t.is_logical()) return Kind::Logical;
+  return Kind::Real;
+}
+
+Kind kind_of(const Value& v) {
+  if (v.is_integer()) return Kind::Int;
+  if (v.is_logical()) return Kind::Logical;
+  return Kind::Real;
+}
+
+bool numeric(Kind k) { return k == Kind::Int || k == Kind::Real; }
+
+/// The kind of + - * / ** (and mod, sign, max, min) over kinds a and b.
+Kind arith_kind(Kind a, Kind b) {
+  if (a == Kind::Int && b == Kind::Int) return Kind::Int;
+  if (numeric(a) && numeric(b)) return Kind::Real;
+  return Kind::Unknown;
+}
+
+/// The parser's canonical intrinsic names (aliases such as dsqrt are
+/// already folded by canonical_intrinsic); nullopt for a user function.
+std::optional<Intrinsic> find_intrinsic(const std::string& name) {
+  static const std::unordered_map<std::string_view, Intrinsic> table = {
+      {"abs", Intrinsic::Abs},     {"max", Intrinsic::Max},
+      {"min", Intrinsic::Min},     {"mod", Intrinsic::Mod},
+      {"sqrt", Intrinsic::Sqrt},   {"exp", Intrinsic::Exp},
+      {"log", Intrinsic::Log},     {"log10", Intrinsic::Log10},
+      {"sin", Intrinsic::Sin},     {"cos", Intrinsic::Cos},
+      {"tan", Intrinsic::Tan},     {"atan", Intrinsic::Atan},
+      {"atan2", Intrinsic::Atan2}, {"sign", Intrinsic::Sign},
+      {"int", Intrinsic::Int},     {"nint", Intrinsic::Nint},
+      {"real", Intrinsic::Real},   {"dble", Intrinsic::Dble},
+      {"iand", Intrinsic::Iand},   {"ior", Intrinsic::Ior},
+      {"ieor", Intrinsic::Ieor},
+  };
+  auto it = table.find(name);
+  if (it == table.end()) return std::nullopt;
+  return it->second;
+}
+
+/// The kind an intrinsic other than max/min returns over `args`.
+Kind intrinsic_kind(Intrinsic k, const Kind* args) {
+  switch (k) {
+    case Intrinsic::Abs:
+      return numeric(args[0]) ? args[0] : Kind::Unknown;
+    case Intrinsic::Mod:
+    case Intrinsic::Sign:
+      return arith_kind(args[0], args[1]);
+    case Intrinsic::Int:
+    case Intrinsic::Nint:
+    case Intrinsic::Iand:
+    case Intrinsic::Ior:
+    case Intrinsic::Ieor:
+      return Kind::Int;
+    default:
+      return Kind::Real;
+  }
+}
+
+/// A binary operator's charge and its ops: tag-checked, for two certain
+/// integers, for two certain reals.
+struct BinOpCodes {
+  std::uint64_t CostModel::*charge;
+  OpCode generic, ints, reals;
+};
+
+const BinOpCodes& codes_of(BinOpKind k) {
+  static const BinOpCodes table[] = {  // in BinOpKind order
+      {&CostModel::add, OpCode::Add, OpCode::AddI, OpCode::AddR},
+      {&CostModel::add, OpCode::Sub, OpCode::SubI, OpCode::SubR},
+      {&CostModel::mul, OpCode::Mul, OpCode::MulI, OpCode::MulR},
+      {&CostModel::div, OpCode::Div, OpCode::DivI, OpCode::DivR},
+      {&CostModel::pow, OpCode::Pow, OpCode::Pow, OpCode::Pow},
+      {&CostModel::add, OpCode::Eq, OpCode::EqI, OpCode::EqR},
+      {&CostModel::add, OpCode::Ne, OpCode::NeI, OpCode::NeR},
+      {&CostModel::add, OpCode::Lt, OpCode::LtI, OpCode::LtR},
+      {&CostModel::add, OpCode::Le, OpCode::LeI, OpCode::LeR},
+      {&CostModel::add, OpCode::Gt, OpCode::GtI, OpCode::GtR},
+      {&CostModel::add, OpCode::Ge, OpCode::GeI, OpCode::GeR},
+      {&CostModel::add, OpCode::And, OpCode::And, OpCode::And},
+      {&CostModel::add, OpCode::Or, OpCode::Or, OpCode::Or},
+  };
+  return table[static_cast<std::size_t>(k)];
+}
+
+/// Ops that touch neither a frame nor a callee: a PARAMETER's code made
+/// only of these folds to a constant.
+bool pure(OpCode c) {
+  switch (c) {
+    case OpCode::LoadVar:
+    case OpCode::CheckArray:
+    case OpCode::LoadElem:
+    case OpCode::ElemIndex:
+    case OpCode::StoreVar:
+    case OpCode::StoreElem:
+    case OpCode::Fail:
+    case OpCode::UserCall:
+      return false;
+    default:
+      return true;
+  }
+}
+
+Op op_of(OpCode code, Symbol* sym = nullptr, std::uint16_t n = 0) {
+  Op op;
+  op.code = code;
+  op.sym = sym;
+  op.n = n;
+  return op;
+}
+
+}  // namespace
+
+/// Builds one unit's Plan.  Bound and DATA code is lowered for a frame
+/// still being initialized; statement code for a complete frame, where
+/// every Variable of the unit is bound and an array's binding check
+/// can be decided here.
+class Lowerer {
+ public:
+  Lowerer(Interpreter& interp, ProgramUnit& unit, Plan& plan)
+      : interp_(interp), costs_(interp.costs_), unit_(unit), plan_(plan) {}
+
+  void build() {
+    find_aliases();
+    const auto& symbols = unit_.symtab().symbols();
+    plan_.symbols.resize(symbols.size());
+    for (Symbol* sym : symbols) {
+      if (sym->kind() != SymbolKind::Variable) continue;
+      Plan::SymbolCode& code =
+          plan_.symbols[static_cast<std::size_t>(sym->slot())];
+      for (const Dimension& dim : sym->dims()) {
+        code.lower.push_back(dim.lower ? lower_value(*dim.lower) : Code{});
+        code.upper.push_back(dim.upper ? lower_value(*dim.upper) : Code{});
+      }
+      for (const ExprPtr& v : sym->data_values())
+        code.data.push_back(lower_value(*v));
+    }
+
+    complete_frame_ = true;
+    std::unordered_map<const Statement*, std::size_t> index;
+    for (Statement* s = unit_.stmts().first(); s != nullptr; s = s->next()) {
+      index.emplace(s, plan_.stmts.size());
+      plan_.stmts.emplace_back().stmt = s;
+    }
+    auto at = [&](const Statement* s) {
+      auto it = index.find(s);
+      return it == index.end() ? kNoStmt : it->second;
+    };
+    for (StmtPlan& e : plan_.stmts) lower_statement(e, at);
+  }
+
+ private:
+  template <typename IndexOf>
+  void lower_statement(StmtPlan& e, const IndexOf& at) {
+    Statement* s = e.stmt;
+    switch (s->kind()) {
+      case StmtKind::Assign:
+        e.codes.push_back(lower_assign(*static_cast<AssignStmt*>(s)));
+        return;
+      case StmtKind::Do: {
+        auto* d = static_cast<DoStmt*>(s);
+        e.jump = at(d->follow());
+        e.codes.push_back(lower_value(d->init()));
+        e.codes.push_back(lower_value(d->limit()));
+        e.codes.push_back(lower_value(d->step()));
+        return;
+      }
+      case StmtKind::If: {
+        auto* i = static_cast<IfStmt*>(s);
+        e.jump = at(i->next_arm());
+        e.codes.push_back(lower_value(i->cond(), costs_.branch));
+        return;
+      }
+      case StmtKind::ElseIf: {
+        auto* i = static_cast<ElseIfStmt*>(s);
+        e.jump = at(i->next_arm());
+        e.end = at(i->end());
+        e.codes.push_back(lower_value(i->cond(), costs_.branch));
+        return;
+      }
+      case StmtKind::Else:
+        e.jump = at(static_cast<ElseStmt*>(s)->end());
+        return;
+      case StmtKind::Goto:
+        e.jump = at(unit_.stmts().find_label(
+            static_cast<GotoStmt*>(s)->target()));
+        return;
+      case StmtKind::Call: {
+        auto* c = static_cast<CallStmt*>(s);
+        e.call = lower_call(c->name(), UnitKind::Subroutine, c->args());
+        return;
+      }
+      case StmtKind::Print:
+        for (const ExprPtr& item : static_cast<PrintStmt*>(s)->items())
+          e.codes.push_back(item->kind() == ExprKind::StringConst
+                                ? Code{}
+                                : lower_value(*item));
+        return;
+      default:
+        return;
+    }
+  }
+
+  // --- code building ----------------------------------------------------
+
+  void emit(Code& c, const Op& op, std::uint32_t pops, std::uint32_t pushes) {
+    c.ops.push_back(op);
+    depth_ = depth_ - pops + pushes;
+    c.depth = std::max(c.depth, depth_);
+  }
+
+  /// Emits a Fail op raising InternalError(cond, msg), or UserError(msg)
+  /// for a null `cond`; it stands for one value.
+  void fail(Code& c, const char* cond, std::string msg) {
+    plan_.fails.push_back(
+        std::make_unique<FailSite>(FailSite{cond, std::move(msg)}));
+    Op op = op_of(OpCode::Fail);
+    op.fail = plan_.fails.back().get();
+    emit(c, op, 0, 1);
+  }
+
+  /// Runs `build` on a fresh Code with its own stack depth, and ends it.
+  template <typename Build>
+  Code code(std::uint64_t charge, const Build& build) {
+    Code c;
+    c.charge = charge;
+    const std::uint32_t saved = depth_;
+    depth_ = 0;
+    build(c);
+    c.ops.push_back(op_of(OpCode::End));
+    depth_ = saved;
+    return c;
+  }
+
+  Code lower_value(const Expression& e, std::uint64_t charge = 0) {
+    return code(charge, [&](Code& c) { lower(e, c); });
+  }
+
+  /// The right-hand side, then the store with its `mem` charge.
+  Code lower_assign(const AssignStmt& a) {
+    return code(costs_.mem, [&](Code& c) {
+      const Kind value = lower(a.rhs(), c);
+      const Expression& lhs = a.lhs();
+      if (lhs.kind() == ExprKind::VarRef) {
+        Symbol* sym = static_cast<const VarRef&>(lhs).symbol();
+        Op op = op_of(OpCode::StoreVar, sym);
+        op.same = value == kind_of(sym->type());
+        emit(c, op, 1, 0);
+        return;
+      }
+      const auto& ref = static_cast<const ArrayRef&>(lhs);
+      if (!element_access(ref, c, /*store=*/true)) return;
+      Op op = op_of(OpCode::StoreElem, ref.symbol(),
+                    static_cast<std::uint16_t>(ref.rank()));
+      op.same = value == kind_of(ref.symbol()->type());
+      emit(c, op, static_cast<std::uint32_t>(ref.rank()) + 1, 0);
+    });
+  }
+
+  /// Emits what precedes an element access: the binding check where it
+  /// can fail, then subscripts().
+  bool element_access(const ArrayRef& ref, Code& c, bool store) {
+    if (!bound_array(ref.symbol()))
+      emit(c, op_of(OpCode::CheckArray, ref.symbol(), store ? 1 : 0), 0, 0);
+    return subscripts(ref, c);
+  }
+
+  /// Emits the rank check, then each subscript, made integer.  False
+  /// (after a Fail) when the rank is above 7.
+  bool subscripts(const ArrayRef& ref, Code& c) {
+    if (ref.subscripts().size() > kMaxArrayRank) {
+      fail(c, "exprs.size() <= kMaxArrayRank",
+           "array rank above 7: " + ref.symbol()->name());
+      return false;
+    }
+    for (const ExprPtr& sub : ref.subscripts())
+      if (lower(*sub, c) != Kind::Int) emit(c, op_of(OpCode::ToInt), 1, 1);
+    return true;
+  }
+
+  // --- expressions --------------------------------------------------------
+
+  /// Appends `e`'s ops to `c` and adds its static charge; returns what is
+  /// known of its value's kind.
+  Kind lower(const Expression& e, Code& c) {
+    switch (e.kind()) {
+      case ExprKind::IntConst:
+        return push_const(
+            c, Value::integer(static_cast<const IntConst&>(e).value()));
+      case ExprKind::RealConst:
+        return push_const(
+            c, Value::real(static_cast<const RealConst&>(e).value()));
+      case ExprKind::LogicalConst:
+        return push_const(
+            c, Value::logical(static_cast<const LogicalConst&>(e).value()));
+      case ExprKind::StringConst:
+        fail(c, "false", "string value outside PRINT");
+        return Kind::Unknown;
+      case ExprKind::VarRef: {
+        Symbol* sym = static_cast<const VarRef&>(e).symbol();
+        if (sym->kind() == SymbolKind::Parameter)
+          return lower_parameter(sym, c);
+        emit(c, op_of(OpCode::LoadVar, sym), 0, 1);
+        c.charge += costs_.mem;
+        return stable(sym) ? kind_of(sym->type()) : Kind::Unknown;
+      }
+      case ExprKind::ArrayRef: {
+        const auto& ref = static_cast<const ArrayRef&>(e);
+        if (!element_access(ref, c, /*store=*/false)) return Kind::Unknown;
+        const auto rank = static_cast<std::uint16_t>(ref.rank());
+        emit(c, op_of(OpCode::LoadElem, ref.symbol(), rank), rank, 1);
+        c.charge += costs_.mem;
+        return stable(ref.symbol()) ? kind_of(ref.symbol()->type())
+                                    : Kind::Unknown;
+      }
+      case ExprKind::BinOp:
+        return lower_binop(static_cast<const BinOp&>(e), c);
+      case ExprKind::UnOp: {
+        const auto& u = static_cast<const UnOp&>(e);
+        const Kind k = lower(u.operand(), c);
+        c.charge += costs_.add;
+        if (u.op() == UnOpKind::Not) {
+          emit(c, op_of(OpCode::Not), 1, 1);
+          return Kind::Logical;
+        }
+        emit(c, op_of(k == Kind::Int    ? OpCode::NegI
+                      : k == Kind::Real ? OpCode::NegR
+                                        : OpCode::Neg),
+             1, 1);
+        return numeric(k) ? k : Kind::Unknown;
+      }
+      case ExprKind::FuncCall:
+        return lower_call_expr(static_cast<const FuncCall&>(e), c);
+      case ExprKind::Wildcard:
+        fail(c, "false", "wildcard evaluated at run time");
+        return Kind::Unknown;
+    }
+    p_unreachable("bad expression kind");
+  }
+
+  Kind push_const(Code& c, Value v) {
+    Op op = op_of(OpCode::Const);
+    op.imm = v;
+    emit(c, op, 0, 1);
+    return kind_of(v);
+  }
+
+  /// A PARAMETER is its defining expression, coerced to its type, with
+  /// that expression's charge.  One made of pure ops is folded to a
+  /// constant; one whose evaluation fails is left to fail at run time.
+  Kind lower_parameter(Symbol* sym, Code& c) {
+    if (sym->param_value() == nullptr) {
+      fail(c, "sym->param_value() != nullptr", "");
+      return Kind::Unknown;
+    }
+    // A PARAMETER defined through itself has no value; the walk recursed
+    // until the stack overflowed when such a reference was evaluated.
+    if (std::find(parameters_.begin(), parameters_.end(), sym) !=
+        parameters_.end()) {
+      fail(c, nullptr, "PARAMETER " + sym->name() +
+                           " is defined in terms of itself");
+      return Kind::Unknown;
+    }
+    parameters_.push_back(sym);
+    Code value = lower_value(*sym->param_value());
+    parameters_.pop_back();
+    c.charge += value.charge;
+    if (std::all_of(value.ops.begin(), value.ops.end(),
+                    [](const Op& op) { return pure(op.code); })) {
+      try {
+        return push_const(c, interp_.eval_pure(value).coerce_to(sym->type()));
+      } catch (const std::exception&) {
+        // Raised again, in order, when the reference is evaluated.
+      }
+    }
+    c.depth = std::max(c.depth, depth_ + value.depth);
+    c.ops.insert(c.ops.end(), value.ops.begin(), value.ops.end() - 1);
+    depth_ += 1;
+    emit(c, op_of(OpCode::Coerce, sym), 1, 1);
+    return kind_of(sym->type());
+  }
+
+  Kind lower_binop(const BinOp& b, Code& c) {
+    const Kind l = lower(b.left(), c);
+    const Kind r = lower(b.right(), c);
+    const BinOpCodes& codes = codes_of(b.op());
+    c.charge += costs_.*codes.charge;
+    emit(c,
+         op_of(l == Kind::Int && r == Kind::Int     ? codes.ints
+               : l == Kind::Real && r == Kind::Real ? codes.reals
+                                                    : codes.generic),
+         2, 1);
+    return is_arithmetic(b.op()) ? arith_kind(l, r) : Kind::Logical;
+  }
+
+  Kind lower_call_expr(const FuncCall& f, Code& c) {
+    const std::optional<Intrinsic> k = find_intrinsic(f.name());
+    if (!k) {
+      plan_.calls.push_back(lower_call(f.name(), UnitKind::Function, f.args()));
+      Op op = op_of(OpCode::UserCall);
+      op.call = plan_.calls.back().get();
+      emit(c, op, 0, 1);
+      return Kind::Unknown;
+    }
+    c.charge += costs_.intrinsic;
+    const std::vector<ExprPtr>& exprs = f.args();
+    if (*k == Intrinsic::Max || *k == Intrinsic::Min) {
+      // Folded in argument order; the result is integer iff every
+      // argument is.  The first argument's numeric check stays in place.
+      if (exprs.size() < 2) {
+        fail(c, "exprs.size() >= 2", "bad arity for " + f.name());
+        return Kind::Unknown;
+      }
+      Kind kind = lower(*exprs[0], c);
+      if (!numeric(kind)) emit(c, op_of(OpCode::CheckNum), 1, 1);
+      for (std::size_t i = 1; i < exprs.size(); ++i) {
+        kind = arith_kind(kind, lower(*exprs[i], c));
+        emit(c, op_of(*k == Intrinsic::Max ? OpCode::Max : OpCode::Min), 2, 1);
+      }
+      return kind;
+    }
+    const std::size_t arity = is_binary(*k) ? 2 : 1;
+    if (exprs.size() != arity) {
+      fail(c, "exprs.size() == (binary ? 2u : 1u)",
+           "bad arity for intrinsic " + f.name());
+      return Kind::Unknown;
+    }
+    Kind kinds[2] = {Kind::Unknown, Kind::Unknown};
+    for (std::size_t i = 0; i < arity; ++i) kinds[i] = lower(*exprs[i], c);
+    emit(c, op_of(OpCode::Intrinsic, nullptr, static_cast<std::uint16_t>(*k)),
+         static_cast<std::uint32_t>(arity), 1);
+    return intrinsic_kind(*k, kinds);
+  }
+
+  std::unique_ptr<CallSite> lower_call(const std::string& name, UnitKind kind,
+                                       const std::vector<ExprPtr>& args) {
+    auto site = std::make_unique<CallSite>();
+    site->name = &name;
+    site->kind = kind;
+    try {
+      site->callee = &interp_.callee_of(name, kind, args.size());
+    } catch (const UserError&) {
+      // Raised when the call executes.
+    }
+    for (const ExprPtr& actual : args) site->args.push_back(lower_arg(*actual));
+    return site;
+  }
+
+  CallArg lower_arg(const Expression& actual) {
+    CallArg arg;
+    arg.expr = &actual;
+    if (actual.kind() == ExprKind::VarRef) {
+      Symbol* sym = static_cast<const VarRef&>(actual).symbol();
+      if (sym->kind() != SymbolKind::Parameter) {
+        arg.pass = CallArg::Pass::Variable;
+        arg.sym = sym;
+        return arg;
+      }
+    } else if (actual.kind() == ExprKind::ArrayRef) {
+      // invoke checks the binding; this code only indexes.
+      const auto& ref = static_cast<const ArrayRef&>(actual);
+      arg.pass = CallArg::Pass::Element;
+      arg.sym = ref.symbol();
+      arg.code = code(0, [&](Code& c) {
+        if (!subscripts(ref, c)) return;
+        const auto rank = static_cast<std::uint16_t>(ref.rank());
+        emit(c, op_of(OpCode::ElemIndex, ref.symbol(), rank), rank, 1);
+      });
+      return arg;
+    }
+    arg.code = lower_value(actual);
+    return arg;
+  }
+
+  // --- what is certain about a symbol ------------------------------------
+
+  bool in_unit(const Symbol* sym) const {
+    const auto slot = static_cast<std::size_t>(sym->slot());
+    const auto& symbols = unit_.symtab().symbols();
+    return slot < symbols.size() && symbols[slot] == sym;
+  }
+
+  /// Whether `sym`'s storage always holds values of its declared type:
+  /// a local outside COMMON that no call can bind to a dummy of another
+  /// type, and that no DO of another type indexes.
+  bool stable(const Symbol* sym) const {
+    return in_unit(sym) && sym->kind() == SymbolKind::Variable &&
+           !sym->in_common() &&
+           !aliased_[static_cast<std::size_t>(sym->slot())];
+  }
+
+  /// Whether `sym` is certainly bound to an array cell when statement code
+  /// runs, so its binding check cannot fail before its subscripts.
+  bool bound_array(const Symbol* sym) const {
+    if (!complete_frame_ || !in_unit(sym) ||
+        sym->kind() != SymbolKind::Variable)
+      return false;
+    const auto& formals = unit_.formals();
+    if (sym->in_common() &&
+        std::find(formals.begin(), formals.end(), sym) == formals.end()) {
+      // A COMMON cell has the shape of the first unit that bound it.
+      if (const Cell* cell =
+              interp_.commons_.lookup(sym->common_block(), sym->name()))
+        return cell->is_array;
+    }
+    return sym->is_array();
+  }
+
+  void find_aliases() {
+    aliased_.assign(unit_.symtab().size(), false);
+    auto mark = [&](const Expression& actual) {
+      if (actual.kind() == ExprKind::VarRef)
+        mark_symbol(static_cast<const VarRef&>(actual).symbol());
+      else if (actual.kind() == ExprKind::ArrayRef)
+        mark_symbol(static_cast<const ArrayRef&>(actual).symbol());
+    };
+    auto scan = [&](const Expression& root) {
+      walk(root, [&](const Expression& e) {
+        if (e.kind() != ExprKind::FuncCall) return;
+        const auto& f = static_cast<const FuncCall&>(e);
+        if (find_intrinsic(f.name())) return;
+        for (const ExprPtr& actual : f.args()) mark(*actual);
+      });
+    };
+    for (Symbol* formal : unit_.formals()) mark_symbol(formal);
+    for (Symbol* sym : unit_.symtab().symbols()) {
+      for (const Dimension& dim : sym->dims()) {
+        if (dim.lower) scan(*dim.lower);
+        if (dim.upper) scan(*dim.upper);
+      }
+      for (const ExprPtr& v : sym->data_values()) scan(*v);
+      if (sym->param_value() != nullptr) scan(*sym->param_value());
+    }
+    for (Statement* s = unit_.stmts().first(); s != nullptr; s = s->next()) {
+      if (s->kind() == StmtKind::Call)
+        for (const ExprPtr& actual : static_cast<CallStmt*>(s)->args())
+          mark(*actual);
+      if (s->kind() == StmtKind::Do) {
+        Symbol* index = static_cast<DoStmt*>(s)->index();
+        if (!index->type().is_integer()) mark_symbol(index);
+      }
+      for (const ExprPtr& e : s->expressions())
+        if (e) scan(*e);
+    }
+  }
+
+  void mark_symbol(const Symbol* sym) {
+    if (in_unit(sym)) aliased_[static_cast<std::size_t>(sym->slot())] = true;
+  }
+
+  Interpreter& interp_;
+  const CostModel& costs_;
+  ProgramUnit& unit_;
+  Plan& plan_;
+  bool complete_frame_ = false;  ///< lowering statement code
+  std::vector<bool> aliased_;    ///< by slot: see stable()
+  std::vector<const Symbol*> parameters_;  ///< PARAMETERs being lowered
+  std::uint32_t depth_ = 0;      ///< stack depth at the end of the code so far
+};
+
+Plan& Interpreter::plan_of(ProgramUnit& unit) {
+  std::unique_ptr<Plan>& plan = plans_[&unit];
+  if (plan == nullptr) {
+    plan = std::make_unique<Plan>();
+    Lowerer(*this, unit, *plan).build();
+  }
+  return *plan;
+}
+
+}  // namespace polaris

@@ -2,23 +2,9 @@
 
 namespace polaris {
 
-std::size_t ArrayStorage::flat_index(const std::int64_t* subs,
-                                     std::size_t rank) const {
-  p_assert_msg(rank == bounds.size(), "subscript rank mismatch at run time");
-  std::int64_t index = 0;
-  std::int64_t stride = 1;
-  for (std::size_t d = 0; d < rank; ++d) {
-    const auto& [lo, hi] = bounds[d];
-    p_assert_msg(subs[d] >= lo && subs[d] <= hi,
-                 "array subscript out of declared bounds");
-    index += (subs[d] - lo) * stride;
-    stride *= (hi - lo + 1);
-  }
-  std::int64_t flat = offset + index;
-  p_assert_msg(flat >= 0 &&
-                   static_cast<std::size_t>(flat) < data->size(),
-               "flat array index out of storage");
-  return static_cast<std::size_t>(flat);
+void ArrayStorage::index_failed(const char* cond, const char* msg,
+                                const char* file, int line) {
+  detail::assert_failed(cond, file, line, msg);
 }
 
 Cell* CommonStore::lookup(const std::string& block, const std::string& name) {

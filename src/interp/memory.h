@@ -15,24 +15,59 @@
 
 namespace polaris {
 
-/// A resolved array: payload + per-dimension [lo, hi] bounds + flat offset
-/// into the payload (for views starting mid-array).
+/// A resolved array: payload + per-dimension [lo, hi] bounds with their
+/// column-major strides + flat offset into the payload (for views starting
+/// mid-array).
 struct ArrayStorage {
+  struct Dim {
+    std::int64_t lo, hi;
+    std::int64_t stride;  ///< elements spanned by one step in this dimension
+  };
   std::shared_ptr<std::vector<Value>> data;
-  std::vector<std::pair<std::int64_t, std::int64_t>> bounds;
+  std::vector<Dim> dims;
   std::int64_t offset = 0;
 
-  /// Fits int64: Interpreter::resolve_array_bounds rejects any bounds
-  /// whose element count does not.
+  /// Appends dimension lo:hi; its stride is the element count so far.
+  /// Interpreter::resolve_array_bounds rejects any bounds whose element
+  /// count does not fit int64, before adding them.
+  void add_dim(std::int64_t lo, std::int64_t hi) {
+    dims.push_back({lo, hi, element_count()});
+  }
+
   std::int64_t element_count() const {
-    std::int64_t n = 1;
-    for (const auto& [lo, hi] : bounds) n *= (hi - lo + 1);
-    return n;
+    if (dims.empty()) return 1;
+    const Dim& last = dims.back();
+    return last.stride * (last.hi - last.lo + 1);
   }
 
   /// Column-major (Fortran) flat index of the `rank` subscripts at
-  /// `subs`; rank and bounds checked with p_assert.
-  std::size_t flat_index(const std::int64_t* subs, std::size_t rank) const;
+  /// `subs`.  Rank, each subscript and the storage are checked inline; a
+  /// failed check raises its InternalError out of line.
+  std::size_t flat_index(const std::int64_t* subs, std::size_t rank) const {
+    if (rank != dims.size()) [[unlikely]]
+      index_failed("rank == bounds.size()",
+                   "subscript rank mismatch at run time", __FILE__,
+                   __LINE__);
+    std::int64_t flat = offset;
+    for (std::size_t d = 0; d < rank; ++d) {
+      const Dim& dim = dims[d];
+      if (subs[d] < dim.lo || subs[d] > dim.hi) [[unlikely]]
+        index_failed("subs[d] >= lo && subs[d] <= hi",
+                     "array subscript out of declared bounds", __FILE__,
+                     __LINE__);
+      flat += (subs[d] - dim.lo) * dim.stride;
+    }
+    if (flat < 0 || static_cast<std::size_t>(flat) >= data->size())
+        [[unlikely]]
+      index_failed("flat >= 0 && static_cast<std::size_t>(flat) < "
+                   "data->size()",
+                   "flat array index out of storage", __FILE__, __LINE__);
+    return static_cast<std::size_t>(flat);
+  }
+
+ private:
+  [[noreturn, gnu::cold, gnu::noinline]] static void index_failed(
+      const char* cond, const char* msg, const char* file, int line);
 };
 
 /// One variable's storage: scalar or array.

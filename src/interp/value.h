@@ -65,6 +65,11 @@ class Value {
     return b_;
   }
 
+  /// The payload of a value whose kind is known (lowered code proved it
+  /// integer or real): no tag test.
+  std::int64_t int_unchecked() const { return i_; }
+  double real_unchecked() const { return d_; }
+
   /// Coerces to the declared type of a storage location.
   Value coerce_to(Type t) const {
     if (t.is_integer()) return integer(as_int());

@@ -1,5 +1,6 @@
 #include "parser/parser.h"
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -435,34 +436,54 @@ class Parser {
       c.expect_punct(",");
     }
     c.expect_punct("/");
-    std::vector<ExprPtr> values;
+    // r*value runs, kept uncloned until the counts below bound them.
+    std::vector<std::pair<std::int64_t, ExprPtr>> runs;
     while (true) {
       std::int64_t repeat = 1;
       if (c.peek().kind == TokKind::IntLit && c.is_punct("*", 1)) {
         repeat = c.next().int_value;
         c.next();  // '*'
+        if (repeat < 1)
+          c.error("DATA repeat count " + std::to_string(repeat) +
+                  " is not positive");
       }
       // DATA values are (signed) constants or named constants — never
       // general expressions, or the closing '/' would parse as division.
-      ExprPtr v = parse_data_value(c);
-      for (std::int64_t r = 0; r < repeat - 1; ++r)
-        values.push_back(v->clone());
-      values.push_back(std::move(v));
+      runs.emplace_back(repeat, parse_data_value(c));
       if (c.accept_punct("/")) break;
       c.expect_punct(",");
     }
     c.expect_end();
-    // Distribute values across the listed variables in order.
-    size_t vi = 0;
+    // Every run must fit in the elements the list still needs, checked
+    // before any run is cloned: a hostile repeat allocates nothing.
+    std::vector<std::int64_t> counts;
+    std::int64_t needed = 0;
     for (Symbol* s : vars) {
-      std::int64_t count = s->is_array() ? element_count(*s, c) : 1;
-      for (std::int64_t k = 0; k < count; ++k) {
-        p_assert_msg(vi < values.size(),
-                     "DATA: not enough values for " + s->name());
-        s->add_data_value(std::move(values[vi++]));
+      counts.push_back(s->is_array() ? element_count(*s, c) : 1);
+      if (__builtin_add_overflow(needed, counts.back(), &needed))
+        needed = std::numeric_limits<std::int64_t>::max();
+    }
+    for (const auto& [repeat, value] : runs) {
+      if (repeat > needed) c.error("DATA: surplus values");
+      needed -= repeat;
+    }
+    // Distribute values across the listed variables in order.
+    std::size_t run = 0;
+    std::int64_t taken = 0;  // values of runs[run] already distributed
+    for (std::size_t vi = 0; vi < vars.size(); ++vi) {
+      for (std::int64_t k = 0; k < counts[vi]; ++k) {
+        if (run == runs.size())
+          c.error("DATA: not enough values for " + vars[vi]->name());
+        auto& [repeat, value] = runs[run];
+        if (++taken < repeat) {
+          vars[vi]->add_data_value(value->clone());
+        } else {
+          vars[vi]->add_data_value(std::move(value));
+          ++run;
+          taken = 0;
+        }
       }
     }
-    if (vi != values.size()) c.error("DATA: surplus values");
   }
 
   /// One DATA value: [+|-] literal | named-constant | .true./.false.
@@ -495,7 +516,8 @@ class Parser {
   }
 
   /// Statically-evaluated element count of an array (dims must fold to
-  /// constants through PARAMETER symbols).
+  /// constants through PARAMETER symbols); a positioned error when it is
+  /// empty or past int64.
   std::int64_t element_count(const Symbol& s, Cursor& c) {
     std::int64_t total = 1;
     for (const Dimension& d : s.dims()) {
@@ -504,7 +526,16 @@ class Parser {
       if (!d.upper) c.error("DATA for assumed-size array " + s.name());
       std::optional<std::int64_t> hi = fold_int(*d.upper);
       if (!lo || !hi) c.error("DATA needs constant bounds for " + s.name());
-      total *= (*hi - *lo + 1);
+      // The interpreter's checks, positioned: an empty extent, or an
+      // element count with no int64 value.
+      if (*hi < *lo)
+        c.error("array " + s.name() + " has an empty dimension " +
+                std::to_string(*lo) + ":" + std::to_string(*hi));
+      std::int64_t extent = 0;
+      if (__builtin_sub_overflow(*hi, *lo, &extent) ||
+          __builtin_add_overflow(extent, 1, &extent) ||
+          __builtin_mul_overflow(total, extent, &total))
+        c.error("array " + s.name() + " has too many elements");
     }
     return total;
   }

@@ -192,15 +192,19 @@ inline bool fault_tick() {
   } while (0)
 
 /// p_assert with an explanatory message (may use ostream-style formatting
-/// via std::string concatenation at the call site).
+/// via std::string concatenation at the call site).  The message is built
+/// only once the condition has failed, in a cold out-of-line lambda, so a
+/// site costs its caller no more code than p_assert.
 #define p_assert_msg(cond, msg)                                             \
   do {                                                                      \
     if (::polaris::detail::fault_tick())                                    \
       ::polaris::detail::assert_failed(::polaris::detail::kInjectedCond,    \
                                        __FILE__, __LINE__,                  \
                                        "deterministic fault injection");    \
-    if (!(cond))                                                            \
-      ::polaris::detail::assert_failed(#cond, __FILE__, __LINE__, (msg));   \
+    if (!(cond)) [[unlikely]]                                               \
+      [&]() __attribute__((cold, noinline, noreturn)) {                     \
+        ::polaris::detail::assert_failed(#cond, __FILE__, __LINE__, (msg)); \
+      }();                                                                  \
   } while (0)
 
 /// Marks an unreachable code path.

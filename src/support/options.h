@@ -89,7 +89,7 @@ struct Options {
   /// Units are independent after state isolation (CompileContext shards),
   /// so groups fan out over them; 1 = run shards inline on the driver
   /// thread.  Output is byte-identical for every N: shards merge in unit
-  /// order.  The CLI validates and caps at hardware_concurrency().
+  /// order.  The CLI validates and caps at the CPUs in its affinity mask.
   int jobs = 1;
 
   // --- observability --------------------------------------------------------

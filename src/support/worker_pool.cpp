@@ -2,9 +2,40 @@
 
 #include <algorithm>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "support/assert.h"
 
 namespace polaris {
+
+namespace {
+
+#ifdef __linux__
+/// Moves the calling (new) worker onto the `k`-th CPU after `caller_cpu`
+/// in `mask`, then widens it back to `mask`.  Linux starts a thread on
+/// its parent's CPU, and a cpuset without load balancing never moves it,
+/// so without this every worker would time-share the caller's CPU.  The
+/// first affinity call migrates the thread; restoring the mask leaves a
+/// balancing kernel free to move it again.
+void place_worker(std::size_t k, int caller_cpu, const cpu_set_t& mask) {
+  const int n = CPU_COUNT(&mask);
+  if (caller_cpu < 0 || n < 2) return;
+  int cpu = caller_cpu;
+  for (std::size_t step = 0; step < k % static_cast<std::size_t>(n);) {
+    cpu = (cpu + 1) % CPU_SETSIZE;
+    if (CPU_ISSET(cpu, &mask)) ++step;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) == 0)
+    sched_setaffinity(0, sizeof mask, &mask);
+}
+#endif
+
+}  // namespace
 
 WorkerPool::~WorkerPool() {
   {
@@ -93,9 +124,25 @@ void WorkerPool::run(std::size_t n_tasks, int max_workers,
     deques_.push_back(std::make_unique<Deque>());
   // Participant 0 is this thread; each extra participant is one
   // persistent worker thread, spawned the first time a batch needs it.
-  while (threads_.size() + 1 < participants) {
-    const std::size_t self = threads_.size() + 1;
-    threads_.emplace_back([this, self] { worker_main(self); });
+  if (threads_.size() + 1 < participants) {
+#ifdef __linux__
+    // Worker k starts on the k-th CPU after this thread's (place_worker).
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    const int caller_cpu =
+        sched_getaffinity(0, sizeof mask, &mask) == 0 ? sched_getcpu() : -1;
+#endif
+    while (threads_.size() + 1 < participants) {
+      const std::size_t self = threads_.size() + 1;
+#ifdef __linux__
+      threads_.emplace_back([this, self, caller_cpu, mask] {
+        place_worker(self, caller_cpu, mask);
+        worker_main(self);
+      });
+#else
+      threads_.emplace_back([this, self] { worker_main(self); });
+#endif
+    }
   }
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -4,6 +4,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "parser/parser.h"
 
@@ -421,8 +422,204 @@ TEST(InterpTest, CostsAccumulate) {
       "      do i = 1, 100\n"
       "        s = s + i*2\n"
       "      end do\n");
-  EXPECT_GT(r.clock.serial, 100u);
+  // A store (1), then 100 times the iteration (2), two loads (2), the
+  // product (2), the sum (1) and a store (1).
+  EXPECT_EQ(r.clock.serial, 801u);
   EXPECT_EQ(r.clock.serial, r.clock.parallel);  // nothing parallel
+  EXPECT_EQ(r.statements, 102u);
+}
+
+// A PARAMETER defined through itself fails where it is evaluated (the
+// tree walk recursed until the stack overflowed); an unevaluated
+// reference costs nothing.
+TEST(InterpTest, SelfReferentialParameterIsUserErrorWhereEvaluated) {
+  auto r = run_src(
+      "      program t\n"
+      "      parameter (n = n + 1)\n"
+      "      if (.false.) print *, n\n"
+      "      print *, 1\n"
+      "      end\n");
+  EXPECT_EQ(r.output, std::vector<std::string>{"1"});
+  try {
+    run_src("      program t\n"
+            "      parameter (n = m + 1, m = n * 2)\n"
+            "      print *, 2\n"
+            "      print *, n\n"
+            "      end\n");
+    ADD_FAILURE() << "no error for a PARAMETER cycle";
+  } catch (const UserError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "PARAMETER n is defined in terms of itself");
+  }
+}
+
+// Exact clocks for what lowering folds or resolves once: a PARAMETER
+// defined by an expression (its charge still paid at every reference),
+// max/min over mixed kinds, mod, a logical IF chain and a user function
+// inside an expression.  The figures are the tree-walking interpreter's.
+TEST(InterpTest, ChargesArePinned) {
+  const char* src =
+      "      program t\n"
+      "      integer n, n2\n"
+      "      parameter (n = 8, n2 = n*2)\n"
+      "      real a(n2), s\n"
+      "      integer k\n"
+      "      s = 0.0\n"
+      "      do i = 1, n2\n"
+      "        a(i) = max(i, 2.5) + min(real(i), 3) + mod(i, 3) + max(i, n)\n"
+      "      end do\n"
+      "      do i = 1, n2 - n\n"
+      "        if (a(i) .gt. 10.0 .and. i .lt. n2) then\n"
+      "          k = 1\n"
+      "        else if (mod(i, 2) .eq. 0 .or. a(i) .lt. 0.0) then\n"
+      "          k = 2\n"
+      "        else\n"
+      "          k = 3\n"
+      "        end if\n"
+      "        s = s + a(n2 - i + 1) * k + f(a(i), i)\n"
+      "      end do\n"
+      "      print *, s, a(n2), n2\n"
+      "      end\n"
+      "      real function f(x, j)\n"
+      "      real x\n"
+      "      integer j\n"
+      "      f = x / j + min(j, 4)\n"
+      "      end\n";
+  const struct {
+    int processors;
+    std::uint64_t serial, parallel;
+  } runs[] = {{1, 2102, 2102}, {8, 2102, 3288}};
+  for (const auto& want : runs) {
+    auto p = parse_program(src);
+    p->main()->stmts().loops()[0]->par.is_parallel = true;
+    MachineConfig cfg;
+    cfg.processors = want.processors;
+    RunResult r = run_program(*p, cfg);
+    ASSERT_EQ(r.output.size(), 1u);
+    EXPECT_EQ(r.output[0], "297.189286 36 16");
+    EXPECT_EQ(r.clock.serial, want.serial) << "p=" << want.processors;
+    EXPECT_EQ(r.clock.parallel, want.parallel) << "p=" << want.processors;
+    EXPECT_EQ(r.statements, 68u);
+    EXPECT_EQ(r.parallel_instances, want.processors > 1 ? 1 : 0);
+  }
+}
+
+// The PD test's shadows see an iteration's reads and writes in program
+// order: reading a(k(i)) before writing it is a flow dependence across
+// the colliding iterations (the attempt fails and re-executes), writing it
+// first makes the element privatizable (the attempt passes).
+TEST(InterpTest, SpeculativeMarkingFollowsProgramOrder) {
+  const std::string setup =
+      "      program t\n"
+      "      integer k(20)\n"
+      "      real a(20), y(20)\n"
+      "      do i = 1, 20\n"
+      "        k(i) = mod(i, 4) + 1\n"
+      "        a(i) = i\n"
+      "      end do\n"
+      "      do i = 1, 20\n";
+  const std::string finish =
+      "        y(i) = x\n"
+      "      end do\n"
+      "      print *, a(1), a(4), y(20)\n"
+      "      end\n";
+  const struct {
+    const char* body;
+    const char* output;
+    int failures;
+    std::uint64_t parallel;
+  } loops[] = {
+      {"        x = a(k(i))\n        a(k(i)) = x + i\n", "61 59 41", 1, 3394},
+      {"        a(k(i)) = i*2.0\n        x = a(k(i))\n", "40 38 40", 0, 3094},
+  };
+  for (const auto& want : loops) {
+    auto p = parse_program(setup + want.body + finish);
+    DoStmt* d = p->main()->stmts().loops()[1];
+    d->par.speculative = true;
+    d->par.speculative_arrays = {p->main()->symtab().lookup("a")};
+    MachineConfig cfg;
+    cfg.processors = 8;
+    RunResult r = run_program(*p, cfg);
+    ASSERT_EQ(r.output.size(), 1u);
+    EXPECT_EQ(r.output[0], want.output) << want.body;
+    EXPECT_EQ(r.speculative_attempts, 1) << want.body;
+    EXPECT_EQ(r.speculative_failures, want.failures) << want.body;
+    EXPECT_EQ(r.pd_test_cost, 46u) << want.body;
+    EXPECT_EQ(r.clock.serial, 803u) << want.body;
+    EXPECT_EQ(r.clock.parallel, want.parallel) << want.body;
+  }
+}
+
+// Run-time errors no other test pins: each keeps its exception type, its
+// failed condition and its message.
+TEST(InterpTest, RunTimeErrorsKeepTypeConditionAndText) {
+  const struct {
+    const char* src;
+    const char* cond;
+    const char* message;
+  } cases[] = {
+      // A COMMON array reshaped, narrowed to a scalar or widened from one
+      // by a second unit.
+      {"      program t\n      common /c/ a(10)\n      call s\n      end\n"
+       "      subroutine s\n      common /c/ a(2,5)\n      a(1,2) = 2.0\n"
+       "      end\n",
+       "rank == bounds.size()", "subscript rank mismatch at run time"},
+      {"      program t\n      common /c/ a\n      call s\n      end\n"
+       "      subroutine s\n      common /c/ a(3)\n      x = a(1)\n"
+       "      end\n",
+       "cell != nullptr && cell->is_array", "array not bound: a"},
+      {"      program t\n      common /c/ a\n      call s\n      end\n"
+       "      subroutine s\n      common /c/ a(3)\n      a(1) = 2.0\n"
+       "      end\n",
+       "cell != nullptr && cell->is_array", "bad array store to a"},
+      {"      program t\n      common /c/ a(3)\n      call s\n      end\n"
+       "      subroutine s\n      common /c/ a\n      a = 2.0\n      end\n",
+       "cell != nullptr && !cell->is_array", "bad scalar store to a"},
+      {"      program t\n      common /c/ a(3)\n      call s\n      end\n"
+       "      subroutine s\n      common /c/ a\n      x = a + 1.0\n"
+       "      end\n",
+       "!cell->is_array", "whole array used as a value: a"},
+      // A dummy declared past its actual's storage.
+      {"      program t\n      real v(3)\n      call s(v)\n      end\n"
+       "      subroutine s(b)\n      real b(10)\n      b(5) = 1.0\n"
+       "      end\n",
+       "flat >= 0 && static_cast<std::size_t>(flat) < data->size()",
+       "flat array index out of storage"},
+      {"      program t\n      real a(3)\n      print *, a(4)\n      end\n",
+       "subs[d] >= lo && subs[d] <= hi",
+       "array subscript out of declared bounds"},
+      {"      k = 0\n      print *, mod(5, k)\n", "a[1].as_int() != 0",
+       "mod by zero"},
+      {"      k = 0\n      print *, 5 / k\n", "r.as_int() != 0",
+       "integer division by zero"},
+      {"      k = 0\n      do i = 1, 10, k\n      end do\n", "step != 0",
+       "DO step is zero"},
+      {"      logical l\n      l = .true.\n      print *, max(l, 2)\n",
+       "false", "logical used as real"},
+      {"      x = 2.0\n      if (x) print *, 1\n", "is_logical()",
+       "non-logical used in condition"},
+  };
+  for (const auto& c : cases) {
+    try {
+      run_src(c.src);
+      ADD_FAILURE() << "no error for:\n" << c.src;
+    } catch (const InternalError& e) {
+      EXPECT_EQ(e.condition(), c.cond) << c.src;
+      const std::string what = e.what();
+      const std::string tail = std::string(": ") + c.message;
+      EXPECT_TRUE(what.size() >= tail.size() &&
+                  what.compare(what.size() - tail.size(), tail.size(),
+                               tail) == 0)
+          << what;
+    }
+  }
+  try {
+    run_src("      program t\n      y = f(1.0)\n      end\n"
+            "      real function f(x)\n      stop\n      end\n");
+    ADD_FAILURE() << "no error for STOP inside a function";
+  } catch (const UserError& e) {
+    EXPECT_EQ(std::string(e.what()), "STOP inside function");
+  }
 }
 
 TEST(InterpTest, ParallelLoopSpeedsUpModeledClock) {

@@ -7,7 +7,7 @@ namespace {
 
 ArrayStorage make_array(std::vector<std::pair<std::int64_t, std::int64_t>> b) {
   ArrayStorage a;
-  a.bounds = std::move(b);
+  for (const auto& [lo, hi] : b) a.add_dim(lo, hi);
   a.data = std::make_shared<std::vector<Value>>(
       static_cast<std::size_t>(a.element_count()), Value::real(0.0));
   return a;
@@ -41,7 +41,7 @@ TEST(MemoryTest, OffsetViews) {
   ArrayStorage view;
   view.data = base.data;
   view.offset = 4;  // element 5, 0-based
-  view.bounds = {{1, 6}};
+  view.add_dim(1, 6);
   (*view.data)[index(view, {1})] = Value::real(9.0);
   EXPECT_DOUBLE_EQ((*base.data)[index(base, {5})].as_real(), 9.0);
 }

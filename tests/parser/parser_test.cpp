@@ -93,6 +93,44 @@ TEST(ParserTest, DataStatements) {
   EXPECT_EQ(a->data_values()[2]->to_string(), "1.0");
 }
 
+TEST(ParserTest, HostileDataCountsArePositionedErrors) {
+  // None of these may clone a value before the counts are checked, so the
+  // 10^9 repeat allocates nothing.
+  const std::pair<const char*, const char*> cases[] = {
+      {"      real a(3000000000,3000000000,3000000000)\n"
+       "      data a /1.0/\n",
+       "parse error at line 3: array a has too many elements"},
+      {"      real a(0)\n      data a /1.0/\n",
+       "parse error at line 3: array a has an empty dimension 1:0"},
+      {"      real x\n      data x /1000000000*1.0/\n",
+       "parse error at line 3: DATA: surplus values"},
+      {"      real x, y\n      data x, y /0*5.0, 7.0/\n",
+       "parse error at line 3: DATA repeat count 0 is not positive"},
+      {"      real a(4)\n      data a /3*1.0/\n",
+       "parse error at line 3: DATA: not enough values for a"},
+  };
+  for (const auto& [decls, message] : cases) {
+    try {
+      parse_program(std::string("      program t\n") + decls + "      end\n");
+      ADD_FAILURE() << "no error for: " << decls;
+    } catch (const UserError& e) {
+      EXPECT_EQ(std::string(e.what()), message) << decls;
+    }
+  }
+  // A repeat that exactly fills the list is fine, across variables too.
+  auto p = parse_program(
+      "      program t\n"
+      "      real x, a(3), y\n"
+      "      data x, a, y /2*1.0, 2*2.0, 3.0/\n"
+      "      end\n");
+  Symbol* a = p->main()->symtab().lookup("a");
+  ASSERT_EQ(a->data_values().size(), 3u);
+  EXPECT_EQ(a->data_values()[0]->to_string(), "1.0");
+  EXPECT_EQ(a->data_values()[2]->to_string(), "2.0");
+  EXPECT_EQ(p->main()->symtab().lookup("y")->data_values()[0]->to_string(),
+            "3.0");
+}
+
 TEST(ParserTest, ModernDoLoop) {
   auto p = parse_program(
       "      do i = 1, 10, 2\n"
