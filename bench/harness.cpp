@@ -32,7 +32,7 @@ Measurement measure(const std::string& source, CompilerMode mode,
                     int processors, Options* custom_opts) {
   Measurement m;
   auto ref = parse_program(source);
-  m.reference = run_program(*ref, MachineConfig{});
+  m.reference = run_program(*ref, MachineConfig{.processors = 1});
 
   Compiler compiler = custom_opts ? Compiler(*custom_opts) : Compiler(mode);
   auto prog = compiler.compile(source, &m.report);

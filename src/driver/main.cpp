@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
   try {
     if (s.seq) {
       auto prog = parse_program(source);
-      RunResult r = run_program(*prog, MachineConfig{});
+      RunResult r = run_program(*prog, MachineConfig{.processors = 1});
       for (const std::string& line : r.output)
         std::printf("%s\n", line.c_str());
       std::fprintf(stderr, "[polaris] sequential time: %llu units\n",
@@ -454,7 +454,7 @@ int main(int argc, char** argv) {
     }
     if (s.run) {
       auto ref = parse_program(source);
-      RunResult ref_run = run_program(*ref, MachineConfig{});
+      RunResult ref_run = run_program(*ref, MachineConfig{.processors = 1});
       ExecutionConfig cfg = backend_config(s.mode, *prog, s.processors);
       RunResult run = run_program(*prog, cfg.machine);
       for (const std::string& line : run.output)

@@ -11,7 +11,6 @@
 //      restore-and-reexecute (paper Section 3.5).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -68,42 +67,48 @@ class Interpreter {
  private:
   friend class Lowerer;  // lower.cpp: builds Plans, folds PARAMETERs
 
-  struct UnitResult {
-    bool returned = false;
-    bool stopped = false;
+  /// Why run_ops returned.
+  enum class Exit : std::uint8_t {
+    End,     ///< an expression's code ran to its End
+    Next,    ///< a driven loop's body reached its END DO
+    Return,  ///< RETURN, or the end of the unit
+    Stop,    ///< STOP, here or in a callee
   };
 
   /// `unit`'s lowered form, built at its first activation in the run.
   Plan& plan_of(ProgramUnit& unit);
+  /// The plan of the unit `site` calls; callee_of's UserError for a call
+  /// lowering could not resolve.
+  Plan& callee_plan(const CallSite& site);
 
-  UnitResult execute_range(Plan& plan, Frame& frame, std::size_t pc,
-                           std::size_t stop);
-  UnitResult execute_statement(Plan& plan, Frame& frame, std::size_t& pc);
+  /// Runs `plan`'s statements in `frame`, from the first: Return or Stop.
+  Exit run_body(Plan& plan, Frame& frame);
 
   void init_frame(ProgramUnit& unit, Plan& plan, Frame& frame);
   void resolve_array_bounds(Plan& plan, Frame& frame, Symbol* sym,
                             Cell* cell);
 
-  /// Evaluates lowered code: charges its static charge, runs its ops on
-  /// the value stack above every evaluation in progress, and returns the
-  /// value it leaves on top (exec: the code leaves none).
+  /// Evaluates an expression's code: charges its static charge, runs its
+  /// ops on the value stack above every evaluation in progress, and
+  /// returns the value it leaves on top.
   Value eval(const Code& code, Frame& frame);
-  void exec(const Code& code, Frame& frame);
   /// Evaluates code of pure ops (no frame, no callee, no charge): a
   /// PARAMETER's value, folded at lowering.
   Value eval_pure(const Code& code);
   /// The value stack from stack_top_ on, with room for `code`.
   Value* stack_for(const Code& code);
-  /// The one evaluator loop: runs `op` on until End with the stack top at
-  /// `sp`; returns the new top.
-  Value* run_ops(const Op* op, Value* sp, Frame& frame);
+  /// The one evaluator loop, for expressions and op streams alike: runs
+  /// from `op` with the stack top at `sp` until an op exits; leaves the
+  /// stack top in `sp`.  At a statement boundary of a stream the stack is
+  /// empty: `sp` is stack_top_.
+  Exit run_ops(const Op* op, Value*& sp, Frame& frame);
 
   /// The unit a CALL (kind Subroutine) or function reference (kind
   /// Function) names; a UserError naming it when there is no such unit or
   /// `n_args` differs from its dummy count.
   ProgramUnit& callee_of(const std::string& name, UnitKind kind,
                          std::size_t n_args);
-  /// Binds `site`'s actuals (evaluated in `frame`) to `callee`'s dummies
+  /// Binds `site`'s actuals (evaluated in `frame`) to the callee's dummies
   /// in `inner` and runs the callee: the one argument binder of CALLs and
   /// function references.  By reference, as in Fortran: a scalar variable
   /// shares the caller's cell; an array dummy shares the actual array's
@@ -111,23 +116,25 @@ class Interpreter {
   /// scalar dummy is copied in and back out; any other actual is an
   /// evaluated copy.  A malformed binding is a UserError naming the
   /// callee.
-  UnitResult invoke(Frame& frame, const CallSite& site, Frame& inner);
+  Exit invoke(Frame& frame, const CallSite& site, Plan& plan, Frame& inner);
   /// Returns true if the callee executed STOP.
   bool run_call(Frame& frame, const CallSite& site);
   Value call_function(Frame& frame, const CallSite& site);
 
-  /// Parallel and speculative loop execution (see class comment).  `pc`
-  /// is the DO's plan entry.
-  UnitResult run_parallel_loop(Plan& plan, Frame& frame, std::size_t pc,
-                               std::int64_t init, std::int64_t limit,
-                               std::int64_t step);
-  UnitResult run_speculative_loop(Plan& plan, Frame& frame, std::size_t pc,
-                                  std::int64_t init, std::int64_t limit,
-                                  std::int64_t step);
+  /// Parallel and speculative loop execution (see class comment): each
+  /// steps the DO whose DoEntry op is `entry` itself and runs its body
+  /// once per iteration.  End when the loop completed, else Return or
+  /// Stop.
+  Exit run_parallel_loop(Frame& frame, const Op* entry, std::int64_t init,
+                         std::int64_t limit, std::int64_t step);
+  Exit run_speculative_loop(Frame& frame, const Op* entry,
+                            std::int64_t init, std::int64_t limit,
+                            std::int64_t step);
+  /// Runs one iteration of a driven loop's body.
+  Exit run_iteration(const Op* entry, Frame& frame);
   std::size_t reduction_elements(Frame& frame, const DoStmt* d);
 
   void charge(std::uint64_t cost) { *cost_acc_ += cost; }
-  void count_statement();
 
   Program& program_;
   MachineConfig config_;
@@ -139,7 +146,10 @@ class Interpreter {
   bool in_parallel_ = false;
   std::uint64_t reduction_updates_ = 0;  ///< flagged-stmt executions
   std::uint64_t stmt_limit_ = 500'000'000;
-  SymbolMap<ShadowArrays*> shadows_;  ///< active PD-test shadows
+  /// The active PD-test shadows: by frame slot, for accesses made in the
+  /// speculative loop's own frame only.
+  const Frame* shadow_frame_ = nullptr;
+  std::vector<ShadowArrays*> shadow_slots_;
   std::unordered_map<const ProgramUnit*, std::unique_ptr<Plan>> plans_;
   std::vector<Value> stack_;      ///< the value stack of every evaluation
   std::size_t stack_top_ = 0;     ///< where the next evaluation starts

@@ -89,15 +89,27 @@ class CommonStore {
       cells_;
 };
 
+/// One DO's state in an activation: its DO variable's cell, the value
+/// it steps, and the limit and step evaluated when the DO was entered.
+/// `driven` while a parallel or speculative runner steps the loop.
+struct LoopSlot {
+  std::int64_t value = 0, limit = 0, step = 0;
+  Cell* index = nullptr;
+  bool driven = false;
+};
+
 /// One activation frame: maps symbols to cells through their dense
 /// SymbolTable::slot, so every lookup is two vector reads.  The symbol
 /// bound at each slot is kept beside the cell: a symbol of another unit
-/// that shares the slot number looks up as null.  Cells for locals are
-/// owned by the frame; formals and commons point elsewhere.
+/// that shares the slot number looks up as null.  Lowered ops index the
+/// cells directly, by a slot lowering resolved.  Cells for locals are
+/// owned by the frame; formals and commons point elsewhere.  The frame
+/// also holds one LoopSlot per DO of its unit.
 class Frame {
  public:
-  /// A frame for a unit whose symbol table holds `slots` symbols.
-  explicit Frame(std::size_t slots) : syms_(slots), cells_(slots) {}
+  /// A frame of `slots` symbol slots and `loops` DOs.
+  explicit Frame(std::size_t slots, std::size_t loops = 0)
+      : syms_(slots), cells_(slots), loops_(loops) {}
 
   /// Binds `sym` to frame-owned storage.
   Cell* create_local(Symbol* sym);
@@ -112,9 +124,15 @@ class Frame {
   }
   bool bound(const Symbol* sym) const { return lookup(sym) != nullptr; }
 
+  /// The cells by slot (null where no symbol is bound).
+  Cell* const* cells() const { return cells_.data(); }
+  std::size_t slots() const { return cells_.size(); }
+  LoopSlot* loops() { return loops_.data(); }
+
  private:
   std::vector<const Symbol*> syms_;
   std::vector<Cell*> cells_;
+  std::vector<LoopSlot> loops_;
   std::vector<std::unique_ptr<Cell>> owned_;
 };
 
