@@ -229,17 +229,6 @@ bool has_irregular_flow(Statement* first, Statement* last) {
   return false;
 }
 
-bool has_calls(Statement* first, Statement* last) {
-  Statement* stop = last ? last->next() : nullptr;
-  for (Statement* s = first; s != stop; s = s->next()) {
-    p_assert(s != nullptr);
-    if (s->kind() == StmtKind::Call) return true;
-    for (const ExprPtr& e : s->expressions())
-      if (expr_has_user_call(*e)) return true;
-  }
-  return false;
-}
-
 bool is_loop_invariant(const Expression& e, DoStmt* loop) {
   return is_loop_invariant(e, loop,
                            may_defined_symbols(loop, loop->follow()));

@@ -28,13 +28,10 @@ SymbolSet may_defined_symbols(Statement* first, Statement* last);
 /// may execute before any definition of the symbol in the region.
 SymbolSet upward_exposed_scalars(Statement* first, Statement* last);
 
-/// True if the region contains a GOTO, a RETURN/STOP, or a statement label
-/// (conservatively treated as a join from elsewhere).
+/// True if the region contains a GOTO, a RETURN/STOP, or a statement whose
+/// label some GOTO of the unit targets (a join from elsewhere).  A label
+/// that no GOTO names does not count.
 bool has_irregular_flow(Statement* first, Statement* last);
-
-/// True if the region contains a CALL statement or a user-function call in
-/// any expression.
-bool has_calls(Statement* first, Statement* last);
 
 /// True if `e` is invariant in `loop`: it references no symbol that may be
 /// defined in the loop body, no enclosing loop index of `loop` itself, and

@@ -465,12 +465,17 @@ int main(int argc, char** argv) {
                      "reference\n");
         return 1;
       }
+      // A run that charged nothing has speedup 1, as in RunClock::speedup.
+      const double speedup =
+          run.clock.parallel == 0
+              ? 1.0
+              : static_cast<double>(ref_run.clock.serial) /
+                    (static_cast<double>(run.clock.parallel) *
+                     cfg.codegen_factor);
       std::fprintf(
           stderr, "[polaris] %d processors: %llu units (speedup %.2f)\n",
           s.processors, static_cast<unsigned long long>(run.clock.parallel),
-          static_cast<double>(ref_run.clock.serial) /
-              (static_cast<double>(run.clock.parallel) *
-               cfg.codegen_factor));
+          speedup);
     }
     // When a machine-readable stream goes to stdout, keep it the only
     // thing on stdout so consumers can pipe it straight into a parser.

@@ -535,9 +535,6 @@ class Lowerer {
       }
       case ExprKind::FuncCall:
         return lower_call_expr(static_cast<const FuncCall&>(e), c);
-      case ExprKind::Wildcard:
-        fail(c, "false", "wildcard evaluated at run time");
-        return Kind::Unknown;
     }
     p_unreachable("bad expression kind");
   }

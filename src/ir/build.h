@@ -89,11 +89,4 @@ inline ExprPtr call(const std::string& name, std::vector<ExprPtr> args,
   return std::make_unique<FuncCall>(name, std::move(args), t);
 }
 
-inline ExprPtr wild(const std::string& name) {
-  return std::make_unique<Wildcard>(name);
-}
-inline ExprPtr wild(const std::string& name, ExprKind k) {
-  return std::make_unique<Wildcard>(name, k);
-}
-
 }  // namespace polaris::ib

@@ -145,9 +145,6 @@ bool Expression::equals(const Expression& other) const {
         if (!a.args()[i]->equals(*b.args()[i])) return false;
       return true;
     }
-    case ExprKind::Wildcard:
-      return static_cast<const Wildcard&>(*this).name() ==
-             static_cast<const Wildcard&>(other).name();
   }
   p_unreachable("bad ExprKind");
 }
@@ -170,9 +167,6 @@ std::size_t Expression::hash() const {
     case ExprKind::VarRef:
       return hash_combine(h, std::hash<int>{}(
                                  static_cast<const VarRef&>(*this).symbol()->id()));
-    case ExprKind::Wildcard:
-      return hash_combine(h, std::hash<std::string>{}(
-                                 static_cast<const Wildcard&>(*this).name()));
     case ExprKind::ArrayRef: {
       const auto& a = static_cast<const ArrayRef&>(*this);
       h = hash_combine(h, std::hash<int>{}(a.symbol()->id()));
@@ -196,58 +190,6 @@ std::size_t Expression::hash() const {
       for (const auto& a : f.args()) h = hash_combine(h, a->hash());
       return h;
     }
-  }
-  p_unreachable("bad ExprKind");
-}
-
-bool Expression::match(const Expression& subject, Bindings& bindings) const {
-  if (kind() == ExprKind::Wildcard) {
-    const auto& w = static_cast<const Wildcard&>(*this);
-    if (w.constrained() && subject.kind() != w.required_kind()) return false;
-    auto it = bindings.find(w.name());
-    if (it != bindings.end()) return it->second->equals(subject);
-    bindings.emplace(w.name(), &subject);
-    return true;
-  }
-  if (kind() != subject.kind()) return false;
-  switch (kind()) {
-    case ExprKind::IntConst:
-    case ExprKind::RealConst:
-    case ExprKind::LogicalConst:
-    case ExprKind::StringConst:
-    case ExprKind::VarRef:
-      return equals(subject);
-    case ExprKind::ArrayRef: {
-      const auto& p = static_cast<const ArrayRef&>(*this);
-      const auto& s = static_cast<const ArrayRef&>(subject);
-      if (p.symbol() != s.symbol() || p.rank() != s.rank()) return false;
-      for (int i = 0; i < p.rank(); ++i)
-        if (!p.subscripts()[i]->match(*s.subscripts()[i], bindings))
-          return false;
-      return true;
-    }
-    case ExprKind::BinOp: {
-      const auto& p = static_cast<const BinOp&>(*this);
-      const auto& s = static_cast<const BinOp&>(subject);
-      return p.op() == s.op() && p.left().match(s.left(), bindings) &&
-             p.right().match(s.right(), bindings);
-    }
-    case ExprKind::UnOp: {
-      const auto& p = static_cast<const UnOp&>(*this);
-      const auto& s = static_cast<const UnOp&>(subject);
-      return p.op() == s.op() && p.operand().match(s.operand(), bindings);
-    }
-    case ExprKind::FuncCall: {
-      const auto& p = static_cast<const FuncCall&>(*this);
-      const auto& s = static_cast<const FuncCall&>(subject);
-      if (p.name() != s.name() || p.args().size() != s.args().size())
-        return false;
-      for (size_t i = 0; i < p.args().size(); ++i)
-        if (!p.args()[i]->match(*s.args()[i], bindings)) return false;
-      return true;
-    }
-    case ExprKind::Wildcard:
-      p_unreachable("handled above");
   }
   p_unreachable("bad ExprKind");
 }
@@ -404,12 +346,6 @@ void FuncCall::print(std::ostream& os) const {
   os << ")";
 }
 
-ExprPtr Wildcard::clone() const {
-  if (constrained_) return std::make_unique<Wildcard>(name_, required_);
-  return std::make_unique<Wildcard>(name_);
-}
-void Wildcard::print(std::ostream& os) const { os << "?" << name_; }
-
 // --- generic walks ----------------------------------------------------------
 
 void walk(const Expression& e,
@@ -424,17 +360,6 @@ void walk_slots(ExprPtr& root, const std::function<void(ExprPtr&)>& fn) {
   fn(root);
   if (root.get() != before) return;  // replaced: do not descend
   for (ExprPtr& slot : root->children()) walk_slots(slot, fn);
-}
-
-int replace_all(ExprPtr& root, const Expression& from, const Expression& to) {
-  int count = 0;
-  walk_slots(root, [&](ExprPtr& slot) {
-    if (slot->equals(from)) {
-      slot = to.clone();
-      ++count;
-    }
-  });
-  return count;
 }
 
 int replace_var(ExprPtr& root, const Symbol* sym, const Expression& to) {

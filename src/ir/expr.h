@@ -4,18 +4,11 @@
 // "detection of aliased structures ... causes a run-time error" — inserting
 // one expression into two statements without copying is a bug).  We enforce
 // this structurally with unique_ptr ownership; clone() produces deep copies.
-//
-// The Wildcard node supports Polaris's structural pattern matching
-// ("Forbol"): a pattern is an ordinary expression tree that may contain
-// wildcards anywhere; match() compares a pattern against a subject and binds
-// wildcard names to subtrees, requiring consistent bindings for repeated
-// names (needed for idioms like A(α) = A(α) + β).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -37,7 +30,6 @@ enum class ExprKind {
   BinOp,
   UnOp,
   FuncCall,
-  Wildcard,
 };
 
 enum class BinOpKind {
@@ -55,10 +47,6 @@ std::string binop_spelling(BinOpKind k);
 
 class Expression;
 using ExprPtr = std::unique_ptr<Expression>;
-
-/// Wildcard bindings produced by matching: name -> matched subtree
-/// (non-owning views into the subject).
-using Bindings = std::map<std::string, const Expression*>;
 
 class Expression {
  public:
@@ -89,11 +77,6 @@ class Expression {
 
   /// Structural hash, consistent with equals().
   std::size_t hash() const;
-
-  /// Pattern matching: `this` is the pattern (may contain Wildcards),
-  /// `subject` must not.  On success, bindings maps each wildcard name to
-  /// the matched subject subtree; repeated names must match equal subtrees.
-  bool match(const Expression& subject, Bindings& bindings) const;
 
   /// True if any node in the tree satisfies `pred`.
   bool contains(const std::function<bool(const Expression&)>& pred) const;
@@ -216,8 +199,6 @@ class BinOp final : public Expression {
   const Expression& right() const { return *ops_[1]; }
   Expression& left() { return *ops_[0]; }
   Expression& right() { return *ops_[1]; }
-  ExprPtr take_left() { return std::move(ops_[0]); }
-  ExprPtr take_right() { return std::move(ops_[1]); }
   ExprPtr clone() const override;
   std::span<ExprPtr> children() override { return ops_; }
   Type type() const override;
@@ -234,7 +215,6 @@ class UnOp final : public Expression {
   UnOpKind op() const { return op_; }
   const Expression& operand() const { return *operand_; }
   Expression& operand() { return *operand_; }
-  ExprPtr take_operand() { return std::move(operand_); }
   ExprPtr clone() const override;
   std::span<ExprPtr> children() override { return {&operand_, 1}; }
   Type type() const override { return operand_->type(); }
@@ -264,32 +244,6 @@ class FuncCall final : public Expression {
   Type result_type_;
 };
 
-/// Pattern wildcard.  Matches any subtree (optionally constrained to a
-/// particular ExprKind); repeated use of the same name requires the matched
-/// subtrees to be structurally equal.
-class Wildcard final : public Expression {
- public:
-  explicit Wildcard(std::string name)
-      : Expression(ExprKind::Wildcard), name_(std::move(name)) {}
-  Wildcard(std::string name, ExprKind required)
-      : Expression(ExprKind::Wildcard),
-        name_(std::move(name)),
-        constrained_(true),
-        required_(required) {}
-  const std::string& name() const { return name_; }
-  bool constrained() const { return constrained_; }
-  ExprKind required_kind() const { return required_; }
-  ExprPtr clone() const override;
-  std::span<ExprPtr> children() override { return {}; }
-  Type type() const override { return Type(); }
-  void print(std::ostream& os) const override;
-
- private:
-  std::string name_;
-  bool constrained_ = false;
-  ExprKind required_ = ExprKind::IntConst;
-};
-
 // --- generic walks ----------------------------------------------------------
 
 /// Pre-order visit of every node in the tree (const).
@@ -299,10 +253,6 @@ void walk(const Expression& e,
 /// Pre-order visit with mutable slot access: fn receives each slot; if it
 /// replaces the slot's contents the new subtree is not revisited.
 void walk_slots(ExprPtr& root, const std::function<void(ExprPtr&)>& fn);
-
-/// Replaces every occurrence of a subtree equal to `from` with a clone of
-/// `to`; returns the number of replacements.
-int replace_all(ExprPtr& root, const Expression& from, const Expression& to);
 
 /// Replaces every reference to scalar symbol `sym` with a clone of `to`.
 int replace_var(ExprPtr& root, const Symbol* sym, const Expression& to);

@@ -1,7 +1,5 @@
 #include "ir/stmtlist.h"
 
-#include <functional>
-
 namespace polaris {
 
 StmtList::~StmtList() {
@@ -26,32 +24,6 @@ Statement* StmtList::push_back(StmtPtr s) {
   ++size_;
   revalidate();
   return raw;
-}
-
-Statement* StmtList::insert_before(Statement* pos, StmtPtr s) {
-  p_assert(pos != nullptr && pos->list_ == this);
-  p_assert(s != nullptr && s->list_ == nullptr);
-  Statement* raw = s.get();
-  Statement* before = pos->prev_;
-  if (before == nullptr) {
-    s->next_ = std::move(head_);
-    head_ = std::move(s);
-  } else {
-    s->next_ = std::move(before->next_);
-    before->next_ = std::move(s);
-    raw->prev_ = before;
-  }
-  pos->prev_ = raw;
-  raw->list_ = this;
-  ++size_;
-  revalidate();
-  return raw;
-}
-
-Statement* StmtList::insert_after(Statement* pos, StmtPtr s) {
-  p_assert(pos != nullptr && pos->list_ == this);
-  if (pos == tail_) return push_back(std::move(s));
-  return insert_before(pos->next(), std::move(s));
 }
 
 void StmtList::splice_back(std::vector<StmtPtr> fragment) {
@@ -101,66 +73,18 @@ void StmtList::splice_after(Statement* pos, std::vector<StmtPtr> fragment) {
   }
 }
 
-std::vector<StmtPtr> StmtList::detach_range(Statement* first,
-                                            Statement* last) {
-  p_assert(first != nullptr && last != nullptr);
-  p_assert(first->list_ == this && last->list_ == this);
-  std::vector<StmtPtr> out;
-  Statement* before = first->prev_;
-  Statement* after = last->next();
-
-  // Take ownership of the chain head for the range.
-  std::unique_ptr<Statement> chain;
-  if (before == nullptr) {
-    chain = std::move(head_);
-  } else {
-    chain = std::move(before->next_);
-  }
-  // Walk the chain, detaching each element up to and including `last`.
-  Statement* cur = chain.get();
-  while (true) {
-    p_assert_msg(cur != nullptr, "range end does not follow range start");
-    std::unique_ptr<Statement> next = std::move(cur->next_);
-    cur->prev_ = nullptr;
-    cur->list_ = nullptr;
-    cur->outer_ = nullptr;
-    bool done = (cur == last);
-    out.push_back(std::move(chain));
-    --size_;
-    chain = std::move(next);
-    if (done) break;
-    cur = chain.get();
-  }
-  // Reconnect the remainder.
-  if (before == nullptr) {
-    head_ = std::move(chain);
-    if (head_) head_->prev_ = nullptr;
-  } else {
-    before->next_ = std::move(chain);
-    if (before->next_) before->next_->prev_ = before;
-  }
-  if (after == nullptr) tail_ = before;
-  return out;
-}
-
 void StmtList::remove(Statement* s) {
-  p_assert(s != nullptr);
-  detach_range(s, s);  // destroys via the returned vector going out of scope
+  p_assert(s != nullptr && s->list_ == this);
+  Statement* before = s->prev_;
+  StmtPtr& link = before ? before->next_ : head_;
+  StmtPtr doomed = std::move(link);  // destroyed on return
+  link = std::move(doomed->next_);
+  if (link)
+    link->prev_ = before;
+  else
+    tail_ = before;
+  --size_;
   revalidate();
-}
-
-void StmtList::remove_range(Statement* first, Statement* last) {
-  check_block(first, last);
-  detach_range(first, last);
-  revalidate();
-}
-
-std::vector<StmtPtr> StmtList::extract_range(Statement* first,
-                                             Statement* last) {
-  check_block(first, last);
-  std::vector<StmtPtr> out = detach_range(first, last);
-  revalidate();
-  return out;
 }
 
 std::vector<StmtPtr> StmtList::clone_range(Statement* first,
@@ -174,37 +98,6 @@ std::vector<StmtPtr> StmtList::clone_range(Statement* first,
     if (s == last) break;
   }
   return out;
-}
-
-void StmtList::check_block(Statement* first, Statement* last) const {
-  p_assert(first != nullptr && last != nullptr);
-  p_assert(first->list_ == this && last->list_ == this);
-  int do_depth = 0;
-  int if_depth = 0;
-  for (Statement* s = first;; s = s->next()) {
-    p_assert_msg(s != nullptr, "range end does not follow range start");
-    switch (s->kind()) {
-      case StmtKind::Do: ++do_depth; break;
-      case StmtKind::EndDo:
-        p_assert_msg(do_depth > 0, "block contains unmatched END DO");
-        --do_depth;
-        break;
-      case StmtKind::If: ++if_depth; break;
-      case StmtKind::EndIf:
-        p_assert_msg(if_depth > 0, "block contains unmatched END IF");
-        --if_depth;
-        break;
-      case StmtKind::ElseIf:
-      case StmtKind::Else:
-        p_assert_msg(if_depth > 0, "block contains dangling ELSE");
-        break;
-      default:
-        break;
-    }
-    if (s == last) break;
-  }
-  p_assert_msg(do_depth == 0, "block contains unmatched DO");
-  p_assert_msg(if_depth == 0, "block contains unmatched IF");
 }
 
 void StmtList::revalidate() {
@@ -373,36 +266,6 @@ std::vector<Statement*> StmtList::body(DoStmt* d) const {
     out.push_back(s);
   }
   return out;
-}
-
-void for_each_expr_slot(StmtList& list, Statement* first, Statement* last,
-                        const std::function<void(Statement&, ExprPtr&)>& fn) {
-  Statement* s = first ? first : list.first();
-  Statement* stop = last ? last->next() : nullptr;
-  for (; s != stop; s = s->next()) {
-    p_assert(s != nullptr);
-    for (ExprPtr& slot : s->expr_slots()) fn(*s, slot);
-  }
-}
-
-int count_symbol_uses(const StmtList& list, const Symbol* sym) {
-  int count = 0;
-  for (Statement* s : list) {
-    if (s->kind() == StmtKind::Do &&
-        static_cast<DoStmt*>(s)->index() == sym)
-      ++count;
-    for (const ExprPtr& e : s->expressions()) {
-      walk(*e, [&](const Expression& n) {
-        if (n.kind() == ExprKind::VarRef &&
-            static_cast<const VarRef&>(n).symbol() == sym)
-          ++count;
-        else if (n.kind() == ExprKind::ArrayRef &&
-                 static_cast<const ArrayRef&>(n).symbol() == sym)
-          ++count;
-      });
-    }
-  }
-  return count;
 }
 
 }  // namespace polaris

@@ -7,7 +7,7 @@
 // multi-block statements such as do loops and block-if statements."
 //
 // StmtList owns its statements through an intrusive unique_ptr chain.
-// Structural edits (insert / remove / extract / splice) trigger
+// Structural edits (push / remove / splice) trigger
 // revalidate(), which re-derives all cross links (do->enddo, if-arm chain,
 // enclosing-loop `outer` pointers, the label map) and p_asserts proper
 // nesting.  Code that needs to assemble a temporarily ill-formed fragment
@@ -37,10 +37,6 @@ class StmtList {
 
   /// Appends and revalidates.  Returns the inserted statement.
   Statement* push_back(StmtPtr s);
-  /// Inserts before/after an existing statement of this list.
-  Statement* insert_before(Statement* pos, StmtPtr s);
-  Statement* insert_after(Statement* pos, StmtPtr s);
-
   /// Appends/inserts a detached fragment (consistency checked afterwards).
   void splice_back(std::vector<StmtPtr> fragment);
   void splice_before(Statement* pos, std::vector<StmtPtr> fragment);
@@ -49,14 +45,6 @@ class StmtList {
   /// Removes and destroys a single statement.  The resulting list must
   /// still be well-formed (removing one half of a do/enddo pair asserts).
   void remove(Statement* s);
-
-  /// Removes and destroys the inclusive range [first, last], which must be
-  /// a well-formed block (balanced do/enddo and if/endif within).
-  void remove_range(Statement* first, Statement* last);
-
-  /// Detaches the inclusive range [first, last] without destroying it;
-  /// the range must be a well-formed block.  Used for moving code.
-  std::vector<StmtPtr> extract_range(Statement* first, Statement* last);
 
   /// Deep-copies the inclusive range [first, last] into a detached fragment.
   std::vector<StmtPtr> clone_range(Statement* first, Statement* last) const;
@@ -107,25 +95,10 @@ class StmtList {
   /// map and derived links that the public API keeps consistent.
   friend class VerifierTestPeer;
 
-  /// Checks [first,last] is a contiguous well-formed block of this list.
-  void check_block(Statement* first, Statement* last) const;
-  /// Detach without revalidation; shared by remove/extract.
-  std::vector<StmtPtr> detach_range(Statement* first, Statement* last);
-
   std::unique_ptr<Statement> head_;
   Statement* tail_ = nullptr;
   std::size_t size_ = 0;
   std::map<int, Statement*> labels_;
 };
-
-/// Applies `fn` to every expression slot of every statement in [first,last]
-/// inclusive (or the whole list when first==nullptr).
-void for_each_expr_slot(StmtList& list, Statement* first, Statement* last,
-                        const std::function<void(Statement&, ExprPtr&)>& fn);
-
-/// Counts references to `sym` in all statements of the list (VarRef and
-/// ArrayRef bases, plus DO indices).  Used before SymbolTable::remove to
-/// honor the "no dangling references" rule.
-int count_symbol_uses(const StmtList& list, const Symbol* sym);
 
 }  // namespace polaris

@@ -65,18 +65,6 @@ Symbol* SymbolTable::fresh(const std::string& prefix, Type type) {
   }
 }
 
-void SymbolTable::remove(Symbol* sym) {
-  p_assert(sym != nullptr);
-  auto it = table_.find(sym->name());
-  p_assert_msg(it != table_.end() && it->second.get() == sym,
-               "removing symbol not owned by this table: " + sym->name());
-  auto pos = std::find(order_.begin(), order_.end(), sym);
-  p_assert(pos != order_.end());
-  for (auto later = order_.erase(pos); later != order_.end(); ++later)
-    --(*later)->slot_;
-  table_.erase(it);
-}
-
 bool SymbolTable::contains(const std::string& name) const {
   return table_.find(to_lower(name)) != table_.end();
 }

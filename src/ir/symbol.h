@@ -3,8 +3,8 @@
 // A Symbol is owned by exactly one SymbolTable (the Polaris ownership
 // convention: the creator owns; passing a pointer transfers ownership,
 // passing a reference does not).  Expressions refer to symbols with
-// non-owning Symbol* — the table outlives all references into it, and
-// SymbolTable::remove() asserts that no live references remain.
+// non-owning Symbol* — the table outlives all references into it, and a
+// table never gives up a symbol once declared.
 #pragma once
 
 #include <map>
@@ -70,9 +70,9 @@ class Symbol {
   /// in the process.  Nothing else may reassign ids.
   void set_id(int id) { id_ = id; }
 
-  /// Dense position in the owning table's declaration order (0..size-1),
-  /// kept dense across SymbolTable::remove; -1 before the symbol is
-  /// declared in a table.  The interpreter indexes activation frames by it.
+  /// Position in the owning table's declaration order (0..size-1), fixed
+  /// for the symbol's life; -1 before the symbol is declared in a table.
+  /// The interpreter indexes activation frames by it.
   int slot() const { return slot_; }
 
   bool is_array() const { return !dims_.empty(); }
@@ -148,11 +148,6 @@ class SymbolTable {
   /// Invents a fresh name with the given prefix ("t", "t0", "t1", ...) that
   /// does not collide with any declared name, and declares it.
   Symbol* fresh(const std::string& prefix, Type type);
-
-  /// Removes a symbol from the table and destroys it.  The caller must
-  /// guarantee no references remain in the program (checked by passes via
-  /// ir::count_symbol_uses before calling this).
-  void remove(Symbol* sym);
 
   bool contains(const std::string& name) const;
 

@@ -33,7 +33,6 @@ class Type {
   constexpr bool is_floating() const {
     return kind_ == TypeKind::Real || kind_ == TypeKind::DoublePrecision;
   }
-  constexpr bool is_numeric() const { return is_integer() || is_floating(); }
   constexpr bool is_logical() const { return kind_ == TypeKind::Logical; }
 
   /// The Fortran keyword for this type ("integer", "real", ...).

@@ -290,8 +290,8 @@ class UnitVerifier {
                  "' is not in this unit's symbol table");
   }
 
-  /// Iterative walk: membership of every referenced symbol, no Wildcards,
-  /// no node shared between two slots, cycle-guarded.
+  /// Iterative walk: membership of every referenced symbol, no node
+  /// shared between two slots, cycle-guarded.
   void check_expr_tree(const Expression* root, const std::string& where) {
     if (root == nullptr) {
       report("expr-tree", where, "null expression slot");
@@ -339,10 +339,6 @@ class UnitVerifier {
                        "rank " + std::to_string(a->symbol()->rank()));
           break;
         }
-        case ExprKind::Wildcard:
-          report("wildcard-in-ir", where,
-                 "pattern wildcard leaked into program IR");
-          break;
         default:
           break;
       }

@@ -21,9 +21,8 @@
 //     DO indices, ParallelInfo annotations, formals, the function result,
 //     dimension bounds, PARAMETER and DATA values lives in the unit's own
 //     symbol table;
-//   - expression-tree discipline: trees are acyclic, no node is shared
-//     between two slots (the paper's aliased-structure error), and no
-//     pattern Wildcard leaks into program IR.
+//   - expression-tree discipline: trees are acyclic and no node is shared
+//     between two slots (the paper's aliased-structure error).
 #pragma once
 
 #include <string>

@@ -45,11 +45,6 @@ struct MachineConfig {
   std::uint64_t per_proc_dispatch = 120;     ///< per processor per instance
   std::uint64_t reduction_merge_per_elem = 6; ///< per element per processor
   std::uint64_t lastvalue_cost = 20;         ///< per last-value variable
-
-  /// Per-iteration multiplier modeling back-end code quality: 1.0 is
-  /// neutral.  The PFA baseline's aggressive restructuring is modeled as
-  /// <1.0 on loops it helps and >1.0 on loops it hurts (see driver).
-  double serial_efficiency = 1.0;
 };
 
 /// Static block scheduling: time for the slowest processor's share plus

@@ -577,6 +577,10 @@ InductionResult substitute_inductions(ProgramUnit& unit, const Options& opts,
   // Outermost loops only; the solver handles the whole nest.
   for (DoStmt* loop : unit.stmts().loops()) {
     if (loop->outer() != nullptr) continue;
+    // A GOTO, RETURN or STOP can leave, skip or re-enter part of the nest,
+    // and then neither a closed form after it nor one inside it holds.
+    // doall keeps the same loops serial.
+    if (has_irregular_flow(loop, loop->follow())) continue;
     std::string context = unit.name() + "/" + loop->loop_name();
     if (opts.multiplicative_induction) {
       int mult = rewrite_multiplicative(unit, loop, diags, context, am);

@@ -85,7 +85,7 @@ std::vector<RecognizedReduction> recognize_reductions(DoStmt* loop,
   std::vector<RecognizedReduction> out;
   if (!opts.reductions) return out;
 
-  // Phase 1: flag candidates by pattern (the Wildcard-based recognition).
+  // Phase 1: flag candidates by the shape match_reduction recognizes.
   SymbolMap<RecognizedReduction> candidates;
   SymbolMap<bool> invalid;
   for (Statement* s = loop->next(); s != loop->follow(); s = s->next()) {

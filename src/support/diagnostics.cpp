@@ -59,10 +59,6 @@ void Diagnostics::remark(RemarkKind kind, const std::string& pass,
   diags_.push_back(std::move(d));
 }
 
-bool Diagnostics::has_errors() const {
-  return count(DiagSeverity::Error) > 0;
-}
-
 std::size_t Diagnostics::count(DiagSeverity sev) const {
   return static_cast<std::size_t>(
       std::count_if(diags_.begin(), diags_.end(),

@@ -69,7 +69,6 @@ class Diagnostics {
               std::vector<RemarkArg> args = {});
 
   const std::vector<Diagnostic>& all() const { return diags_; }
-  bool has_errors() const;
   std::size_t count(DiagSeverity sev) const;
 
   /// Remark-kind diagnostics only (the `-remarks=` stream).

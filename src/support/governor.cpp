@@ -75,11 +75,6 @@ void ResourceGovernor::configure(const GovernorLimits& limits) {
   recompute_active();
 }
 
-void ResourceGovernor::set_fuel_limit(std::uint64_t fuel) {
-  fuel_limit_ = fuel;
-  recompute_active();
-}
-
 void ResourceGovernor::set_simplify_depth_limit(int depth) {
   simplify_depth_ = depth;
   recompute_active();

@@ -149,9 +149,6 @@ class ResourceGovernor {
   /// keep running.
   void configure(const GovernorLimits& limits);
 
-  /// Overrides just the fuel limit — the shard-share hook.
-  void set_fuel_limit(std::uint64_t fuel);
-
   /// Simplify recursion depth limit for the *current ladder attempt*
   /// (simplify() has no Options parameter, so the attempt switch lives
   /// here).  0 = unlimited.

@@ -45,7 +45,6 @@ struct JsonValue {
   JsonValue& set(const std::string& key, JsonValue v);  ///< add object field
 
   // --- access ---------------------------------------------------------------
-  bool is_null() const { return kind == Kind::Null; }
   bool is_object() const { return kind == Kind::Object; }
   bool is_array() const { return kind == Kind::Array; }
   bool is_string() const { return kind == Kind::String; }

@@ -12,13 +12,6 @@ std::string to_lower(const std::string& s) {
   return r;
 }
 
-std::string to_upper(const std::string& s) {
-  std::string r = s;
-  std::transform(r.begin(), r.end(), r.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return r;
-}
-
 std::string trim(const std::string& s) { return std::string(trim_view(s)); }
 
 std::string_view trim_view(std::string_view s) {

@@ -10,7 +10,6 @@ namespace polaris {
 /// Lower-cases ASCII (Fortran is case-insensitive; Polaris canonicalizes
 /// identifiers to lower case on entry).
 std::string to_lower(const std::string& s);
-std::string to_upper(const std::string& s);
 
 /// Strips leading and trailing whitespace.
 std::string trim(const std::string& s);

@@ -123,24 +123,6 @@ bool prove_lt(const Expression& e1, const Expression& e2,
                    ctx);
 }
 
-bool prove_ge(const Expression& e1, const Expression& e2,
-              const FactContext& ctx) {
-  return prove_le(e2, e1, ctx);
-}
-
-bool prove_gt(const Expression& e1, const Expression& e2,
-              const FactContext& ctx) {
-  return prove_lt(e2, e1, ctx);
-}
-
-bool prove_eq(const Expression& e1, const Expression& e2,
-              const FactContext& ctx) {
-  Polynomial d = Polynomial::from_expr(e1) - Polynomial::from_expr(e2);
-  if (d.is_zero()) return true;
-  (void)ctx;
-  return false;  // equality beyond cancellation requires both <= and >=
-}
-
 Cmp compare(const Expression& e1, const Expression& e2,
             const FactContext& ctx) {
   Polynomial d = Polynomial::from_expr(e1) - Polynomial::from_expr(e2);

@@ -31,12 +31,6 @@ bool prove_le(const Expression& e1, const Expression& e2,
               const FactContext& ctx);
 bool prove_lt(const Expression& e1, const Expression& e2,
               const FactContext& ctx);
-bool prove_ge(const Expression& e1, const Expression& e2,
-              const FactContext& ctx);
-bool prove_gt(const Expression& e1, const Expression& e2,
-              const FactContext& ctx);
-bool prove_eq(const Expression& e1, const Expression& e2,
-              const FactContext& ctx);
 
 /// Strongest provable relation between e1 and e2.
 Cmp compare(const Expression& e1, const Expression& e2,

@@ -434,7 +434,7 @@ Polynomial convert(const Expression& e, bool exact_division) {
     case ExprKind::BinOp:
       break;
     default:
-      return opaque(e);  // ArrayRef, FuncCall, String, Logical, Wildcard
+      return opaque(e);  // ArrayRef, FuncCall, String, Logical
   }
   const auto& b = static_cast<const BinOp&>(e);
   switch (b.op()) {

@@ -147,22 +147,6 @@ TEST(StructureTest, ClassicDoTerminatorIsNotIrregular) {
   EXPECT_FALSE(has_irregular_flow(stmts.first(), stmts.last()));
 }
 
-TEST(StructureTest, HasCalls) {
-  auto p = parse(
-      "      program t\n"
-      "      x = f(1.0)\n"
-      "      end\n");
-  auto& stmts = p->main()->stmts();
-  EXPECT_TRUE(has_calls(stmts.first(), stmts.last()));
-
-  auto q = parse(
-      "      program t\n"
-      "      x = sqrt(1.0)\n"  // intrinsic: not a user call
-      "      end\n");
-  auto& qs = q->main()->stmts();
-  EXPECT_FALSE(has_calls(qs.first(), qs.last()));
-}
-
 TEST(StructureTest, LoopInvariance) {
   auto p = parse(
       "      program t\n"
@@ -178,6 +162,9 @@ TEST(StructureTest, LoopInvariance) {
   ExprPtr varying = parse_expression("x + i", st);
   EXPECT_TRUE(is_loop_invariant(*inv, loop));
   EXPECT_FALSE(is_loop_invariant(*varying, loop));
+  // A user function call is never invariant; an intrinsic one may be.
+  EXPECT_FALSE(is_loop_invariant(*parse_expression("f(m)", st), loop));
+  EXPECT_TRUE(is_loop_invariant(*parse_expression("sqrt(m)", st), loop));
 }
 
 TEST(StructureTest, LiveAfterLoop) {

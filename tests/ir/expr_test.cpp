@@ -95,16 +95,6 @@ TEST_F(ExprTest, WalkVisitsAllNodes) {
   EXPECT_EQ(count, 5);
 }
 
-TEST_F(ExprTest, ReplaceAllSubtrees) {
-  // replace i*n by 42 in (i*n) + (i*n)
-  ExprPtr e = ib::add(ib::mul(ib::var(i), ib::var(n)),
-                      ib::mul(ib::var(i), ib::var(n)));
-  ExprPtr from = ib::mul(ib::var(i), ib::var(n));
-  ExprPtr to = ib::ic(42);
-  EXPECT_EQ(replace_all(e, *from, *to), 2);
-  EXPECT_EQ(e->to_string(), "42+42");
-}
-
 TEST_F(ExprTest, ReplaceVarSubstitutesScalarUses) {
   ExprPtr e = ib::add(ib::var(i), ib::aref(a, ib::var(i)));
   ExprPtr closed = ib::add(ib::var(n), ib::ic(1));

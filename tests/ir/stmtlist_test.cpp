@@ -102,47 +102,29 @@ TEST_F(StmtListTest, RemovingHalfOfDoPairAsserts) {
   EXPECT_THROW(l.remove(l.first()), InternalError);
 }
 
-TEST_F(StmtListTest, RemoveRangeRequiresWellFormedBlock) {
-  StmtList l;
-  build(l, frag(make_do(i, 1, 10), assign(x, 1),
-                std::make_unique<EndDoStmt>()));
-  Statement* d = l.first();
-  Statement* body = d->next();
-  EXPECT_THROW(l.remove_range(d, body), InternalError);  // splits the pair
-}
-
-TEST_F(StmtListTest, RemoveRangeWholeLoopSucceeds) {
+TEST_F(StmtListTest, SpliceAfterInsertsClonedBlock) {
   StmtList l;
   build(l, frag(assign(x, 0), make_do(i, 1, 10), assign(x, 1),
                 std::make_unique<EndDoStmt>(), assign(x, 2)));
-  Statement* before = l.first();
-  Statement* d = before->next();
-  Statement* e = d->next()->next();
-  Statement* after = l.last();
-  l.remove_range(d, e);
-  EXPECT_EQ(l.size(), 2u);
-  EXPECT_EQ(before->next(), after);
-}
+  auto* d = static_cast<DoStmt*>(l.first()->next());
+  Statement* e = d->follow();
 
-TEST_F(StmtListTest, ExtractAndSpliceMovesBlocks) {
-  StmtList l;
-  build(l, frag(assign(x, 0), make_do(i, 1, 10), assign(x, 1),
-                std::make_unique<EndDoStmt>(), assign(x, 2)));
-  Statement* d = l.first()->next();
-  Statement* e = d->next()->next();
-  Statement* tail_stmt = l.last();
-
-  std::vector<StmtPtr> block = l.extract_range(d, e);
-  EXPECT_EQ(l.size(), 2u);
-  EXPECT_EQ(block.size(), 3u);
-
-  l.splice_after(tail_stmt, std::move(block));
-  EXPECT_EQ(l.size(), 5u);
-  EXPECT_EQ(l.last()->kind(), StmtKind::EndDo);
+  // Inside the list, as normalize and induction place code after an END DO.
+  l.splice_after(e, l.clone_range(d, e));
+  EXPECT_EQ(l.size(), 8u);
+  auto* copy = static_cast<DoStmt*>(e->next());
+  ASSERT_EQ(copy->kind(), StmtKind::Do);
   // follow links must be re-derived after the splice
-  auto* d2 = static_cast<DoStmt*>(tail_stmt->next());
-  EXPECT_EQ(d2->kind(), StmtKind::Do);
-  EXPECT_EQ(d2->follow(), l.last());
+  EXPECT_EQ(d->follow(), e);
+  EXPECT_EQ(copy->follow()->next(), l.last());
+
+  // After the tail.
+  Statement* tail_stmt = l.last();
+  l.splice_after(tail_stmt, l.clone_range(d, e));
+  EXPECT_EQ(l.size(), 11u);
+  auto* d3 = static_cast<DoStmt*>(tail_stmt->next());
+  ASSERT_EQ(d3->kind(), StmtKind::Do);
+  EXPECT_EQ(d3->follow(), l.last());
 }
 
 TEST_F(StmtListTest, SpliceBeforeInsertsFragmentInOrder) {
@@ -244,29 +226,6 @@ TEST_F(StmtListTest, LoopsAndBodyHelpers) {
 
   auto outer_body = l.body(d1);
   EXPECT_EQ(outer_body.size(), 3u);  // do j, assign, enddo
-}
-
-TEST_F(StmtListTest, CountSymbolUses) {
-  StmtList l;
-  build(l, frag(make_do(i, 1, 10),
-                std::make_unique<AssignStmt>(
-                    ib::var(x), ib::add(ib::var(i), ib::var(i))),
-                std::make_unique<EndDoStmt>()));
-  EXPECT_EQ(count_symbol_uses(l, i), 3);  // do index + two rhs uses
-  EXPECT_EQ(count_symbol_uses(l, x), 1);
-  EXPECT_EQ(count_symbol_uses(l, j), 0);
-}
-
-TEST_F(StmtListTest, ForEachExprSlot) {
-  StmtList l;
-  build(l, frag(make_do(i, 1, 10),
-                std::make_unique<AssignStmt>(ib::var(x), ib::var(i)),
-                std::make_unique<EndDoStmt>()));
-  int slots = 0;
-  for_each_expr_slot(l, nullptr, nullptr,
-                     [&](Statement&, ExprPtr&) { ++slots; });
-  // DO has init/limit/step, assignment has lhs/rhs.
-  EXPECT_EQ(slots, 5);
 }
 
 }  // namespace

@@ -51,24 +51,6 @@ TEST(SymbolTest, DimsAndRank) {
   EXPECT_EQ(a->dims()[1].lower->to_string(), "0");
 }
 
-TEST(SymbolTest, RemoveDropsSymbol) {
-  SymbolTable t;
-  Symbol* a = t.declare("a", Type::real(), SymbolKind::Variable);
-  t.declare("b", Type::real(), SymbolKind::Variable);
-  EXPECT_EQ(t.size(), 2u);
-  t.remove(a);
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.lookup("a"), nullptr);
-  EXPECT_NE(t.lookup("b"), nullptr);
-}
-
-TEST(SymbolTest, RemoveForeignSymbolAsserts) {
-  SymbolTable t1, t2;
-  Symbol* a = t1.declare("a", Type::real(), SymbolKind::Variable);
-  t2.declare("a", Type::real(), SymbolKind::Variable);
-  EXPECT_THROW(t2.remove(a), InternalError);
-}
-
 TEST(SymbolTest, DeclarationOrderPreserved) {
   SymbolTable t;
   t.declare("z", Type::real(), SymbolKind::Variable);
@@ -80,19 +62,17 @@ TEST(SymbolTest, DeclarationOrderPreserved) {
   EXPECT_EQ(t.symbols()[2]->name(), "m");
 }
 
-TEST(SymbolTest, SlotsStayDenseAcrossRemove) {
+TEST(SymbolTest, SlotIsDeclarationIndex) {
   SymbolTable t;
   Symbol* a = t.declare("a", Type::real(), SymbolKind::Variable);
-  Symbol* b = t.declare("b", Type::real(), SymbolKind::Variable);
-  Symbol* c = t.declare("c", Type::real(), SymbolKind::Variable);
+  Symbol* b = t.get_or_declare("b", Type::real());
+  Symbol* c = t.fresh("c", Type::real());
   EXPECT_EQ(a->slot(), 0);
   EXPECT_EQ(b->slot(), 1);
   EXPECT_EQ(c->slot(), 2);
-  t.remove(b);
-  EXPECT_EQ(a->slot(), 0);
-  EXPECT_EQ(c->slot(), 1);
-  Symbol* d = t.fresh("d", Type::real());
-  EXPECT_EQ(d->slot(), 2);
+  EXPECT_EQ(t.get_or_declare("a", Type::real()), a);
+  Symbol* d = t.fresh("c", Type::real());
+  EXPECT_EQ(d->slot(), 3);
   for (std::size_t i = 0; i < t.size(); ++i)
     EXPECT_EQ(t.symbols()[i]->slot(), static_cast<int>(i));
 }

@@ -148,15 +148,6 @@ TEST(VerifierTest, RankMismatchDetected) {
   EXPECT_TRUE(has_rule(vs, "rank-mismatch")) << format_violations(vs);
 }
 
-TEST(VerifierTest, WildcardInIrDetected) {
-  auto unit = make_unit();
-  Symbol* n = unit->symtab().lookup("n");
-  unit->stmts().push_back(std::make_unique<AssignStmt>(
-      ib::var(n), std::make_unique<Wildcard>("w")));
-  auto vs = verify_unit(*unit);
-  EXPECT_TRUE(has_rule(vs, "wildcard-in-ir")) << format_violations(vs);
-}
-
 TEST(VerifierTest, ProgramWithoutMainFlagged) {
   Program p;
   auto sub = std::make_unique<ProgramUnit>(UnitKind::Subroutine, "work");

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/compiler.h"
+#include "interp/interp.h"
 #include "parser/parser.h"
 #include "parser/printer.h"
 #include "symbolic/poly.h"
@@ -313,6 +315,105 @@ TEST(InductionTest, SemanticsPreservedNumerically) {
       ASSERT_TRUE(v.is_constant());
       EXPECT_EQ(v.constant_value(), Rational(expect))
           << "i=" << i << " j=" << j;
+    }
+  }
+}
+
+// A GOTO, RETURN or STOP that leaves, skips or re-enters part of a nest
+// makes every closed form wrong: the pass must leave the recurrence in
+// place.  Each compiled program must print what the sequential reference
+// prints; the last one looped forever when its recurrence was replaced.
+TEST(InductionTest, IrregularFlowKeepsTheRecurrence) {
+  struct Case {
+    const char* name;
+    const char* src;
+  };
+  const Case cases[] = {
+      {"goto out of a doall",
+       "      program t\n"
+       "      k = 0\n"
+       "csrd$ doall\n"
+       "      do i = 1, 10\n"
+       "        k = k + 1\n"
+       "        if (i .eq. 3) goto 20\n"
+       "      end do\n"
+       "      print *, 'none'\n"
+       "   20 print *, i, k\n"
+       "      end\n"},
+      {"goto out of a do",
+       "      program t\n"
+       "      k = 0\n"
+       "      do i = 1, 10\n"
+       "        k = k + 1\n"
+       "        if (i .eq. 3) goto 20\n"
+       "      end do\n"
+       "      print *, 'none'\n"
+       "   20 print *, i, k\n"
+       "      end\n"},
+      {"return from a do",
+       "      program t\n"
+       "      k = 0\n"
+       "      call s(k)\n"
+       "      print *, k\n"
+       "      end\n"
+       "      subroutine s(k)\n"
+       "      do i = 1, 10\n"
+       "        k = k + 1\n"
+       "        if (i .eq. 4) return\n"
+       "      end do\n"
+       "      end\n"},
+      {"goto over the increment",
+       "      program t\n"
+       "      k = 0\n"
+       "      do i = 1, 10\n"
+       "        if (i .eq. 3) goto 5\n"
+       "        k = k + 1\n"
+       "    5   continue\n"
+       "      end do\n"
+       "      print *, k\n"
+       "      end\n"},
+      {"goto out of the inner do",
+       "      program t\n"
+       "      k = 0\n"
+       "      do i = 1, 5\n"
+       "        do j = 1, 10\n"
+       "          k = k + 1\n"
+       "          if (k .eq. 37) goto 20\n"
+       "        end do\n"
+       "      end do\n"
+       "   20 print *, k, j\n"
+       "      end\n"},
+      {"multiplicative, goto out",
+       "      program t\n"
+       "      k = 1\n"
+       "      do i = 1, 10\n"
+       "        k = k * 2\n"
+       "        if (i .eq. 3) goto 20\n"
+       "      end do\n"
+       "   20 print *, k\n"
+       "      end\n"},
+      {"goto back to the do",
+       "      program t\n"
+       "      n = 0\n"
+       "   10 do i = 1, 3\n"
+       "        n = n + 1\n"
+       "        if (n .eq. 2) goto 10\n"
+       "      end do\n"
+       "      print *, n\n"
+       "      end\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto ref = parse_program(c.src);
+    RunResult want = run_program(*ref, MachineConfig{.processors = 1});
+    auto prog = Compiler(CompilerMode::Polaris).compile(c.src);
+    Interpreter compiled(*prog, MachineConfig{.processors = 8});
+    // Far above what any case executes: a loop that never ends fails fast.
+    compiled.set_statement_limit(100000);
+    try {
+      EXPECT_EQ(compiled.run().output, want.output);
+    } catch (const UserError& e) {
+      ADD_FAILURE() << e.what();
     }
   }
 }

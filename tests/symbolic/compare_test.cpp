@@ -60,7 +60,7 @@ TEST_F(CompareTest, LoopIndexInRange) {
   EXPECT_TRUE(prove_ge0(P("n - i"), ctx));
   EXPECT_TRUE(prove_ge0(P("n - 1"), ctx));  // trip-count assumption
   EXPECT_TRUE(prove_le(*E("i"), *E("n"), ctx));
-  EXPECT_TRUE(prove_ge(*E("i"), *E("1"), ctx));
+  EXPECT_TRUE(prove_le(*E("1"), *E("i"), ctx));
   EXPECT_FALSE(prove_lt(*E("i"), *E("n"), ctx));  // i may equal n
 }
 
@@ -170,7 +170,7 @@ TEST_F(CompareTest, IfConditionFacts) {
   (void)mp; (void)p;
   FactContext ctx;
   ctx.add_ge0(*E("mp - m*p"));
-  EXPECT_TRUE(prove_ge(*E("mp"), *E("m*p"), ctx));
+  EXPECT_TRUE(prove_le(*E("m*p"), *E("mp"), ctx));
 }
 
 TEST_F(CompareTest, EliminationRankOrdersInnerFirst) {
@@ -182,12 +182,6 @@ TEST_F(CompareTest, EliminationRankOrdersInnerFirst) {
   ctx.set_rank(AtomTable::current().intern_symbol(k), 2);
   ctx.set_rank(aj, 1);
   EXPECT_TRUE(prove_le(*E("k"), *E("n"), ctx));
-}
-
-TEST_F(CompareTest, ProveEqByCancellation) {
-  FactContext ctx;
-  EXPECT_TRUE(prove_eq(*E("(i+1)*(i-1)"), *E("i*i - 1"), ctx));
-  EXPECT_FALSE(prove_eq(*E("i"), *E("j"), ctx));
 }
 
 }  // namespace
