@@ -38,12 +38,52 @@ std::int64_t ipow(std::int64_t base, std::int64_t exp) {
   return static_cast<std::int64_t>(result);
 }
 
-/// The DO variable's value once the loop has run to completion:
-/// init + trips*step, trips = max(0, (limit - init + step) / step).
-std::int64_t do_exit_value(std::int64_t init, std::int64_t limit,
-                           std::int64_t step) {
-  std::int64_t trips = std::max<std::int64_t>(0, (limit - init + step) / step);
-  return init + trips * step;
+// Fortran integer arithmetic, written once for the plain and the fused
+// ops.  + - * and negation are computed in unsigned arithmetic, so an
+// overflowing result wraps (as ipow's does) instead of being undefined.
+
+std::uint64_t bits(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+
+std::int64_t int_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(bits(a) + bits(b));
+}
+std::int64_t int_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(bits(a) - bits(b));
+}
+std::int64_t int_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(bits(a) * bits(b));
+}
+std::int64_t int_neg(std::int64_t a) {
+  return static_cast<std::int64_t>(0 - bits(a));
+}
+
+/// l / r for integer values, truncated toward zero; -2^63 / -1 wraps to
+/// -2^63, as -(-2^63) does.
+[[gnu::always_inline]] inline std::int64_t int_div(const Value& l,
+                                                   const Value& r) {
+  p_assert_msg(r.as_int() != 0, "integer division by zero");
+  const std::int64_t d = r.int_unchecked();
+  return d == -1 ? int_neg(l.int_unchecked()) : l.int_unchecked() / d;
+}
+
+/// A DO's trip count, max(0, (limit - init + step) / step), computed in
+/// 128 bits so no bound overflows.  The one count past 2^64 - 1 (a step of
+/// +-1 over the whole int64 range) is held at 2^64 - 1: no run reaches it.
+std::uint64_t trip_count(std::int64_t init, std::int64_t limit,
+                         std::int64_t step) {
+  const __int128 trips =
+      (static_cast<__int128>(limit) - init + step) / step;
+  if (trips <= 0) return 0;
+  return trips > static_cast<__int128>(UINT64_MAX)
+             ? UINT64_MAX
+             : static_cast<std::uint64_t>(trips);
+}
+
+/// The DO variable's value after `trips` trips: init + trips*step,
+/// wrapping.  After the last trip it is the value a completed DO leaves.
+std::int64_t do_value(std::int64_t init, std::int64_t step,
+                      std::uint64_t trips) {
+  return static_cast<std::int64_t>(bits(init) + trips * bits(step));
 }
 
 std::string format_value(const Value& v) {
@@ -113,6 +153,27 @@ std::size_t element_of(const ArrayStorage& array, const Value* subs,
   return array.flat_index(index, rank);
 }
 
+/// The flat index of a fused access's `Rank` subscripts, read from their
+/// frame slots.  Lowering proved each slot bound to an integer scalar.
+template <std::size_t Rank>
+[[gnu::always_inline]] inline std::size_t element_at(
+    const ArrayStorage& array, Cell* const* cells, const Op* op) {
+  std::int64_t index[Rank];
+  for (std::size_t d = 0; d < Rank; ++d)
+    index[d] = cells[op->index[d]]->scalar.int_unchecked();
+  return array.flat_index(index, Rank);
+}
+
+/// The scalar bound at `op`'s slot, with LoadVar's binding check: what
+/// LoadVar pushes and a `V` binary op takes as its right operand.
+[[gnu::always_inline]] inline const Value& scalar_at(Cell* const* cells,
+                                                     const Op* op) {
+  const Cell* cell = cells[op->slot];
+  if (cell == nullptr || cell->is_array) [[unlikely]]
+    load_failed(op->sym, cell);
+  return cell->scalar;
+}
+
 /// The line a PRINT writes: its items in order, the values from `values`.
 std::string print_line(const PrintSite& site, const Value* values) {
   std::string line;
@@ -146,7 +207,10 @@ Value apply_intrinsic(Intrinsic k, const Value* a) {
     case Intrinsic::Mod:
       if (a[0].is_integer() && a[1].is_integer()) {
         p_assert_msg(a[1].as_int() != 0, "mod by zero");
-        return Value::integer(a[0].as_int() % a[1].as_int());
+        // mod(-2^63, -1) is 0, where the int64 remainder traps.
+        return Value::integer(a[1].as_int() == -1
+                                  ? 0
+                                  : a[0].as_int() % a[1].as_int());
       }
       return Value::real(std::fmod(a[0].as_real(), a[1].as_real()));
     case Intrinsic::Sqrt: return Value::real(std::sqrt(a[0].as_real()));
@@ -350,13 +414,9 @@ op_End:
 op_Const:
   *sp++ = op->imm;
   POLARIS_NEXT();
-op_LoadVar: {
-  const Cell* cell = cells[op->slot];
-  if (cell == nullptr || cell->is_array) [[unlikely]]
-    load_failed(op->sym, cell);
-  *sp++ = cell->scalar;
+op_LoadVar:
+  *sp++ = scalar_at(cells, op);
   POLARIS_NEXT();
-}
 op_CheckArray:
   array_cell(cells, op, op->n != 0);
   POLARIS_NEXT();
@@ -366,17 +426,36 @@ op_ToInt:
 op_CheckNum:
   (void)sp[-1].as_real();
   POLARIS_NEXT();
-op_LoadElem: {
-  sp -= op->n;
-  const Cell* cell = array_cell(cells, op, false);
-  const std::size_t flat = element_of(cell->array, sp, op->n);
-  if (shadow_frame_ == &frame) [[unlikely]] {
-    if (ShadowArrays* shadow = shadow_slots_[op->slot])
-      shadow->record_read(flat);
+  // An element access: pops its `subs` stacked subscripts; then the
+  // binding check, the flat index `index` (its bounds checks), the PD
+  // shadow's mark, and the load or the store.
+#define POLARIS_ELEMENT(name, store, subs, index)                       \
+  op_##name: {                                                          \
+    sp -= (subs);                                                       \
+    Cell* cell = array_cell(cells, op, store);                          \
+    const std::size_t flat = (index);                                   \
+    if (shadow_frame_ == &frame) [[unlikely]] {                         \
+      if (ShadowArrays* shadow = shadow_slots_[op->slot])               \
+        store ? shadow->record_write(flat) : shadow->record_read(flat); \
+    }                                                                   \
+    Value& element = (*cell->array.data)[flat];                         \
+    if (store) {                                                        \
+      --sp;                                                             \
+      element = op->same ? *sp : sp->coerce_to(op->sym->type());        \
+    } else {                                                            \
+      *sp++ = element;                                                  \
+    }                                                                   \
+    POLARIS_NEXT();                                                     \
   }
-  *sp++ = (*cell->array.data)[flat];
-  POLARIS_NEXT();
-}
+  POLARIS_ELEMENT(LoadElem, false, op->n,
+                  element_of(cell->array, sp, op->n))
+  POLARIS_ELEMENT(LoadElem1, false, 0, element_at<1>(cell->array, cells, op))
+  POLARIS_ELEMENT(LoadElem2, false, 0, element_at<2>(cell->array, cells, op))
+  POLARIS_ELEMENT(StoreElem, true, op->n,
+                  element_of(cell->array, sp, op->n))
+  POLARIS_ELEMENT(StoreElem1, true, 0, element_at<1>(cell->array, cells, op))
+  POLARIS_ELEMENT(StoreElem2, true, 0, element_at<2>(cell->array, cells, op))
+#undef POLARIS_ELEMENT
 op_ElemIndex: {
   sp -= op->n;
   const std::size_t flat = element_of(cells[op->slot]->array, sp, op->n);
@@ -391,18 +470,6 @@ op_StoreVar: {
   cell->scalar = op->same ? *sp : sp->coerce_to(op->sym->type());
   POLARIS_NEXT();
 }
-op_StoreElem: {
-  sp -= op->n;
-  Cell* cell = array_cell(cells, op, true);
-  const std::size_t flat = element_of(cell->array, sp, op->n);
-  if (shadow_frame_ == &frame) [[unlikely]] {
-    if (ShadowArrays* shadow = shadow_slots_[op->slot])
-      shadow->record_write(flat);
-  }
-  --sp;
-  (*cell->array.data)[flat] = op->same ? *sp : sp->coerce_to(op->sym->type());
-  POLARIS_NEXT();
-}
 op_Coerce:
   sp[-1] = sp[-1].coerce_to(op->sym->type());
   POLARIS_NEXT();
@@ -410,22 +477,36 @@ op_Fail:
   if (op->fail->cond == nullptr) throw UserError(op->fail->msg);
   detail::assert_failed(op->fail->cond, __FILE__, __LINE__, op->fail->msg);
 
-#define POLARIS_BINARY(name, expr) \
-  op_##name: {                     \
-    const Value& l = sp[-2];       \
-    const Value& r = sp[-1];       \
-    sp[-2] = (expr);               \
-    --sp;                          \
-    POLARIS_NEXT();                \
+  // A binary op computes `expr` over its operands `l` and `r`: the top two
+  // values, or (its fused forms) the top value and the op's constant or
+  // scalar.
+#define POLARIS_BINARY(name, expr)         \
+  op_##name: {                             \
+    const Value& l = sp[-2];               \
+    const Value& r = sp[-1];               \
+    sp[-2] = (expr);                       \
+    --sp;                                  \
+    POLARIS_NEXT();                        \
+  }                                        \
+  op_##name##C: {                          \
+    const Value& l = sp[-1];               \
+    const Value& r = op->imm;              \
+    sp[-1] = (expr);                       \
+    POLARIS_NEXT();                        \
+  }                                        \
+  op_##name##V: {                          \
+    const Value& l = sp[-1];               \
+    const Value& r = scalar_at(cells, op); \
+    sp[-1] = (expr);                       \
+    POLARIS_NEXT();                        \
   }
-#define POLARIS_ARITH(name, op)                                         \
-  POLARIS_BINARY(name, l.is_integer() && r.is_integer()                 \
-                           ? Value::integer(l.int_unchecked()           \
-                                                op r.int_unchecked())   \
-                           : Value::real(l.as_real() op r.as_real()))   \
-  POLARIS_BINARY(name##I, Value::integer(l.int_unchecked()              \
-                                             op r.int_unchecked()))     \
-  POLARIS_BINARY(name##R, Value::real(l.real_unchecked()                \
+  // The tag-checked op and its integer (`I`) and real (`R`) forms.
+#define POLARIS_ARITH(name, op, int_expr)                                \
+  POLARIS_BINARY(name, l.is_integer() && r.is_integer()                  \
+                           ? Value::integer(int_expr)                    \
+                           : Value::real(l.as_real() op r.as_real()))    \
+  POLARIS_BINARY(name##I, Value::integer(int_expr))                      \
+  POLARIS_BINARY(name##R, Value::real(l.real_unchecked()                 \
                                           op r.real_unchecked()))
 #define POLARIS_COMPARE(name, op)                                       \
   POLARIS_BINARY(name, Value::logical(                                  \
@@ -437,16 +518,16 @@ op_Fail:
   POLARIS_BINARY(name##R, Value::logical(l.real_unchecked()             \
                                              op r.real_unchecked()))
 
-  POLARIS_ARITH(Add, +)
-  POLARIS_ARITH(Sub, -)
-  POLARIS_ARITH(Mul, *)
+  POLARIS_ARITH(Add, +, int_add(l.int_unchecked(), r.int_unchecked()))
+  POLARIS_ARITH(Sub, -, int_sub(l.int_unchecked(), r.int_unchecked()))
+  POLARIS_ARITH(Mul, *, int_mul(l.int_unchecked(), r.int_unchecked()))
+  POLARIS_ARITH(Div, /, int_div(l, r))
   POLARIS_COMPARE(Eq, ==)
   POLARIS_COMPARE(Ne, !=)
   POLARIS_COMPARE(Lt, <)
   POLARIS_COMPARE(Le, <=)
   POLARIS_COMPARE(Gt, >)
   POLARIS_COMPARE(Ge, >=)
-  POLARIS_BINARY(DivR, Value::real(l.real_unchecked() / r.real_unchecked()))
   POLARIS_BINARY(Pow, l.is_integer() && r.is_integer()
                           ? Value::integer(ipow(l.int_unchecked(),
                                                 r.int_unchecked()))
@@ -465,26 +546,13 @@ op_Fail:
 #undef POLARIS_ARITH
 #undef POLARIS_BINARY
 
-op_Div:
-  if (!(sp[-2].is_integer() && sp[-1].is_integer())) {
-    sp[-2] = Value::real(sp[-2].as_real() / sp[-1].as_real());
-    --sp;
-    POLARIS_NEXT();
-  }
-  goto op_DivI;
-op_DivI: {
-  const Value& r = sp[-1];
-  p_assert_msg(r.as_int() != 0, "integer division by zero");
-  sp[-2] = Value::integer(sp[-2].int_unchecked() / r.int_unchecked());
-  --sp;
-  POLARIS_NEXT();
-}
 op_Neg:
-  sp[-1] = sp[-1].is_integer() ? Value::integer(-sp[-1].int_unchecked())
-                               : Value::real(-sp[-1].as_real());
+  sp[-1] = sp[-1].is_integer()
+               ? Value::integer(int_neg(sp[-1].int_unchecked()))
+               : Value::real(-sp[-1].as_real());
   POLARIS_NEXT();
 op_NegI:
-  sp[-1] = Value::integer(-sp[-1].int_unchecked());
+  sp[-1] = Value::integer(int_neg(sp[-1].int_unchecked()));
   POLARIS_NEXT();
 op_NegR:
   sp[-1] = Value::real(-sp[-1].real_unchecked());
@@ -548,11 +616,12 @@ op_DoEntry: {
   const std::int64_t limit = sp[1].int_unchecked();
   const std::int64_t step = sp[2].int_unchecked();
   p_assert_msg(step != 0, "DO step is zero");
+  const std::uint64_t trips = trip_count(init, limit, step);
   if (loop.parallel && !in_parallel_ && config_.processors > 1) {
     const Exit exit =
         loop.stmt->par.speculative
-            ? run_speculative_loop(frame, op, init, limit, step)
-            : run_parallel_loop(frame, op, init, limit, step);
+            ? run_speculative_loop(frame, op, init, step, trips)
+            : run_parallel_loop(frame, op, init, step, trips);
     if (exit != Exit::End) {
       sp_out = sp;
       return exit;
@@ -563,29 +632,36 @@ op_DoEntry: {
   }
   Cell* idx = cells[loop.index];
   p_assert(idx != nullptr && !idx->is_array);
-  if (step > 0 ? init <= limit : init >= limit) {
-    loops[loop.slot] = LoopSlot{init, limit, step, idx, false};
-    idx->scalar = Value::integer(init);
+  idx->scalar = Value::integer(init);
+  if (trips != 0) {
+    loops[loop.slot] = LoopSlot{init, step, trips, idx, false};
     charge(costs_.loop_iter);
     POLARIS_NEXT();
   }
-  idx->scalar = Value::integer(do_exit_value(init, limit, step));
-  op += op->jump;
+  op += op->jump;  // no trips: the DO variable is left at init
   POLARIS_DISPATCH();
 }
-op_DoNext: {
-  LoopSlot& loop = loops[op->loop_slot];
-  if (loop.driven) [[unlikely]]
-    POLARIS_EXIT(Next);
-  loop.value += loop.step;
-  loop.index->scalar = Value::integer(loop.value);
-  if (loop.step > 0 ? loop.value <= loop.limit : loop.value >= loop.limit) {
-    charge(costs_.loop_iter);
-    op += op->jump;
-    POLARIS_DISPATCH();
+  // Steps the DO: on to `body` (a dispatch, or the statement op the body
+  // starts with, which the op runs itself) while trips are left; else on
+  // with the DO variable at init + trips*step.
+#define POLARIS_DO_NEXT(name, body)                        \
+  op_##name: {                                             \
+    LoopSlot& loop = loops[op->loop_slot];                 \
+    if (loop.driven) [[unlikely]]                          \
+      POLARIS_EXIT(Next);                                  \
+    loop.value = int_add(loop.value, loop.step);           \
+    loop.index->scalar = Value::integer(loop.value);       \
+    if (--loop.trips != 0) {                               \
+      charge(costs_.loop_iter);                            \
+      op += op->jump;                                      \
+      body;                                                \
+    }                                                      \
+    POLARIS_NEXT();                                        \
   }
-  POLARIS_NEXT();  // the DO variable is left at init + trips*step
-}
+  POLARIS_DO_NEXT(DoNext, POLARIS_DISPATCH())
+  POLARIS_DO_NEXT(DoNextStmt, goto op_Stmt)
+  POLARIS_DO_NEXT(DoNextReductionStmt, goto op_ReductionStmt)
+#undef POLARIS_DO_NEXT
 op_Call:
   if (run_call(frame, *op->call)) POLARIS_EXIT(Stop);
   sp = stack_.data() + stack_top_;
@@ -740,8 +816,8 @@ Interpreter::Exit Interpreter::run_iteration(const Op* entry, Frame& frame) {
 Interpreter::Exit Interpreter::run_parallel_loop(Frame& frame,
                                                  const Op* entry,
                                                  std::int64_t init,
-                                                 std::int64_t limit,
-                                                 std::int64_t step) {
+                                                 std::int64_t step,
+                                                 std::uint64_t trips) {
   const LoopSite& loop = *entry->loop;
   const DoStmt* d = loop.stmt;
   ++result_.parallel_instances;
@@ -755,9 +831,8 @@ Interpreter::Exit Interpreter::run_parallel_loop(Frame& frame,
   std::vector<std::uint64_t> iter_costs;
   std::uint64_t* saved_acc = cost_acc_;
   Exit out = Exit::End;
-  for (std::int64_t v = init; step > 0 ? v <= limit : v >= limit;
-       v += step) {
-    idx->scalar = Value::integer(v);
+  for (std::uint64_t n = 0; n < trips; ++n) {
+    idx->scalar = Value::integer(do_value(init, step, n));
     std::uint64_t iter_cost = costs_.loop_iter;
     cost_acc_ = &iter_cost;
     const Exit exit = run_iteration(entry, frame);
@@ -769,7 +844,7 @@ Interpreter::Exit Interpreter::run_parallel_loop(Frame& frame,
     }
   }
   slot.driven = false;
-  idx->scalar = Value::integer(do_exit_value(init, limit, step));
+  idx->scalar = Value::integer(do_value(init, step, trips));
   in_parallel_ = false;
 
   std::uint64_t serial_sum = 0;
@@ -786,8 +861,8 @@ Interpreter::Exit Interpreter::run_parallel_loop(Frame& frame,
 Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
                                                     const Op* entry,
                                                     std::int64_t init,
-                                                    std::int64_t limit,
-                                                    std::int64_t step) {
+                                                    std::int64_t step,
+                                                    std::uint64_t trips) {
   const LoopSite& loop = *entry->loop;
   const DoStmt* d = loop.stmt;
   ++result_.speculative_attempts;
@@ -836,9 +911,8 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
   std::vector<std::uint64_t> iter_costs;
   std::uint64_t* saved_acc = cost_acc_;
   Exit out = Exit::End;
-  for (std::int64_t v = init; step > 0 ? v <= limit : v >= limit;
-       v += step) {
-    idx->scalar = Value::integer(v);
+  for (std::uint64_t n = 0; n < trips; ++n) {
+    idx->scalar = Value::integer(do_value(init, step, n));
     for (auto& sh : shadow_storage) sh->begin_iteration();
     std::uint64_t iter_cost = costs_.loop_iter;
     cost_acc_ = &iter_cost;
@@ -873,7 +947,7 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
                                        reduction_elements(frame, d),
                                        d->par.lastvalue_vars.size());
     result_.clock.parallel += par + pd_cost + checkpoint_cost;
-    idx->scalar = Value::integer(do_exit_value(init, limit, step));
+    idx->scalar = Value::integer(do_value(init, step, trips));
     return out;
   }
 
@@ -894,9 +968,8 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
   std::uint64_t rerun_cost = 0;
   cost_acc_ = &rerun_cost;
   Exit rerun = Exit::End;
-  for (std::int64_t v = init; step > 0 ? v <= limit : v >= limit;
-       v += step) {
-    idx->scalar = Value::integer(v);
+  for (std::uint64_t n = 0; n < trips; ++n) {
+    idx->scalar = Value::integer(do_value(init, step, n));
     charge(costs_.loop_iter);
     const Exit exit = run_iteration(entry, frame);
     if (exit != Exit::Next) {
@@ -907,7 +980,7 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
   slot.driven = false;
   cost_acc_ = saved_acc;
   result_.clock.parallel += rerun_cost;
-  idx->scalar = Value::integer(do_exit_value(init, limit, step));
+  idx->scalar = Value::integer(do_value(init, step, trips));
   return rerun;
 }
 

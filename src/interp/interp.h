@@ -122,14 +122,14 @@ class Interpreter {
   Value call_function(Frame& frame, const CallSite& site);
 
   /// Parallel and speculative loop execution (see class comment): each
-  /// steps the DO whose DoEntry op is `entry` itself and runs its body
-  /// once per iteration.  End when the loop completed, else Return or
-  /// Stop.
+  /// steps the DO whose DoEntry op is `entry` itself, `trips` times from
+  /// `init`, and runs its body once per iteration.  End when the loop
+  /// completed, else Return or Stop.
   Exit run_parallel_loop(Frame& frame, const Op* entry, std::int64_t init,
-                         std::int64_t limit, std::int64_t step);
+                         std::int64_t step, std::uint64_t trips);
   Exit run_speculative_loop(Frame& frame, const Op* entry,
-                            std::int64_t init, std::int64_t limit,
-                            std::int64_t step);
+                            std::int64_t init, std::int64_t step,
+                            std::uint64_t trips);
   /// Runs one iteration of a driven loop's body.
   Exit run_iteration(const Op* entry, Frame& frame);
   std::size_t reduction_elements(Frame& frame, const DoStmt* d);

@@ -104,15 +104,22 @@ const BinOpCodes& codes_of(BinOpKind k) {
 }
 
 /// Ops that touch neither a frame nor a callee: a PARAMETER's code made
-/// only of these folds to a constant.
+/// only of these folds to a constant.  The `V` binary ops read the frame.
 bool pure(OpCode c) {
   switch (c) {
+#define POLARIS_READS_FRAME(X, name) case OpCode::name##V:
+    POLARIS_BINARY_OPCODES(POLARIS_READS_FRAME, _)
+#undef POLARIS_READS_FRAME
     case OpCode::LoadVar:
     case OpCode::CheckArray:
     case OpCode::LoadElem:
+    case OpCode::LoadElem1:
+    case OpCode::LoadElem2:
     case OpCode::ElemIndex:
     case OpCode::StoreVar:
     case OpCode::StoreElem:
+    case OpCode::StoreElem1:
+    case OpCode::StoreElem2:
     case OpCode::Fail:
     case OpCode::UserCall:
       return false;
@@ -236,7 +243,15 @@ class Lowerer {
             loop_of_.at(static_cast<EndDoStmt*>(s)->header());
         const std::size_t entry = do_entry_[loop->slot];
         const std::size_t next = c.ops.size();
+        // A body that starts with a statement op (any body but an empty
+        // one) has it run by the DoNext that continues the loop.
         Op op = op_of(OpCode::DoNext);
+        if (entry + 1 < next) {
+          const OpCode first = c.ops[entry + 1].code;
+          if (first == OpCode::Stmt) op.code = OpCode::DoNextStmt;
+          if (first == OpCode::ReductionStmt)
+            op.code = OpCode::DoNextReductionStmt;
+        }
         op.loop_slot = loop->slot;
         op.jump = distance(next, entry + 1);
         emit(c, op, 0, 0);
@@ -441,11 +456,10 @@ class Lowerer {
       return;
     }
     const auto& ref = static_cast<const ArrayRef&>(lhs);
-    if (!element_access(ref, c, /*store=*/true)) return;
     Op op = operand(OpCode::StoreElem, ref.symbol(),
                     static_cast<std::uint16_t>(ref.rank()));
     op.same = value == kind_of(ref.symbol()->type());
-    emit(c, op, static_cast<std::uint32_t>(ref.rank()) + 1, 0);
+    element_access(ref, c, op);
   }
 
   /// An operand op: `sym` and its frame slot.
@@ -461,12 +475,49 @@ class Lowerer {
     return in_unit(sym) ? static_cast<std::uint32_t>(sym->slot()) : unbound_;
   }
 
-  /// Emits what precedes an element access: the binding check where it
-  /// can fail, then subscripts().
-  bool element_access(const ArrayRef& ref, Code& c, bool store) {
+  /// Emits element access `op` (LoadElem or StoreElem, of rank `n`) after
+  /// what precedes it: the binding check where it can fail, then
+  /// subscripts().  At rank 1 and 2, subscripts that are all integer scalar
+  /// locals are not pushed: the fused access (LoadElem1, StoreElem2, ...)
+  /// reads them from their frame slots, with their loads' charge.  False
+  /// (after a Fail, and no access) when the rank is above 7.
+  bool element_access(const ArrayRef& ref, Code& c, Op op) {
+    const bool store = op.code == OpCode::StoreElem;
     if (!bound_array(ref.symbol()))
       emit(c, operand(OpCode::CheckArray, ref.symbol(), store ? 1 : 0), 0, 0);
-    return subscripts(ref, c);
+    const std::vector<ExprPtr>& subs = ref.subscripts();
+    std::uint32_t pops = store ? 1 : 0;
+    if ((subs.size() == 1 || subs.size() == 2) &&
+        std::all_of(subs.begin(), subs.end(), [&](const ExprPtr& sub) {
+          return integer_scalar_local(*sub);
+        })) {
+      for (std::size_t d = 0; d < subs.size(); ++d) {
+        op.index[d] = slot_of(static_cast<const VarRef&>(*subs[d]).symbol());
+        c.charge += costs_.mem;
+      }
+      const bool one = subs.size() == 1;
+      op.code = store ? (one ? OpCode::StoreElem1 : OpCode::StoreElem2)
+                      : (one ? OpCode::LoadElem1 : OpCode::LoadElem2);
+    } else if (subscripts(ref, c)) {
+      pops += static_cast<std::uint32_t>(subs.size());
+    } else {
+      return false;
+    }
+    emit(c, op, pops, store ? 0 : 1);
+    return true;
+  }
+
+  /// Whether `e` is a scalar local of integer type in statement code.
+  /// init_frame binds such a local (outside COMMON, not a dummy, not an
+  /// array) to a scalar cell before any statement runs, and stable() makes
+  /// its value certainly an integer, so an op can read it from its slot
+  /// without LoadVar's binding check.  Being stable alone is not enough: a
+  /// stable local can be an array.
+  bool integer_scalar_local(const Expression& e) const {
+    if (e.kind() != ExprKind::VarRef) return false;
+    const Symbol* sym = static_cast<const VarRef&>(e).symbol();
+    return complete_frame_ && stable(sym) && !sym->is_array() &&
+           sym->type().is_integer();
   }
 
   /// Emits the rank check, then each subscript, made integer.  False
@@ -510,9 +561,10 @@ class Lowerer {
       }
       case ExprKind::ArrayRef: {
         const auto& ref = static_cast<const ArrayRef&>(e);
-        if (!element_access(ref, c, /*store=*/false)) return Kind::Unknown;
         const auto rank = static_cast<std::uint16_t>(ref.rank());
-        emit(c, operand(OpCode::LoadElem, ref.symbol(), rank), rank, 1);
+        if (!element_access(ref, c,
+                            operand(OpCode::LoadElem, ref.symbol(), rank)))
+          return Kind::Unknown;
         c.charge += costs_.mem;
         return stable(ref.symbol()) ? kind_of(ref.symbol()->type())
                                     : Kind::Unknown;
@@ -583,15 +635,33 @@ class Lowerer {
 
   Kind lower_binop(const BinOp& b, Code& c) {
     const Kind l = lower(b.left(), c);
+    const std::size_t right = c.ops.size();
     const Kind r = lower(b.right(), c);
     const BinOpCodes& codes = codes_of(b.op());
     c.charge += costs_.*codes.charge;
-    emit(c,
-         op_of(l == Kind::Int && r == Kind::Int     ? codes.ints
-               : l == Kind::Real && r == Kind::Real ? codes.reals
-                                                    : codes.generic),
-         2, 1);
+    binary(c,
+           l == Kind::Int && r == Kind::Int     ? codes.ints
+           : l == Kind::Real && r == Kind::Real ? codes.reals
+                                                : codes.generic,
+           right);
     return is_arithmetic(b.op()) ? arith_kind(l, r) : Kind::Logical;
+  }
+
+  /// Emits binary op `code` over the value below its right operand and the
+  /// right operand, lowered from op `right` on.  A right operand lowered
+  /// to exactly one Const or LoadVar is folded in: the fused op takes it
+  /// from its imm or its slot.
+  void binary(Code& c, OpCode code, std::size_t right) {
+    if (c.ops.size() == right + 1 && (c.ops.back().code == OpCode::Const ||
+                                      c.ops.back().code == OpCode::LoadVar)) {
+      Op op = c.ops.back();
+      c.ops.pop_back();
+      depth_ -= 1;
+      op.code = fused_binary(code, op.code);
+      emit(c, op, 1, 1);
+      return;
+    }
+    emit(c, op_of(code), 2, 1);
   }
 
   Kind lower_call_expr(const FuncCall& f, Code& c) {
@@ -615,8 +685,9 @@ class Lowerer {
       Kind kind = lower(*exprs[0], c);
       if (!numeric(kind)) emit(c, op_of(OpCode::CheckNum), 1, 1);
       for (std::size_t i = 1; i < exprs.size(); ++i) {
+        const std::size_t right = c.ops.size();
         kind = arith_kind(kind, lower(*exprs[i], c));
-        emit(c, op_of(*k == Intrinsic::Max ? OpCode::Max : OpCode::Min), 2, 1);
+        binary(c, *k == Intrinsic::Max ? OpCode::Max : OpCode::Min, right);
       }
       return kind;
     }

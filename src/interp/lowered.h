@@ -5,7 +5,10 @@
 // statement is a statement op, which counts it and adds its pre-summed
 // charge, then its expressions' postfix ops, then the op that completes
 // it: a store, a jump (IF chains, GOTO), DO entry or DO next, CALL,
-// PRINT, RETURN or STOP.  What cannot change during the run is decided
+// PRINT, RETURN or STOP.  A leaf operand is folded into the op that
+// consumes it: a binary op's constant or scalar right operand, an element
+// access's integer scalar subscripts, and the statement op a DO's body
+// starts with into its DoNext.  What cannot change during the run is decided
 // there, once: which intrinsic a name means and its arity, which unit a
 // call reaches, a PARAMETER's value, the CostModel charge of every node
 // (summed into one charge per statement or expression), the kind of an
@@ -42,6 +45,25 @@ inline bool is_binary(Intrinsic k) {
          k == Intrinsic::Ior || k == Intrinsic::Ieor;
 }
 
+// Every binary op, each through B(X, name).  A binary op folds the top two
+// values into one.  Its two fused forms take the right operand from the op
+// instead: `nameC` from imm (a constant), `nameV` from the scalar bound to
+// sym (with LoadVar's binding check).
+#define POLARIS_BINARY_OPCODES(B, X)                                          \
+  /* Tag-checked: an operand's kind is not certain.  Exactly the tree */      \
+  /* walk's arithmetic, conversions and checks. */                            \
+  B(X, Add) B(X, Sub) B(X, Mul) B(X, Div) B(X, Pow) B(X, Eq) B(X, Ne)         \
+  B(X, Lt) B(X, Le) B(X, Gt) B(X, Ge) B(X, And) B(X, Or)                      \
+  /* Both operands certainly integer. */                                      \
+  B(X, AddI) B(X, SubI) B(X, MulI) B(X, DivI) B(X, EqI) B(X, NeI) B(X, LtI)   \
+  B(X, LeI) B(X, GtI) B(X, GeI)                                               \
+  /* Both operands certainly real. */                                         \
+  B(X, AddR) B(X, SubR) B(X, MulR) B(X, DivR) B(X, EqR) B(X, NeR) B(X, LtR)   \
+  B(X, LeR) B(X, GtR) B(X, GeR)                                               \
+  /* Fold as max/min fold their arguments. */                                 \
+  B(X, Max) B(X, Min)
+#define POLARIS_FUSED_BINARY(X, name) X(name) X(name##C) X(name##V)
+
 // Every OpCode, in the order of the evaluator's label table.
 #define POLARIS_OPCODES(X)                                                   \
   X(End)        /* end of a Code */                                           \
@@ -51,22 +73,18 @@ inline bool is_binary(Intrinsic k) {
   X(ToInt)      /* convert the top to integer (not known to be one) */        \
   X(CheckNum)   /* check that the top is numeric (max/min's first argument) */\
   X(LoadElem)   /* pop n integer subscripts; push sym's element */            \
+  X(LoadElem1)  /* push sym's element at the subscript in index[0]'s slot */  \
+  X(LoadElem2)  /* ... at the subscripts in index[0]'s and index[1]'s */      \
   X(ElemIndex)  /* pop n integer subscripts; push the element's flat index */ \
   X(StoreVar)   /* pop a value; store it into sym (coerced unless `same`) */  \
   X(StoreElem)  /* pop n integer subscripts, then a value; store the element*/\
+  X(StoreElem1) /* pop a value; store the element LoadElem1 would load */     \
+  X(StoreElem2) /* pop a value; store the element LoadElem2 would load */     \
   X(Coerce)     /* coerce the top to sym's type (an unfolded PARAMETER) */    \
   X(Fail)       /* raise `fail`: code that cannot run */                      \
-  /* Tag-checked: an operand's kind is not certain.  Exactly the tree */      \
-  /* walk's arithmetic, conversions and checks. */                            \
-  X(Add) X(Sub) X(Mul) X(Div) X(Pow) X(Eq) X(Ne) X(Lt) X(Le) X(Gt) X(Ge)      \
-  X(And) X(Or) X(Neg) X(Not)                                                  \
-  /* Both operands certainly integer. */                                      \
-  X(AddI) X(SubI) X(MulI) X(DivI) X(EqI) X(NeI) X(LtI) X(LeI) X(GtI) X(GeI)   \
-  X(NegI)                                                                     \
-  /* Both operands certainly real. */                                         \
-  X(AddR) X(SubR) X(MulR) X(DivR) X(EqR) X(NeR) X(LtR) X(LeR) X(GtR) X(GeR)   \
-  X(NegR)                                                                     \
-  X(Max) X(Min) /* fold the top two, as max/min fold their arguments */       \
+  POLARIS_BINARY_OPCODES(POLARIS_FUSED_BINARY, X)                             \
+  X(Neg) X(NegI) X(NegR) /* unary minus: tag-checked, integer, real */      \
+  X(Not)                                                                      \
   X(Intrinsic)  /* the `n`-th Intrinsic over its one or two arguments */      \
   X(UserCall)   /* call `call`'s function; push its result */                 \
   /* Statements. */                                                           \
@@ -78,6 +96,9 @@ inline bool is_binary(Intrinsic k) {
   X(Leave)      /* a GOTO out of `leave`'s loops: jump */                     \
   X(DoEntry)    /* pop init, limit, step; run `loop` or jump past it */       \
   X(DoNext)     /* step loop_slot's DO: jump back to its body, or on */       \
+  /* DoNext into a body that starts with a Stmt (ReductionStmt): runs */      \
+  /* that op itself, then continues past it. */                               \
+  X(DoNextStmt) X(DoNextReductionStmt)                                        \
   X(Call)       /* CALL `call` */                                             \
   X(Print)      /* pop `print`'s values; print them among its strings */      \
   X(Return)     /* RETURN, or the end of the unit */                          \
@@ -104,29 +125,44 @@ struct PrintSite;
 
 struct Op {
   OpCode code;
-  /// StoreVar/StoreElem: the value's kind is the target's, so no coercion.
+  /// StoreVar and the StoreElem ops: the value's kind is the target's, so
+  /// no coercion.
   bool same = false;
   std::uint16_t n = 0;  ///< rank or the Intrinsic
   union {
-    /// Operand ops: the symbol's frame slot.  A symbol of another unit
-    /// gets the slot past the unit's symbols, which no frame binds.
+    /// Operand ops and the `V` binary ops: the symbol's frame slot.  A
+    /// symbol of another unit gets the slot past the unit's symbols, which
+    /// no frame binds.
     std::uint32_t slot = 0;
-    /// Jumps, DoEntry and DoNext: the distance to the op that runs next.
+    /// Jumps, DoEntry and the DoNext ops: the distance to the op that
+    /// runs next.
     std::int32_t jump;
   };
   union {
-    Symbol* sym = nullptr;    ///< operand ops, for their messages
+    Symbol* sym = nullptr;    ///< operand and `V` ops, for their messages
     const CallSite* call;     ///< UserCall, Call
     const FailSite* fail;     ///< Fail
     const LoopSite* loop;     ///< DoEntry
     const LeaveSite* leave;   ///< Leave
     const PrintSite* print;   ///< Print
     std::uint64_t charge;     ///< Stmt, ReductionStmt, Charge
-    std::size_t loop_slot;    ///< DoNext: the DO's LoopSlot
+    std::size_t loop_slot;    ///< the DoNext ops: the DO's LoopSlot
   };
-  Value imm;  ///< Const
+  union {
+    Value imm{};  ///< Const and the `C` binary ops
+    /// LoadElem1/2, StoreElem1/2: the subscripts' frame slots.
+    std::uint32_t index[2];
+  };
 };
 static_assert(sizeof(Op) == 32, "an Op is half a cache line");
+
+/// The fused form of binary op `code` whose right operand is `operand`'s
+/// (a Const or a LoadVar): POLARIS_FUSED_BINARY lists each binary op's
+/// forms in that order.
+inline OpCode fused_binary(OpCode code, OpCode operand) {
+  return static_cast<OpCode>(static_cast<std::uint8_t>(code) +
+                             (operand == OpCode::Const ? 1 : 2));
+}
 
 /// Lowered code: an expression's, ending in End, or a unit's op stream,
 /// ending in Return.  Evaluating an expression charges `charge` once,

@@ -90,10 +90,12 @@ class CommonStore {
 };
 
 /// One DO's state in an activation: its DO variable's cell, the value
-/// it steps, and the limit and step evaluated when the DO was entered.
+/// it steps, the step evaluated when the DO was entered and the trips
+/// left, this one included (the trip count is computed at entry).
 /// `driven` while a parallel or speculative runner steps the loop.
 struct LoopSlot {
-  std::int64_t value = 0, limit = 0, step = 0;
+  std::int64_t value = 0, step = 0;
+  std::uint64_t trips = 0;
   Cell* index = nullptr;
   bool driven = false;
 };

@@ -1,0 +1,13 @@
+c     Integer arithmetic at the int64 edge wraps: -2**63 / -1 is -2**63
+c     and mod(-2**63, -1) is 0 (the int64 division traps), and
+c     (2**63 - 1) + 1 is -2**63 (signed overflow is undefined).
+      program intedge
+      integer i, j, k
+      i = -9223372036854775807 - 1
+      j = -1
+      print *, i / j
+      print *, mod(i, j)
+      k = 9223372036854775807
+      j = k + 1
+      print *, j
+      end

@@ -113,6 +113,18 @@ RunResult run_on(Program& program, int processors) {
   return run_program(program, cfg);
 }
 
+/// combined_suite_source() with a main program that CALLs the 16
+/// subroutines in table order (its own main program is empty).
+std::string calling_suite_source() {
+  const std::string head = "      program driver\n";
+  std::string src = combined_suite_source();
+  EXPECT_EQ(src.compare(0, head.size(), head), 0);
+  std::string calls;
+  for (const BenchProgram& bp : benchmark_suite())
+    calls += "      call " + bp.name + "\n";
+  return src.insert(head.size(), calls);
+}
+
 std::string to_json(const std::map<std::string, std::int64_t>& values) {
   std::ostringstream os;
   os << "{\n";
@@ -145,6 +157,13 @@ TEST(InterpBaseline, SuiteRunsMatchCheckedInGolden) {
   auto track = Compiler(pd).compile(kTrackSource);
   record_run(got, "track.pdtest.p1", run_on(*track, 1));
   record_run(got, "track.pdtest.p8", run_on(*track, 8));
+  // The 16 codes as subroutines of one driver that CALLs each in table
+  // order: the runs through CALL, invoke and a callee's frame.
+  const std::string calls = calling_suite_source();
+  auto reference = parse_program(calls);
+  record_run(got, "driver.reference.p1", run_on(*reference, 1));
+  auto polaris = Compiler(CompilerMode::Polaris).compile(calls);
+  record_run(got, "driver.polaris.p8", run_on(*polaris, 8));
 
   // Every key must match both ways; on any mismatch the full actual JSON
   // is printed, so an intended change regenerates the golden by copy.

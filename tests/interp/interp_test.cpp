@@ -92,6 +92,167 @@ TEST(InterpTest, DoVariableExitValueIsInitPlusTripsTimesStep) {
   EXPECT_EQ(r.output[0], "10 1 5 0");
 }
 
+// A limit at the int64 edge: the trip count is computed once at entry,
+// so stepping past 2^63 - 1 ends the loop instead of wrapping below the
+// limit (and running into the statement limit).
+TEST(InterpTest, DoNearTheInt64EdgeMakesItsTrips) {
+  const struct {
+    const char* header;
+    const char* trips;
+  } cases[] = {
+      {"      do i = 9223372036854775806, 9223372036854775807\n", "2"},
+      {"      do i = -9223372036854775807, 9223372036854775807, "
+       "9223372036854775807\n",
+       "3"},
+  };
+  for (const auto& c : cases) {
+    auto p = parse_program(std::string("      n = 0\n") + c.header +
+                           "        n = n + 1\n      end do\n"
+                           "      print *, n\n");
+    Interpreter interp(*p);
+    interp.set_statement_limit(1000);
+    RunResult r = interp.run();
+    ASSERT_EQ(r.output.size(), 1u) << c.header;
+    EXPECT_EQ(r.output[0], c.trips) << c.header;
+  }
+}
+
+// Integer + - * / mod and negation wrap at the int64 edge instead of
+// trapping (-2^63 / -1) or being undefined (2^63 - 1 + 1).
+TEST(InterpTest, IntegerArithmeticWrapsAtTheInt64Edge) {
+  auto r = run_src(
+      "      integer i, j, k\n"
+      "      i = -9223372036854775807 - 1\n"
+      "      j = -1\n"
+      "      k = 9223372036854775807\n"
+      "      print *, i / j, mod(i, j), k + 1, -i, i - 1, k * 2\n");
+  ASSERT_EQ(r.output.size(), 1u);
+  EXPECT_EQ(r.output[0],
+            "-9223372036854775808 0 -9223372036854775808 "
+            "-9223372036854775808 9223372036854775807 -2");
+}
+
+/// What running `src` gives: its printed lines, or its error's type,
+/// condition and message (without the raising site's file and line).
+std::string outcome(const std::string& src) {
+  try {
+    std::string out;
+    for (const std::string& line : run_src(src).output) out += line + "\n";
+    return out;
+  } catch (const InternalError& e) {
+    const std::string what = e.what();
+    const std::string site = e.file() + ":" + std::to_string(e.line());
+    return "InternalError " + e.condition() + " " +
+           what.substr(what.find(site) + site.size());
+  } catch (const UserError& e) {
+    return std::string("UserError ") + e.what();
+  }
+}
+
+// The fused binary ops take their right operand from the op: a constant
+// (`x OP 3`) or a scalar's slot (`x OP y`).  Each must give what the
+// unfused op gives over an element load (`x OP w(1)`, w(1) holding the
+// same value), values and errors alike, with y a stable local (typed ops)
+// and a COMMON member (tag-checked ops).
+TEST(InterpTest, FusedRightOperandsMatchTheUnfusedOps) {
+  struct Operand {
+    const char* type;
+    const char* value;
+  };
+  const Operand integer{"integer", "3"}, real{"real", "3.0"},
+      logical{"logical", ".false."};
+  const struct {
+    Operand x, right;
+    const char* x_value;
+  } pairings[] = {
+      {integer, integer, "7"},    {real, real, "7.5"},
+      {integer, real, "7"},       {real, integer, "7.5"},
+      {logical, logical, ".true."},
+  };
+  const char* const ops[] = {"+",     "-",     "*",     "/",     "**",
+                             ".eq.",  ".ne.",  ".lt.",  ".le.",  ".gt.",
+                             ".ge.",  ".and.", ".or.",  "max",   "min"};
+  int compared = 0;
+  for (const char* op : ops) {
+    const std::string name = op;
+    const bool logical_op = name == ".and." || name == ".or.";
+    for (const auto& p : pairings) {
+      const bool logical_pair = std::string(p.x.type) == "logical";
+      if (logical_op != logical_pair && !(logical_pair && name == ".eq."))
+        continue;
+      for (const char* storage : {"", "      common /c/ y\n"}) {
+        auto program = [&](const std::string& right) {
+          const std::string expr =
+              name == "max" || name == "min"
+                  ? name + "(x, " + right + ")"
+                  : "x " + name + " " + right;
+          return std::string("      program t\n") + "      " + p.x.type +
+                 " x\n" + "      " + p.right.type + " y, w(1)\n" + storage +
+                 "      x = " + p.x_value + "\n      y = " + p.right.value +
+                 "\n      w(1) = " + p.right.value + "\n      print *, " +
+                 expr + "\n      end\n";
+        };
+        const std::string want = outcome(program("w(1)"));
+        // Only .eq. over logicals fails ("logical used as real").
+        if (!logical_pair) {
+          EXPECT_EQ(want.find("Error"), std::string::npos) << want;
+        }
+        EXPECT_EQ(outcome(program(p.right.value)), want)
+            << program(p.right.value);
+        EXPECT_EQ(outcome(program("y")), want) << program("y");
+        compared += 2;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 4 * (13 * 4 + 1 + 2));
+}
+
+// The fused element accesses read their subscripts from the slots of
+// integer scalar locals: v(i) and a(i, j) must load and store what the
+// unfused v(i+0) and a(i+0, j) do, out of bounds too, and with i a COMMON
+// member (never fused) alike.
+TEST(InterpTest, FusedSubscriptsMatchTheUnfusedAccesses) {
+  const char* const accesses[][2] = {
+      {"      print *, v(i)\n", "      print *, v(i+0)\n"},
+      {"      print *, a(i, j)\n", "      print *, a(i+0, j)\n"},
+      {"      v(i) = 7\n", "      v(i+0) = 7\n"},
+      {"      v(i) = 9.5\n", "      v(i+0) = 9.5\n"},
+      {"      a(i, j) = 9.5\n", "      a(i+0, j) = 9.5\n"},
+      {"      n(i, j) = 8\n", "      n(i+0, j) = 8\n"},
+      {"      x = v(i) + a(i, j)*n(j, i)\n",
+       "      x = v(i+0) + a(i+0, j)*n(j+0, i)\n"},
+  };
+  int compared = 0;
+  for (const char* storage : {"", "      common /c/ i\n"}) {
+    for (const char* i : {"2", "4", "0"}) {
+      for (const auto& access : accesses) {
+        auto program = [&](const char* body) {
+          return std::string("      program t\n      integer i, j\n") +
+                 "      real v(3), a(3, 2)\n      integer n(3, 2)\n" +
+                 storage + "      i = " + i + "\n      j = 1\n" +
+                 "      do k = 1, 3\n        v(k) = k*1.5\n"
+                 "        a(k, 1) = k*2.5\n        a(k, 2) = k*3.5\n"
+                 "        n(k, 1) = k\n        n(k, 2) = 10*k\n"
+                 "      end do\n" +
+                 body + "      print *, v(1), v(2), v(3), x\n" +
+                 "      print *, a(1, 1), a(2, 1), a(3, 1), a(1, 2), "
+                 "a(2, 2), a(3, 2)\n" +
+                 "      print *, n(1, 1), n(2, 1), n(3, 1), n(1, 2), "
+                 "n(2, 2), n(3, 2)\n      end\n";
+        };
+        const std::string want = outcome(program(access[1]));
+        EXPECT_EQ(outcome(program(access[0])), want) << program(access[0]);
+        // In bounds, the programs run to completion.
+        if (std::string(i) == "2") {
+          EXPECT_EQ(want.find("Error"), std::string::npos) << want;
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2 * 3 * 7);
+}
+
 TEST(InterpTest, IntegerPowerFollowsFortranRules) {
   // A negative exponent truncates 1/base**|exp| toward zero.  A 2e9
   // exponent is ~31 squarings, and an overflowing power wraps.
@@ -802,6 +963,15 @@ TEST(InterpTest, RunTimeErrorsKeepTypeConditionAndText) {
        "      subroutine s\n      common /c/ a\n      x = a + 1.0\n"
        "      end\n",
        "!cell->is_array", "whole array used as a value: a"},
+      // A stable local that is an array, where a fused op takes the
+      // operand: a subscript of a load and of a store, and the right
+      // operand of a binary op.
+      {"      integer k(2)\n      real v(3)\n      x = v(k)\n",
+       "!cell->is_array", "whole array used as a value: k"},
+      {"      integer k(2)\n      real v(3)\n      v(k) = 1.0\n",
+       "!cell->is_array", "whole array used as a value: k"},
+      {"      real a(2)\n      x = 1.0 + a\n", "!cell->is_array",
+       "whole array used as a value: a"},
       // A dummy declared past its actual's storage.
       {"      program t\n      real v(3)\n      call s(v)\n      end\n"
        "      subroutine s(b)\n      real b(10)\n      b(5) = 1.0\n"
