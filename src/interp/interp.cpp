@@ -1,5 +1,6 @@
 #include "interp/interp.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <sstream>
@@ -56,6 +57,8 @@ std::int64_t int_mul(std::int64_t a, std::int64_t b) {
 std::int64_t int_neg(std::int64_t a) {
   return static_cast<std::int64_t>(0 - bits(a));
 }
+/// |a|, wrapping as -a does: abs(-2^63) is -2^63.
+std::int64_t int_abs(std::int64_t a) { return a < 0 ? int_neg(a) : a; }
 
 /// l / r for integer values, truncated toward zero; -2^63 / -1 wraps to
 /// -2^63, as -(-2^63) does.
@@ -153,14 +156,16 @@ std::size_t element_of(const ArrayStorage& array, const Value* subs,
   return array.flat_index(index, rank);
 }
 
-/// The flat index of a fused access's `Rank` subscripts, read from their
-/// frame slots.  Lowering proved each slot bound to an integer scalar.
+/// The flat index of a fused access's `Rank` subscripts: each the scalar
+/// at its frame slot plus its offset, wrapping as AddIC does.  Lowering
+/// proved each slot bound to an integer scalar.
 template <std::size_t Rank>
 [[gnu::always_inline]] inline std::size_t element_at(
     const ArrayStorage& array, Cell* const* cells, const Op* op) {
   std::int64_t index[Rank];
   for (std::size_t d = 0; d < Rank; ++d)
-    index[d] = cells[op->index[d]]->scalar.int_unchecked();
+    index[d] = int_add(cells[op->index[d].slot]->scalar.int_unchecked(),
+                       op->index[d].offset);
   return array.flat_index(index, Rank);
 }
 
@@ -202,7 +207,7 @@ std::string print_line(const PrintSite& site, const Value* values) {
 Value apply_intrinsic(Intrinsic k, const Value* a) {
   switch (k) {
     case Intrinsic::Abs:
-      if (a[0].is_integer()) return Value::integer(std::abs(a[0].as_int()));
+      if (a[0].is_integer()) return Value::integer(int_abs(a[0].as_int()));
       return Value::real(std::fabs(a[0].as_real()));
     case Intrinsic::Mod:
       if (a[0].is_integer() && a[1].is_integer()) {
@@ -225,8 +230,8 @@ Value apply_intrinsic(Intrinsic k, const Value* a) {
       return Value::real(std::atan2(a[0].as_real(), a[1].as_real()));
     case Intrinsic::Sign:
       if (a[0].is_integer() && a[1].is_integer()) {
-        std::int64_t m = std::abs(a[0].as_int());
-        return Value::integer(a[1].as_int() >= 0 ? m : -m);
+        const std::int64_t m = int_abs(a[0].as_int());
+        return Value::integer(a[1].as_int() >= 0 ? m : int_neg(m));
       }
       return Value::real(a[1].as_real() >= 0 ? std::fabs(a[0].as_real())
                                             : -std::fabs(a[0].as_real()));
@@ -302,7 +307,7 @@ void Interpreter::init_frame(ProgramUnit& unit, Plan& plan, Frame& frame) {
     if (sym->is_array()) {
       cell->is_array = true;
       resolve_array_bounds(plan, frame, sym, cell);
-      cell->array.data = allocate_array(*sym, cell->array.element_count());
+      cell->array.bind(allocate_array(*sym, cell->array.element_count()), 0);
     } else {
       cell->scalar = Value::zero_of(sym->type());
     }
@@ -310,10 +315,10 @@ void Interpreter::init_frame(ProgramUnit& unit, Plan& plan, Frame& frame) {
     const std::vector<Code>& data = plan.symbols[slot].data;
     if (!data.empty()) {
       if (sym->is_array()) {
-        p_assert_msg(data.size() == cell->array.data->size(),
+        p_assert_msg(data.size() == cell->array.size,
                      "DATA value count mismatch for " + sym->name());
-        for (std::size_t i = 0; i < cell->array.data->size(); ++i)
-          (*cell->array.data)[i] = eval(data[i], frame).coerce_to(sym->type());
+        for (std::size_t i = 0; i < cell->array.size; ++i)
+          cell->array.elements[i] = eval(data[i], frame).coerce_to(sym->type());
       } else {
         cell->scalar = eval(data[0], frame).coerce_to(sym->type());
       }
@@ -326,7 +331,7 @@ void Interpreter::resolve_array_bounds(Plan& plan, Frame& frame, Symbol* sym,
   const Plan::SymbolCode& code =
       plan.symbols[static_cast<std::size_t>(sym->slot())];
   ArrayStorage& array = cell->array;
-  array.dims.clear();
+  array.rank = 0;
   std::int64_t count = 1;  // elements in the dimensions resolved so far
   for (std::size_t d = 0; d < sym->dims().size(); ++d) {
     std::int64_t lo =
@@ -339,10 +344,10 @@ void Interpreter::resolve_array_bounds(Plan& plan, Frame& frame, Symbol* sym,
       // payload already exists.
       p_assert_msg(d + 1 == sym->dims().size(),
                    "assumed-size dimension must be last: " + sym->name());
-      p_assert_msg(array.data != nullptr,
+      p_assert_msg(array.payload() != nullptr,
                    "assumed-size array without payload: " + sym->name());
       std::int64_t remaining =
-          static_cast<std::int64_t>(array.data->size()) - array.offset;
+          static_cast<std::int64_t>(array.size) - array.offset;
       if (__builtin_add_overflow(lo, remaining / count - 1, &hi))
         throw UserError("array " + sym->name() +
                         " has an upper bound past the integer range");
@@ -438,7 +443,7 @@ op_CheckNum:
       if (ShadowArrays* shadow = shadow_slots_[op->slot])               \
         store ? shadow->record_write(flat) : shadow->record_read(flat); \
     }                                                                   \
-    Value& element = (*cell->array.data)[flat];                         \
+    Value& element = cell->array.elements[flat];                        \
     if (store) {                                                        \
       --sp;                                                             \
       element = op->same ? *sp : sp->coerce_to(op->sym->type());        \
@@ -632,6 +637,13 @@ op_DoEntry: {
   }
   Cell* idx = cells[loop.index];
   p_assert(idx != nullptr && !idx->is_array);
+  if (loop.empty) {
+    // Every trip at once: the value and the charge the trips reach.
+    idx->scalar = Value::integer(do_value(init, step, trips));
+    charge(trips * costs_.loop_iter);
+    op += op->jump;
+    POLARIS_DISPATCH();
+  }
   idx->scalar = Value::integer(init);
   if (trips != 0) {
     loops[loop.slot] = LoopSlot{init, step, trips, idx, false};
@@ -734,9 +746,9 @@ Interpreter::Exit Interpreter::invoke(Frame& frame, const CallSite& site,
       // resolved in callee terms below.
       Cell* view = inner.create_local(dummy);
       view->is_array = true;
-      view->array.data = cell->array.data;
-      view->array.offset = element ? static_cast<std::int64_t>(*element)
-                                   : cell->array.offset;
+      view->array.bind(cell->array.payload(),
+                       element ? static_cast<std::int64_t>(*element)
+                               : cell->array.offset);
     } else if (cell == nullptr) {
       inner.create_local(dummy)->scalar =
           eval(arg.code, frame).coerce_to(dummy->type());
@@ -750,9 +762,9 @@ Interpreter::Exit Interpreter::invoke(Frame& frame, const CallSite& site,
       // Copy-restore.  The copy's otherwise unused array storage
       // remembers the element, so the copy-back below needs no side table.
       Cell* copy = inner.create_local(dummy);
-      copy->scalar = (*cell->array.data)[*element];
-      copy->array.data = cell->array.data;
-      copy->array.offset = static_cast<std::int64_t>(*element);
+      copy->scalar = cell->array.elements[*element];
+      copy->array.bind(cell->array.payload(),
+                       static_cast<std::int64_t>(*element));
     }
   }
 
@@ -769,8 +781,7 @@ Interpreter::Exit Interpreter::invoke(Frame& frame, const CallSite& site,
     if (site.args[i].pass != CallArg::Pass::Element || dummy->is_array())
       continue;
     const Cell* copy = inner.lookup(dummy);
-    (*copy->array.data)[static_cast<std::size_t>(copy->array.offset)] =
-        copy->scalar;
+    copy->array.elements[copy->array.offset] = copy->scalar;
   }
   return exit;
 }
@@ -878,8 +889,8 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
   for (Symbol* array : loop.written) {
     Cell* cell = frame.lookup(array);
     if (cell == nullptr || !cell->is_array) continue;
-    array_checkpoint.emplace_back(cell, *cell->array.data);
-    checkpoint_cost += cell->array.data->size() * costs_.mem;
+    array_checkpoint.emplace_back(cell, *cell->array.payload());
+    checkpoint_cost += cell->array.size * costs_.mem;
   }
   for (Symbol* s : loop.assigned) {
     Cell* cell = frame.lookup(s);
@@ -898,7 +909,7 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
     p_assert_msg(cell != nullptr && cell->is_array,
                  "speculative array not bound: " + s->name());
     shadow_storage.push_back(
-        std::make_unique<ShadowArrays>(cell->array.data->size()));
+        std::make_unique<ShadowArrays>(cell->array.size));
     shadow_slots_[static_cast<std::size_t>(s->slot())] =
         shadow_storage.back().get();
   }
@@ -953,8 +964,9 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
 
   // Failed: restore state, charge the wasted attempt, re-execute serially.
   ++result_.speculative_failures;
+  // In place: the cells' element pointers stay valid.
   for (auto& [cell, snapshot] : array_checkpoint)
-    *cell->array.data = snapshot;
+    std::copy(snapshot.begin(), snapshot.end(), cell->array.elements);
   for (auto& [cell, snapshot] : scalar_checkpoint) cell->scalar = snapshot;
 
   std::uint64_t wasted = schedule_doall(iter_costs, config_, 0, 0) + pd_cost +

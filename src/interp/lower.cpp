@@ -239,14 +239,14 @@ class Lowerer {
         return;
       }
       case StmtKind::EndDo: {
-        const LoopSite* loop =
-            loop_of_.at(static_cast<EndDoStmt*>(s)->header());
+        LoopSite* loop = loop_of_.at(static_cast<EndDoStmt*>(s)->header());
         const std::size_t entry = do_entry_[loop->slot];
         const std::size_t next = c.ops.size();
         // A body that starts with a statement op (any body but an empty
         // one) has it run by the DoNext that continues the loop.
         Op op = op_of(OpCode::DoNext);
-        if (entry + 1 < next) {
+        loop->empty = entry + 1 == next;
+        if (!loop->empty) {
           const OpCode first = c.ops[entry + 1].code;
           if (first == OpCode::Stmt) op.code = OpCode::DoNextStmt;
           if (first == OpCode::ReductionStmt)
@@ -477,45 +477,69 @@ class Lowerer {
 
   /// Emits element access `op` (LoadElem or StoreElem, of rank `n`) after
   /// what precedes it: the binding check where it can fail, then
-  /// subscripts().  At rank 1 and 2, subscripts that are all integer scalar
-  /// locals are not pushed: the fused access (LoadElem1, StoreElem2, ...)
-  /// reads them from their frame slots, with their loads' charge.  False
-  /// (after a Fail, and no access) when the rank is above 7.
+  /// subscripts().  At rank 1 and 2, subscripts that lowered to an integer
+  /// scalar local's load, alone or plus or minus a constant, are folded
+  /// in: the fused access (LoadElem1, StoreElem2, ...) reads each from its
+  /// frame slot and adds the constant, with the charge of the ops it
+  /// replaces.  False (after a Fail, and no access) when the rank is above
+  /// 7.
   bool element_access(const ArrayRef& ref, Code& c, Op op) {
     const bool store = op.code == OpCode::StoreElem;
     if (!bound_array(ref.symbol()))
       emit(c, operand(OpCode::CheckArray, ref.symbol(), store ? 1 : 0), 0, 0);
-    const std::vector<ExprPtr>& subs = ref.subscripts();
-    std::uint32_t pops = store ? 1 : 0;
-    if ((subs.size() == 1 || subs.size() == 2) &&
-        std::all_of(subs.begin(), subs.end(), [&](const ExprPtr& sub) {
-          return integer_scalar_local(*sub);
-        })) {
-      for (std::size_t d = 0; d < subs.size(); ++d) {
-        op.index[d] = slot_of(static_cast<const VarRef&>(*subs[d]).symbol());
-        c.charge += costs_.mem;
-      }
-      const bool one = subs.size() == 1;
+    const std::size_t first = c.ops.size();
+    const std::uint32_t depth = c.depth;
+    if (!subscripts(ref, c)) return false;
+    const auto rank = static_cast<std::uint32_t>(ref.subscripts().size());
+    std::uint32_t pops = (store ? 1 : 0) + rank;
+    if ((rank == 1 || rank == 2) && fold_subscripts(c, first, rank, op)) {
+      c.ops.resize(first);
+      depth_ -= rank;
+      c.depth = depth;
+      pops -= rank;
+      const bool one = rank == 1;
       op.code = store ? (one ? OpCode::StoreElem1 : OpCode::StoreElem2)
                       : (one ? OpCode::LoadElem1 : OpCode::LoadElem2);
-    } else if (subscripts(ref, c)) {
-      pops += static_cast<std::uint32_t>(subs.size());
-    } else {
-      return false;
     }
     emit(c, op, pops, store ? 0 : 1);
     return true;
   }
 
-  /// Whether `e` is a scalar local of integer type in statement code.
+  /// Whether the ops from `first` on are `rank` subscripts, each an integer
+  /// scalar local's LoadVar, alone or followed by one AddIC or SubIC whose
+  /// constant (negated for SubIC) fits in 32 bits; if so, sets `op`'s
+  /// index to their slots and constants.  AddIC follows only a certainly
+  /// integer left operand and a SubIC's negated constant adds what it
+  /// subtracts, so the fused access's int_add gives the value they push.
+  bool fold_subscripts(const Code& c, std::size_t first, std::uint32_t rank,
+                       Op& op) const {
+    std::size_t at = first;
+    for (std::uint32_t d = 0; d < rank; ++d) {
+      if (at == c.ops.size() || c.ops[at].code != OpCode::LoadVar ||
+          !integer_scalar_local(c.ops[at].sym))
+        return false;
+      op.index[d] = {c.ops[at].slot, 0};
+      ++at;
+      if (at == c.ops.size()) continue;
+      const Op& step = c.ops[at];
+      if (step.code != OpCode::AddIC && step.code != OpCode::SubIC) continue;
+      const std::int64_t k = step.imm.int_unchecked();
+      if (k == INT64_MIN) return false;  // -k has no int64 value
+      const std::int64_t offset = step.code == OpCode::AddIC ? k : -k;
+      if (offset < INT32_MIN || offset > INT32_MAX) return false;
+      op.index[d].offset = static_cast<std::int32_t>(offset);
+      ++at;
+    }
+    return at == c.ops.size();
+  }
+
+  /// Whether `sym` is a scalar local of integer type in statement code.
   /// init_frame binds such a local (outside COMMON, not a dummy, not an
   /// array) to a scalar cell before any statement runs, and stable() makes
   /// its value certainly an integer, so an op can read it from its slot
   /// without LoadVar's binding check.  Being stable alone is not enough: a
   /// stable local can be an array.
-  bool integer_scalar_local(const Expression& e) const {
-    if (e.kind() != ExprKind::VarRef) return false;
-    const Symbol* sym = static_cast<const VarRef&>(e).symbol();
+  bool integer_scalar_local(const Symbol* sym) const {
     return complete_frame_ && stable(sym) && !sym->is_array() &&
            sym->type().is_integer();
   }
@@ -835,7 +859,7 @@ class Lowerer {
   std::vector<Statement*> stmts_;  ///< in order
   std::unordered_map<const Statement*, std::size_t> position_;
   std::vector<std::size_t> entry_, dispatch_;  ///< by position: op index
-  std::unordered_map<const DoStmt*, const LoopSite*> loop_of_;
+  std::unordered_map<const DoStmt*, LoopSite*> loop_of_;
   std::vector<std::size_t> do_entry_;  ///< by LoopSlot: its DoEntry op
   std::vector<Fixup> fixups_;
   std::vector<bool> aliased_;    ///< by slot: see stable()

@@ -7,16 +7,17 @@
 // it: a store, a jump (IF chains, GOTO), DO entry or DO next, CALL,
 // PRINT, RETURN or STOP.  A leaf operand is folded into the op that
 // consumes it: a binary op's constant or scalar right operand, an element
-// access's integer scalar subscripts, and the statement op a DO's body
-// starts with into its DoNext.  What cannot change during the run is decided
-// there, once: which intrinsic a name means and its arity, which unit a
-// call reaches, a PARAMETER's value, the CostModel charge of every node
-// (summed into one charge per statement or expression), the kind of an
-// operand where it is certain (so an op can skip its tag tests), whether
-// an array's binding check must run before its subscripts, each operand's
-// frame slot and each jump's target.  Array bounds, DATA values and
-// by-value call actuals are lowered to Codes of their own, evaluated where
-// a frame is built or a call binds its arguments.
+// access's subscripts of the form `v`, `v + c` or `v - c` over integer
+// scalar locals, and the statement op a DO's body starts with into its
+// DoNext.  What cannot change during the run is decided there, once:
+// which intrinsic a name means and its arity, which unit a call reaches,
+// a PARAMETER's value, the CostModel charge of every node (summed into
+// one charge per statement or expression), the kind of an operand where
+// it is certain (so an op can skip its tag tests), whether an array's
+// binding check must run before its subscripts, each operand's frame slot
+// and each jump's target.  Array bounds, DATA values and by-value call
+// actuals are lowered to Codes of their own, evaluated where a frame is
+// built or a call binds its arguments.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +74,8 @@ inline bool is_binary(Intrinsic k) {
   X(ToInt)      /* convert the top to integer (not known to be one) */        \
   X(CheckNum)   /* check that the top is numeric (max/min's first argument) */\
   X(LoadElem)   /* pop n integer subscripts; push sym's element */            \
-  X(LoadElem1)  /* push sym's element at the subscript in index[0]'s slot */  \
-  X(LoadElem2)  /* ... at the subscripts in index[0]'s and index[1]'s */      \
+  X(LoadElem1)  /* push sym's element at the subscript index[0] */            \
+  X(LoadElem2)  /* ... at the subscripts index[0] and index[1] */             \
   X(ElemIndex)  /* pop n integer subscripts; push the element's flat index */ \
   X(StoreVar)   /* pop a value; store it into sym (coerced unless `same`) */  \
   X(StoreElem)  /* pop n integer subscripts, then a value; store the element*/\
@@ -123,6 +124,13 @@ struct LoopSite;
 struct LeaveSite;
 struct PrintSite;
 
+/// A fused access's subscript: the integer scalar at frame slot `slot`,
+/// plus `offset` (wrapping, as AddIC does).
+struct Subscript {
+  std::uint32_t slot;
+  std::int32_t offset;
+};
+
 struct Op {
   OpCode code;
   /// StoreVar and the StoreElem ops: the value's kind is the target's, so
@@ -150,8 +158,9 @@ struct Op {
   };
   union {
     Value imm{};  ///< Const and the `C` binary ops
-    /// LoadElem1/2, StoreElem1/2: the subscripts' frame slots.
-    std::uint32_t index[2];
+    /// LoadElem1/2, StoreElem1/2: each subscript's scalar and the constant
+    /// added to it.
+    Subscript index[2];
   };
 };
 static_assert(sizeof(Op) == 32, "an Op is half a cache line");
@@ -202,6 +211,9 @@ struct LoopSite {
   std::uint32_t slot = 0;   ///< its LoopSlot in the activation
   std::uint32_t index = 0;  ///< the DO variable's frame slot
   bool parallel = false;    ///< marked DOALL or speculative
+  /// Its DoNext directly follows its DoEntry: run sequentially, DoEntry
+  /// makes every trip at once.
+  bool empty = false;
   /// Speculative loops: what an attempt checkpoints, the arrays the body
   /// writes and the scalars it assigns.
   std::vector<Symbol*> written, assigned;

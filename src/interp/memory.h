@@ -17,39 +17,60 @@ namespace polaris {
 
 /// A resolved array: payload + per-dimension [lo, hi] bounds with their
 /// column-major strides + flat offset into the payload (for views starting
-/// mid-array).
+/// mid-array).  The descriptor is inline: the bounds in a fixed array of
+/// kMaxArrayRank, and beside the shared payload its element pointer and
+/// size, so an element access reads no other object before the element.
 struct ArrayStorage {
   struct Dim {
     std::int64_t lo, hi;
     std::int64_t stride;  ///< elements spanned by one step in this dimension
   };
-  std::shared_ptr<std::vector<Value>> data;
-  std::vector<Dim> dims;
+  Value* elements = nullptr;  ///< the payload's elements (bind() sets it)
+  std::size_t size = 0;       ///< the payload's element count
   std::int64_t offset = 0;
+  std::size_t rank = 0;  ///< dimensions added
+  Dim dims[kMaxArrayRank] = {};
+
+  /// Binds `payload`, from flat element `at` on: the one place the payload
+  /// and its cached element pointer and size are set.  The shared payload
+  /// owns the elements; whatever changes them keeps its size (a failed
+  /// speculative attempt restores them in place), so the pointer stays
+  /// valid while the payload is bound.
+  void bind(std::shared_ptr<std::vector<Value>> payload, std::int64_t at) {
+    payload_ = std::move(payload);
+    elements = payload_->data();
+    size = payload_->size();
+    offset = at;
+  }
+  const std::shared_ptr<std::vector<Value>>& payload() const {
+    return payload_;
+  }
 
   /// Appends dimension lo:hi; its stride is the element count so far.
   /// Interpreter::resolve_array_bounds rejects any bounds whose element
   /// count does not fit int64, before adding them.
   void add_dim(std::int64_t lo, std::int64_t hi) {
-    dims.push_back({lo, hi, element_count()});
+    p_assert(rank < kMaxArrayRank);
+    dims[rank] = {lo, hi, element_count()};
+    ++rank;
   }
 
   std::int64_t element_count() const {
-    if (dims.empty()) return 1;
-    const Dim& last = dims.back();
+    if (rank == 0) return 1;
+    const Dim& last = dims[rank - 1];
     return last.stride * (last.hi - last.lo + 1);
   }
 
-  /// Column-major (Fortran) flat index of the `rank` subscripts at
-  /// `subs`.  Rank, each subscript and the storage are checked inline; a
-  /// failed check raises its InternalError out of line.
-  std::size_t flat_index(const std::int64_t* subs, std::size_t rank) const {
-    if (rank != dims.size()) [[unlikely]]
+  /// Column-major (Fortran) flat index of the `n` subscripts at `subs`.
+  /// Rank, each subscript and the storage are checked inline; a failed
+  /// check raises its InternalError out of line.
+  std::size_t flat_index(const std::int64_t* subs, std::size_t n) const {
+    if (n != rank) [[unlikely]]
       index_failed("rank == bounds.size()",
                    "subscript rank mismatch at run time", __FILE__,
                    __LINE__);
     std::int64_t flat = offset;
-    for (std::size_t d = 0; d < rank; ++d) {
+    for (std::size_t d = 0; d < n; ++d) {
       const Dim& dim = dims[d];
       if (subs[d] < dim.lo || subs[d] > dim.hi) [[unlikely]]
         index_failed("subs[d] >= lo && subs[d] <= hi",
@@ -57,8 +78,7 @@ struct ArrayStorage {
                      __LINE__);
       flat += (subs[d] - dim.lo) * dim.stride;
     }
-    if (flat < 0 || static_cast<std::size_t>(flat) >= data->size())
-        [[unlikely]]
+    if (flat < 0 || static_cast<std::size_t>(flat) >= size) [[unlikely]]
       index_failed("flat >= 0 && static_cast<std::size_t>(flat) < "
                    "data->size()",
                    "flat array index out of storage", __FILE__, __LINE__);
@@ -68,6 +88,8 @@ struct ArrayStorage {
  private:
   [[noreturn, gnu::cold, gnu::noinline]] static void index_failed(
       const char* cond, const char* msg, const char* file, int line);
+
+  std::shared_ptr<std::vector<Value>> payload_;
 };
 
 /// One variable's storage: scalar or array.

@@ -117,19 +117,43 @@ TEST(InterpTest, DoNearTheInt64EdgeMakesItsTrips) {
   }
 }
 
-// Integer + - * / mod and negation wrap at the int64 edge instead of
-// trapping (-2^63 / -1) or being undefined (2^63 - 1 + 1).
+// Integer + - * / mod, negation, abs and sign wrap at the int64 edge
+// instead of trapping (-2^63 / -1) or being undefined (2^63 - 1 + 1,
+// abs(-2^63)).
 TEST(InterpTest, IntegerArithmeticWrapsAtTheInt64Edge) {
   auto r = run_src(
       "      integer i, j, k\n"
       "      i = -9223372036854775807 - 1\n"
       "      j = -1\n"
       "      k = 9223372036854775807\n"
-      "      print *, i / j, mod(i, j), k + 1, -i, i - 1, k * 2\n");
-  ASSERT_EQ(r.output.size(), 1u);
+      "      print *, i / j, mod(i, j), k + 1, -i, i - 1, k * 2\n"
+      "      print *, abs(i), sign(i, -1), sign(i, 1)\n");
+  ASSERT_EQ(r.output.size(), 2u);
   EXPECT_EQ(r.output[0],
             "-9223372036854775808 0 -9223372036854775808 "
             "-9223372036854775808 9223372036854775807 -2");
+  EXPECT_EQ(r.output[1],
+            "-9223372036854775808 -9223372036854775808 "
+            "-9223372036854775808");
+}
+
+// A DO with an empty body makes every trip at its entry, with the value
+// and the charge the trips reach: no statement runs in them, so the
+// statement limit could not stop 2^63 - 1 trips one by one.
+TEST(InterpTest, EmptyDoBodyMakesItsTripsAtOnce) {
+  auto p = parse_program(
+      "      program t\n"
+      "      do i = 1, 9223372036854775807\n"
+      "      end do\n"
+      "      print *, i\n"
+      "      end\n");
+  Interpreter interp(*p);
+  interp.set_statement_limit(1000);
+  RunResult r = interp.run();
+  EXPECT_EQ(r.output, std::vector<std::string>{"-9223372036854775808"});
+  EXPECT_EQ(r.statements, 2u);
+  // (2^63 - 1) trips of loop_iter 2, and the PRINT's load.
+  EXPECT_EQ(r.clock.serial, UINT64_MAX);
 }
 
 /// What running `src` gives: its printed lines, or its error's type,
@@ -207,50 +231,106 @@ TEST(InterpTest, FusedRightOperandsMatchTheUnfusedOps) {
   EXPECT_EQ(compared, 4 * (13 * 4 + 1 + 2));
 }
 
-// The fused element accesses read their subscripts from the slots of
-// integer scalar locals: v(i) and a(i, j) must load and store what the
-// unfused v(i+0) and a(i+0, j) do, out of bounds too, and with i a COMMON
-// member (never fused) alike.
+// The fused element accesses read each subscript from the slot of an
+// integer scalar local and add a constant: v(i), v(i+1), a(i-1, j+1).
+// Each program runs with i and j as locals (fused) and as COMMON members
+// (never fused: a COMMON member is not stable); both must load, store and
+// fail alike.
 TEST(InterpTest, FusedSubscriptsMatchTheUnfusedAccesses) {
-  const char* const accesses[][2] = {
-      {"      print *, v(i)\n", "      print *, v(i+0)\n"},
-      {"      print *, a(i, j)\n", "      print *, a(i+0, j)\n"},
-      {"      v(i) = 7\n", "      v(i+0) = 7\n"},
-      {"      v(i) = 9.5\n", "      v(i+0) = 9.5\n"},
-      {"      a(i, j) = 9.5\n", "      a(i+0, j) = 9.5\n"},
-      {"      n(i, j) = 8\n", "      n(i+0, j) = 8\n"},
-      {"      x = v(i) + a(i, j)*n(j, i)\n",
-       "      x = v(i+0) + a(i+0, j)*n(j+0, i)\n"},
+  auto program = [](const char* storage, const std::string& i,
+                    const char* body) {
+    return std::string("      program t\n      integer i, j\n") +
+           "      real v(3), a(3, 2)\n      integer n(3, 2)\n" + storage +
+           "      i = " + i + "\n      j = 1\n" +
+           "      do k = 1, 3\n        v(k) = k*1.5\n"
+           "        a(k, 1) = k*2.5\n        a(k, 2) = k*3.5\n"
+           "        n(k, 1) = k\n        n(k, 2) = 10*k\n"
+           "      end do\n" +
+           body + "      print *, v(1), v(2), v(3), x\n" +
+           "      print *, a(1, 1), a(2, 1), a(3, 1), a(1, 2), "
+           "a(2, 2), a(3, 2)\n" +
+           "      print *, n(1, 1), n(2, 1), n(3, 1), n(1, 2), "
+           "n(2, 2), n(3, 2)\n      end\n";
   };
+  const char* const common = "      common /c/ i, j\n";
   int compared = 0;
-  for (const char* storage : {"", "      common /c/ i\n"}) {
-    for (const char* i : {"2", "4", "0"}) {
-      for (const auto& access : accesses) {
-        auto program = [&](const char* body) {
-          return std::string("      program t\n      integer i, j\n") +
-                 "      real v(3), a(3, 2)\n      integer n(3, 2)\n" +
-                 storage + "      i = " + i + "\n      j = 1\n" +
-                 "      do k = 1, 3\n        v(k) = k*1.5\n"
-                 "        a(k, 1) = k*2.5\n        a(k, 2) = k*3.5\n"
-                 "        n(k, 1) = k\n        n(k, 2) = 10*k\n"
-                 "      end do\n" +
-                 body + "      print *, v(1), v(2), v(3), x\n" +
-                 "      print *, a(1, 1), a(2, 1), a(3, 1), a(1, 2), "
-                 "a(2, 2), a(3, 2)\n" +
-                 "      print *, n(1, 1), n(2, 1), n(3, 1), n(1, 2), "
-                 "n(2, 2), n(3, 2)\n      end\n";
-        };
-        const std::string want = outcome(program(access[1]));
-        EXPECT_EQ(outcome(program(access[0])), want) << program(access[0]);
-        // In bounds, the programs run to completion.
-        if (std::string(i) == "2") {
-          EXPECT_EQ(want.find("Error"), std::string::npos) << want;
-        }
-        ++compared;
+  auto compare = [&](const std::string& i, const char* body) {
+    const std::string want = outcome(program(common, i, body));
+    EXPECT_EQ(outcome(program("", i, body)), want) << program("", i, body);
+    ++compared;
+    return want;
+  };
+  const char* const accesses[] = {
+      "      print *, v(i)\n",
+      "      print *, v(i+1), v(i-1)\n",
+      "      print *, a(i, j)\n",
+      "      print *, a(i-1, j+1)\n",
+      "      print *, n(j+1, i-1)\n",
+      "      v(i) = 7\n",
+      "      v(i+1) = 9.5\n",
+      "      v(i-1) = 7\n",
+      "      a(i-1, j+1) = 9.5\n",
+      "      n(j+1, i-1) = 8\n",
+      "      x = v(i+1) + a(i-1, j+1)*n(j+1, i-1)\n",
+  };
+  for (const char* i : {"2", "3", "4", "0"}) {
+    for (const char* access : accesses) {
+      const std::string want = compare(i, access);
+      // In bounds, the programs run to completion.
+      if (std::string(i) == "2") {
+        EXPECT_EQ(want.find("Error"), std::string::npos) << want;
       }
     }
   }
-  EXPECT_EQ(compared, 2 * 3 * 7);
+  // Offsets at the 32-bit limit are fused, one past it is not; each reads
+  // v(1).
+  const struct {
+    const char* i;
+    const char* access;
+  } limits[] = {
+      {"-2147483646", "      print *, v(i + 2147483647)\n"},
+      {"-2147483647", "      print *, v(i + 2147483648)\n"},
+      {"2147483649", "      print *, v(i - 2147483648)\n"},
+      {"2147483650", "      print *, v(i - 2147483649)\n"},
+  };
+  for (const auto& l : limits) {
+    const std::string want = compare(l.i, l.access);
+    EXPECT_EQ(want.rfind("1.5\n", 0), 0u) << want;
+  }
+  // The offset wraps as the addition does: 2^63 - 1 + 1 is -2^63.
+  for (const char* access : {"      print *, v(i+1)\n", "      v(i+1) = 1\n"}) {
+    const std::string want = compare("9223372036854775807", access);
+    EXPECT_EQ(want,
+              "InternalError subs[d] >= lo && subs[d] <= hi : array "
+              "subscript out of declared bounds")
+        << want;
+  }
+  EXPECT_EQ(compared, 4 * 11 + 4 + 2);
+}
+
+// A COMMON member or a dummy can hold a value of another kind than it is
+// declared with.  A subscript through one converts that value, as it does
+// any subscript whose kind lowering cannot prove, so such a subscript is
+// never fused: a fused access would read a real's bits as an integer.
+TEST(InterpTest, CommonAndDummySubscriptsConvertTheirValues) {
+  auto r = run_src(
+      "      program t\n"
+      "      real v(3), r\n"
+      "      common /c/ r\n"
+      "      v(1) = 1.5\n      v(2) = 2.5\n      v(3) = 3.5\n"
+      "      r = 2.0\n"
+      "      call s(v, r)\n"
+      "      end\n"
+      "      subroutine s(v, k)\n"
+      "      real v(3)\n"
+      "      integer k, r\n"
+      "      common /c/ r\n"
+      "      print *, v(r), v(r+1), v(k), v(k-1)\n"
+      "      v(r) = 7\n      v(k-1) = 8\n"
+      "      print *, v(1), v(2), v(3)\n"
+      "      end\n");
+  EXPECT_EQ(r.output, (std::vector<std::string>{"2.5 3.5 2.5 1.5",
+                                                 "8 7 3.5"}));
 }
 
 TEST(InterpTest, IntegerPowerFollowsFortranRules) {
@@ -755,6 +835,24 @@ TEST(InterpTest, ControlConstructsCountLikeTheWalker) {
       {"if chain and nested DOs inside a doall", doall, {"0 3 5 3 9 8"}, 47,
        123, 2496},
       {"the same doall at p=1", doall, {"0 3 5 3 9 8"}, 47, 123, 123, 1},
+      // An empty DO body makes its trips at DO entry, with their charges.
+      {"empty DO of 5 trips, at the statement limit",
+       "      program t\n      do i = 1, 5\n      end do\n"
+       "      print *, i\n      end\n",
+       {"6"}, 2, 11, 11, 8, 2},
+      {"zero-trip empty DO",
+       "      program t\n      k = 3\n      do i = 5, 1\n      end do\n"
+       "      print *, i, k\n      end\n",
+       {"5 3"}, 3, 3, 3},
+      {"negative-step empty DO",
+       "      program t\n      do i = 10, 1, -3\n      end do\n"
+       "      print *, i\n      end\n",
+       {"-2"}, 2, 10, 10},
+      {"empty DO inside a doall",
+       "      program t\n      real a(4)\ncsrd$ doall\n      do i = 1, 4\n"
+       "        a(i) = i\n        do j = 1, i\n        end do\n"
+       "      end do\n      print *, a(4), i, j\n      end\n",
+       {"4 5 5"}, 10, 47, 1997},
   };
   for (const auto& c : cases) {
     auto p = parse_program(c.src);

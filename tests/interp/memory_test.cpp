@@ -8,8 +8,9 @@ namespace {
 ArrayStorage make_array(std::vector<std::pair<std::int64_t, std::int64_t>> b) {
   ArrayStorage a;
   for (const auto& [lo, hi] : b) a.add_dim(lo, hi);
-  a.data = std::make_shared<std::vector<Value>>(
-      static_cast<std::size_t>(a.element_count()), Value::real(0.0));
+  a.bind(std::make_shared<std::vector<Value>>(
+             static_cast<std::size_t>(a.element_count()), Value::real(0.0)),
+         0);
   return a;
 }
 
@@ -39,11 +40,10 @@ TEST(MemoryTest, OffsetViews) {
   // A view starting at element 5 of a 10-element payload, reshaped 1-D.
   ArrayStorage base = make_array({{1, 10}});
   ArrayStorage view;
-  view.data = base.data;
-  view.offset = 4;  // element 5, 0-based
+  view.bind(base.payload(), 4);  // element 5, 0-based
   view.add_dim(1, 6);
-  (*view.data)[index(view, {1})] = Value::real(9.0);
-  EXPECT_DOUBLE_EQ((*base.data)[index(base, {5})].as_real(), 9.0);
+  (*view.payload())[index(view, {1})] = Value::real(9.0);
+  EXPECT_DOUBLE_EQ((*base.payload())[index(base, {5})].as_real(), 9.0);
 }
 
 TEST(MemoryTest, BoundsViolationAsserts) {

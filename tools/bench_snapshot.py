@@ -4,6 +4,7 @@
     python3 tools/bench_snapshot.py --parent DIR --change DIR \\
         --workloads suite-exec,speculative-pdtest --pairs 10 \\
         --seeds 2101-2110 [--seconds 30] [--trace 0|1] \\
+        [--cxx-flags=FLAGS] \\
         [--ledger BENCH_exec.json --claim TEXT --result TEXT --layer TEXT]
         [--parent-rev SHA] [--change-rev SHA]
 
@@ -31,7 +32,11 @@ BENCH_compile.json, creating the file if needed; the claim text, result
 and layer are the caller's to state.
 
 Every perfbench build comes from run.py itself; the figure binaries are
-built by this script.
+built by this script.  --cxx-flags=FLAGS (a code-layout control such as
+-falign-functions=64) configures both trees' .bench_build/perfbench with
+CMAKE_CXX_FLAGS=FLAGS before the pairs, so run.py rebuilds them with it,
+and configures them back to the default flags afterwards, also when a run
+fails; the ledger row's command names the flags.
 """
 import argparse
 import datetime
@@ -80,6 +85,18 @@ def run_once(tree, workload, seed, seconds, trace):
         print("bench_snapshot: %s seed %d in %s: %s failed ops" %
               (workload, seed, tree, result.get("failed")), file=sys.stderr)
     return result
+
+
+def configure_perfbench(tree, flags):
+    """Configures the perfbench build run.py makes in `tree` with
+    CMAKE_CXX_FLAGS `flags`, or with the default flags for None."""
+    cmd = ["cmake", "-S", os.path.join(tree, "perfbench"),
+           "-B", os.path.join(tree, ".bench_build", "perfbench"),
+           "-DCMAKE_BUILD_TYPE=RelWithDebInfo",
+           "-UCMAKE_CXX_FLAGS" if flags is None else
+           "-DCMAKE_CXX_FLAGS=" + flags]
+    if subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode != 0:
+        sys.exit("bench_snapshot: configure failed: %s" % " ".join(cmd))
 
 
 def build_figures(tree):
@@ -202,7 +219,10 @@ def append_claim(path, args, seeds_used, rows):
             ("parent", args.parent_rev or git_rev(args.parent)),
             ("change", args.change_rev or git_rev(args.change))) if v},
         "command": "python3 perfbench/run.py --workload W --seed N "
-                   "--seconds %g --trace %d" % (args.seconds, args.trace)
+                   "--seconds %g --trace %d" % (args.seconds, args.trace) +
+                   (", both trees' .bench_build/perfbench configured with "
+                    "-DCMAKE_CXX_FLAGS=%s" % args.cxx_flags
+                    if args.cxx_flags is not None else "")
                    if not figures_only else
                    "each of %s, built in the tree's .bench_build/figures, "
                    "timed wall-clock with its output discarded" %
@@ -243,32 +263,9 @@ def append_claim(path, args, seeds_used, rows):
         f.write(text)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", required=True, help="parent source tree")
-    ap.add_argument("--change", required=True, help="changed source tree")
-    ap.add_argument("--workloads", required=True,
-                    help="comma-separated perfbench workloads, or "
-                    "\"figures\" alone")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seeds", default="1", help="e.g. 2101-2110")
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--parent-rev", help="parent commit, when its tree "
-                    "is not a git checkout")
-    ap.add_argument("--change-rev", help="change commit, likewise")
-    ap.add_argument("--ledger", help="BENCH_*.json to append a claim to")
-    ap.add_argument("--claim", default="", help="the claim row's claim")
-    ap.add_argument("--result", default="", help="the claim row's result")
-    ap.add_argument("--layer", default="", help="the layer it moved")
-    args = ap.parse_args()
-
-    workloads = args.workloads.split(",")
-    if "figures" in workloads and len(workloads) > 1:
-        sys.exit("bench_snapshot: run the workload \"figures\" on its own; "
-                 "its runs have no seed or run length")
-    seeds = parse_seeds(args.seeds)
-    better = directions(args.change)
+def run_pairs(args, workloads, seeds, better):
+    """Runs the pairs of every workload; returns the summary rows and the
+    seeds each workload used."""
     rows, seeds_used = [], {}
     for workload in workloads:
         if workload == "figures":
@@ -294,6 +291,51 @@ def main():
             seeds_used[workload] = [seeds[i % len(seeds)]
                                     for i in range(args.pairs)]
         rows.extend(summarize(workload, pairs, better))
+    return rows, seeds_used
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="parent source tree")
+    ap.add_argument("--change", required=True, help="changed source tree")
+    ap.add_argument("--workloads", required=True,
+                    help="comma-separated perfbench workloads, or "
+                    "\"figures\" alone")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seeds", default="1", help="e.g. 2101-2110")
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--cxx-flags", metavar="FLAGS",
+                    help="CMAKE_CXX_FLAGS for both trees' perfbench builds "
+                    "during the run (write --cxx-flags=-falign-functions=64)")
+    ap.add_argument("--parent-rev", help="parent commit, when its tree "
+                    "is not a git checkout")
+    ap.add_argument("--change-rev", help="change commit, likewise")
+    ap.add_argument("--ledger", help="BENCH_*.json to append a claim to")
+    ap.add_argument("--claim", default="", help="the claim row's claim")
+    ap.add_argument("--result", default="", help="the claim row's result")
+    ap.add_argument("--layer", default="", help="the layer it moved")
+    args = ap.parse_args()
+
+    workloads = args.workloads.split(",")
+    if "figures" in workloads and len(workloads) > 1:
+        sys.exit("bench_snapshot: run the workload \"figures\" on its own; "
+                 "its runs have no seed or run length")
+    if "figures" in workloads and args.cxx_flags is not None:
+        sys.exit("bench_snapshot: --cxx-flags applies to the perfbench "
+                 "builds, not to \"figures\"")
+    seeds = parse_seeds(args.seeds)
+    better = directions(args.change)
+    trees = (args.parent, args.change)
+    if args.cxx_flags is not None:
+        for tree in trees:
+            configure_perfbench(tree, args.cxx_flags)
+    try:
+        rows, seeds_used = run_pairs(args, workloads, seeds, better)
+    finally:
+        if args.cxx_flags is not None:
+            for tree in trees:
+                configure_perfbench(tree, None)
     print_rows(rows)
     if args.ledger:
         append_claim(args.ledger, args, seeds_used, rows)
