@@ -149,8 +149,9 @@ Cell* array_cell(Cell* const* cells, const Op* op, bool store) {
 }
 
 /// The flat index of the `rank` integer subscripts at `subs`.
-std::size_t element_of(const ArrayStorage& array, const Value* subs,
-                       std::size_t rank) {
+[[gnu::always_inline]] inline std::size_t element_of(const ArrayStorage& array,
+                                                     const Value* subs,
+                                                     std::size_t rank) {
   std::int64_t index[kMaxArrayRank];
   for (std::size_t d = 0; d < rank; ++d) index[d] = subs[d].int_unchecked();
   return array.flat_index(index, rank);
@@ -190,6 +191,13 @@ std::string print_line(const PrintSite& site, const Value* values) {
   return line;
 }
 
+/// The sum of a parallel loop's iteration costs: its serial time.
+std::uint64_t serial_sum(const std::vector<std::uint64_t>& iter_costs) {
+  std::uint64_t sum = 0;
+  for (std::uint64_t c : iter_costs) sum = clock_add(sum, c, "serial");
+  return sum;
+}
+
 [[noreturn, gnu::cold, gnu::noinline]] void statement_limit_exceeded() {
   throw UserError("interpreter statement limit exceeded");
 }
@@ -204,7 +212,10 @@ std::string print_line(const PrintSite& site, const Value* values) {
                   " loop " + loop.stmt->loop_name());
 }
 
-Value apply_intrinsic(Intrinsic k, const Value* a) {
+/// The value of intrinsic `k` (not max or min, which are ops) of the
+/// arguments at `a`.  Forced inline into the one op that calls it.
+[[gnu::always_inline]] inline Value apply_intrinsic(Intrinsic k,
+                                                    const Value* a) {
   switch (k) {
     case Intrinsic::Abs:
       if (a[0].is_integer()) return Value::integer(int_abs(a[0].as_int()));
@@ -640,7 +651,7 @@ op_DoEntry: {
   if (loop.empty) {
     // Every trip at once: the value and the charge the trips reach.
     idx->scalar = Value::integer(do_value(init, step, trips));
-    charge(trips * costs_.loop_iter);
+    charge(clock_mul(trips, costs_.loop_iter, "serial"));
     op += op->jump;
     POLARIS_DISPATCH();
   }
@@ -858,14 +869,13 @@ Interpreter::Exit Interpreter::run_parallel_loop(Frame& frame,
   idx->scalar = Value::integer(do_value(init, step, trips));
   in_parallel_ = false;
 
-  std::uint64_t serial_sum = 0;
-  for (std::uint64_t c : iter_costs) serial_sum += c;
+  result_.clock.serial =
+      clock_add(result_.clock.serial, serial_sum(iter_costs), "serial");
   std::uint64_t par = schedule_doall(iter_costs, config_,
                                      reduction_elements(frame, d),
                                      d->par.lastvalue_vars.size(),
                                      reduction_updates_ - updates_before);
-  result_.clock.serial += serial_sum;
-  result_.clock.parallel += par;
+  result_.clock.parallel = clock_add(result_.clock.parallel, par, "parallel");
   return out;
 }
 
@@ -890,7 +900,10 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
     Cell* cell = frame.lookup(array);
     if (cell == nullptr || !cell->is_array) continue;
     array_checkpoint.emplace_back(cell, *cell->array.payload());
-    checkpoint_cost += cell->array.size * costs_.mem;
+    checkpoint_cost =
+        clock_add(checkpoint_cost,
+                  clock_mul(cell->array.size, costs_.mem, "parallel"),
+                  "parallel");
   }
   for (Symbol* s : loop.assigned) {
     Cell* cell = frame.lookup(s);
@@ -944,20 +957,26 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
   std::uint64_t pd_cost = 0;
   for (auto& sh : shadow_storage) {
     pass = pass && sh->analyze().pass();
-    pd_cost += sh->cost(config_.processors);
+    pd_cost = clock_add(pd_cost, sh->cost(config_.processors), "parallel");
   }
   result_.pd_test_cost += pd_cost;
 
-  std::uint64_t serial_sum = 0;
-  for (std::uint64_t c : iter_costs) serial_sum += c;
-  result_.clock.serial += serial_sum;
+  result_.clock.serial =
+      clock_add(result_.clock.serial, serial_sum(iter_costs), "serial");
+  // The attempt's marking and post-analysis and its checkpoint, charged to
+  // the parallel clock whether it passes or fails.
+  const std::uint64_t pd_overhead =
+      clock_add(pd_cost, checkpoint_cost, "parallel");
 
   if (pass) {
     slot.driven = false;
     std::uint64_t par = schedule_doall(iter_costs, config_,
                                        reduction_elements(frame, d),
                                        d->par.lastvalue_vars.size());
-    result_.clock.parallel += par + pd_cost + checkpoint_cost;
+    result_.clock.parallel =
+        clock_add(result_.clock.parallel, clock_add(par, pd_overhead,
+                                                    "parallel"),
+                  "parallel");
     idx->scalar = Value::integer(do_value(init, step, trips));
     return out;
   }
@@ -969,10 +988,11 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
     std::copy(snapshot.begin(), snapshot.end(), cell->array.elements);
   for (auto& [cell, snapshot] : scalar_checkpoint) cell->scalar = snapshot;
 
-  std::uint64_t wasted = schedule_doall(iter_costs, config_, 0, 0) + pd_cost +
-                         checkpoint_cost;
+  std::uint64_t wasted = clock_add(schedule_doall(iter_costs, config_, 0, 0),
+                                   pd_overhead, "parallel");
   result_.speculative_wasted += wasted;
-  result_.clock.parallel += wasted;
+  result_.clock.parallel =
+      clock_add(result_.clock.parallel, wasted, "parallel");
 
   // Sequential re-execution (results recomputed identically; costs flow
   // into both clocks... the serial reference already includes one
@@ -991,7 +1011,8 @@ Interpreter::Exit Interpreter::run_speculative_loop(Frame& frame,
   }
   slot.driven = false;
   cost_acc_ = saved_acc;
-  result_.clock.parallel += rerun_cost;
+  result_.clock.parallel =
+      clock_add(result_.clock.parallel, rerun_cost, "parallel");
   idx->scalar = Value::integer(do_value(init, step, trips));
   return rerun;
 }

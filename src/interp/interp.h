@@ -134,7 +134,11 @@ class Interpreter {
   Exit run_iteration(const Op* entry, Frame& frame);
   std::size_t reduction_elements(Frame& frame, const DoStmt* d);
 
-  void charge(std::uint64_t cost) { *cost_acc_ += cost; }
+  /// Adds `cost` to the time being accumulated: a UserError naming the
+  /// serial clock when it passes 2^64 - 1 units.
+  void charge(std::uint64_t cost) {
+    *cost_acc_ = clock_add(*cost_acc_, cost, "serial");
+  }
 
   Program& program_;
   MachineConfig config_;

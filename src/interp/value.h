@@ -50,17 +50,20 @@ class Value {
   }
   bool is_logical() const { return kind_ == TypeKind::Logical; }
 
-  std::int64_t as_int() const {
+  // The conversions are forced inline: GCC leaves even these out of line
+  // in a function as large as the interpreter's op loop.  Their failure
+  // paths stay out of line (real_to_int, the p_assert_msg lambda).
+  [[gnu::always_inline]] std::int64_t as_int() const {
     if (is_integer()) return i_;
     if (is_real()) return real_to_int(d_);  // out of line: range-checked
     p_assert_msg(false, "logical used as integer");
   }
-  double as_real() const {
+  [[gnu::always_inline]] double as_real() const {
     if (is_real()) return d_;
     if (is_integer()) return static_cast<double>(i_);
     p_assert_msg(false, "logical used as real");
   }
-  bool as_logical() const {
+  [[gnu::always_inline]] bool as_logical() const {
     p_assert_msg(is_logical(), "non-logical used in condition");
     return b_;
   }
@@ -71,7 +74,7 @@ class Value {
   double real_unchecked() const { return d_; }
 
   /// Coerces to the declared type of a storage location.
-  Value coerce_to(Type t) const {
+  [[gnu::always_inline]] Value coerce_to(Type t) const {
     if (t.is_integer()) return integer(as_int());
     if (t.is_logical()) return logical(as_logical());
     return real(as_real());

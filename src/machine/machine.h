@@ -47,6 +47,26 @@ struct MachineConfig {
   std::uint64_t lastvalue_cost = 20;         ///< per last-value variable
 };
 
+/// The UserError for the clock named `clock` ("serial" or "parallel") when
+/// a time it would hold passes 2^64 - 1 units, where it would wrap.
+[[noreturn, gnu::cold, gnu::noinline]] void clock_overflow(const char* clock);
+
+/// a + b and a * b for a time in `clock`'s units, checked for overflow.
+inline std::uint64_t clock_add(std::uint64_t a, std::uint64_t b,
+                               const char* clock) {
+  std::uint64_t sum;
+  if (__builtin_add_overflow(a, b, &sum)) [[unlikely]]
+    clock_overflow(clock);
+  return sum;
+}
+inline std::uint64_t clock_mul(std::uint64_t a, std::uint64_t b,
+                               const char* clock) {
+  std::uint64_t product;
+  if (__builtin_mul_overflow(a, b, &product)) [[unlikely]]
+    clock_overflow(clock);
+  return product;
+}
+
 /// Static block scheduling: time for the slowest processor's share plus
 /// fork/join and dispatch overheads.  `reduction_updates` is the number of
 /// reduction-statement executions (used by the Blocked scheme).
@@ -62,8 +82,8 @@ struct RunClock {
   std::uint64_t parallel = 0;  ///< modeled time on config.processors
 
   void add_sequential(std::uint64_t cost) {
-    serial += cost;
-    parallel += cost;
+    serial = clock_add(serial, cost, "serial");
+    parallel = clock_add(parallel, cost, "parallel");
   }
   double speedup() const {
     return parallel == 0 ? 1.0

@@ -1,86 +1,14 @@
 #include "runtime/pdtest.h"
 
-#include <cmath>
-
 namespace polaris {
-
-ShadowArrays::ShadowArrays(std::size_t elements)
-    : n_(elements),
-      a_w_(elements, false),
-      a_r_(elements, false),
-      a_np_(elements, false),
-      iter_state_(elements, IterState::None) {}
-
-void ShadowArrays::begin_iteration() {
-  p_assert_msg(!in_iteration_, "nested begin_iteration");
-  in_iteration_ = true;
-}
-
-void ShadowArrays::record_read(std::size_t index) {
-  p_assert(in_iteration_);
-  p_assert_msg(index < n_, "shadow index out of range");
-  ++accesses_;
-  if (iter_state_[index] == IterState::None) {
-    iter_state_[index] = IterState::ReadFirst;
-    touched_.push_back(index);
-  }
-}
-
-void ShadowArrays::record_write(std::size_t index) {
-  p_assert(in_iteration_);
-  p_assert_msg(index < n_, "shadow index out of range");
-  ++accesses_;
-  switch (iter_state_[index]) {
-    case IterState::None:
-      iter_state_[index] = IterState::Written;
-      touched_.push_back(index);
-      ++w_count_;
-      if (!a_w_[index]) {
-        a_w_[index] = true;
-        ++m_count_;
-      }
-      break;
-    case IterState::ReadFirst:
-      iter_state_[index] = IterState::ReadThenWritten;
-      ++w_count_;
-      if (!a_w_[index]) {
-        a_w_[index] = true;
-        ++m_count_;
-      }
-      break;
-    case IterState::Written:
-    case IterState::ReadThenWritten:
-      break;  // only the first write of an iteration marks
-  }
-}
-
-void ShadowArrays::end_iteration() {
-  p_assert(in_iteration_);
-  for (std::size_t index : touched_) {
-    switch (iter_state_[index]) {
-      case IterState::ReadFirst:
-        a_r_[index] = true;
-        break;
-      case IterState::ReadThenWritten:
-        a_np_[index] = true;
-        break;
-      case IterState::Written:
-        break;
-      case IterState::None:
-        p_unreachable("touched element with no state");
-    }
-    iter_state_[index] = IterState::None;
-  }
-  touched_.clear();
-  in_iteration_ = false;
-}
 
 PdVerdict ShadowArrays::analyze() const {
   p_assert_msg(!in_iteration_, "analyze during an open iteration");
   PdVerdict v;
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (a_w_[i] && a_r_[i]) v.flow_anti = true;
-    if (a_w_[i] && a_np_[i]) v.not_privatizable = true;
+  for (std::uint8_t e : shadow_) {
+    if ((e & (kMarkW | kMarkR)) == (kMarkW | kMarkR)) v.flow_anti = true;
+    if ((e & (kMarkW | kMarkNp)) == (kMarkW | kMarkNp))
+      v.not_privatizable = true;
   }
   v.output_deps = (w_count_ != m_count_);
   return v;

@@ -35,38 +35,87 @@ struct PdVerdict {
   bool pass() const { return parallel_shared() || parallel_privatized(); }
 };
 
-/// Shadow arrays for one array under test.
+/// Shadow arrays for one array under test: one byte per element, holding
+/// the element's state in the current iteration (two bits) and its A_w,
+/// A_r and A_np marks (three bits).  The elements an iteration touched are
+/// listed beside the bytes, so ending the iteration visits only those.
 class ShadowArrays {
  public:
-  explicit ShadowArrays(std::size_t elements);
+  explicit ShadowArrays(std::size_t elements)
+      : n_(elements), shadow_(elements, 0) {}
 
   /// Iteration protocol: begin, record accesses in program order, end.
-  void begin_iteration();
-  void record_read(std::size_t index);
-  void record_write(std::size_t index);
-  void end_iteration();
+  void begin_iteration() {
+    p_assert_msg(!in_iteration_, "nested begin_iteration");
+    in_iteration_ = true;
+  }
+  void record_read(std::size_t index) {
+    std::uint8_t& e = access(index);
+    if ((e & kState) == 0) {
+      e |= kReadFirst;
+      touched_.push_back(index);
+    }
+  }
+  void record_write(std::size_t index) {
+    std::uint8_t& e = access(index);
+    if (e & kWritten) return;  // only the first write of an iteration marks
+    if ((e & kState) == 0) touched_.push_back(index);
+    e |= kWritten;
+    ++w_count_;
+    if (!(e & kMarkW)) {
+      e |= kMarkW;
+      ++m_count_;
+    }
+  }
+  void end_iteration() {
+    p_assert(in_iteration_);
+    for (std::size_t index : touched_) {
+      std::uint8_t& e = shadow_[index];
+      switch (e & kState) {
+        case kReadFirst:
+          e |= kMarkR;
+          break;
+        case kReadFirst | kWritten:
+          e |= kMarkNp;
+          break;
+        case kWritten:
+          break;
+        default:
+          p_unreachable("touched element with no state");
+      }
+      e &= static_cast<std::uint8_t>(~kState);
+    }
+    touched_.clear();
+    in_iteration_ = false;
+  }
 
   PdVerdict analyze() const;
-
-  std::uint64_t total_accesses() const { return accesses_; }
-  std::uint64_t write_count() const { return w_count_; }
-  std::uint64_t mark_count() const { return m_count_; }
 
   /// Modeled cost of marking plus the parallel post-analysis on p
   /// processors: O(a/p + log p) per the paper.
   std::uint64_t cost(int processors) const;
 
  private:
-  enum class IterState : std::uint8_t {
-    None,
-    ReadFirst,          // read, no write yet this iteration
-    Written,            // first access was a write
-    ReadThenWritten,    // read before write this iteration
-  };
+  // An element's byte.  The state is 0 before the iteration's first
+  // access, kReadFirst after a read with no write before it, kWritten when
+  // the first access was a write, and both after a read then a write.
+  static constexpr std::uint8_t kReadFirst = 1;
+  static constexpr std::uint8_t kWritten = 2;
+  static constexpr std::uint8_t kState = kReadFirst | kWritten;
+  static constexpr std::uint8_t kMarkW = 4;   ///< A_w
+  static constexpr std::uint8_t kMarkR = 8;   ///< A_r
+  static constexpr std::uint8_t kMarkNp = 16; ///< A_np
+
+  /// `index`'s byte, for an access of the open iteration.
+  std::uint8_t& access(std::size_t index) {
+    p_assert(in_iteration_);
+    p_assert_msg(index < n_, "shadow index out of range");
+    ++accesses_;
+    return shadow_[index];
+  }
 
   std::size_t n_;
-  std::vector<bool> a_w_, a_r_, a_np_;
-  std::vector<IterState> iter_state_;
+  std::vector<std::uint8_t> shadow_;
   std::vector<std::size_t> touched_;  // indices dirtied this iteration
   bool in_iteration_ = false;
   std::uint64_t w_count_ = 0;

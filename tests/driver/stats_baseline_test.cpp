@@ -154,9 +154,10 @@ TEST(InterpBaseline, SuiteRunsMatchCheckedInGolden) {
   }
   Options pd = Options::polaris();
   pd.runtime_pd_test = true;
+  // Every point of Figure 6's curve.
   auto track = Compiler(pd).compile(kTrackSource);
-  record_run(got, "track.pdtest.p1", run_on(*track, 1));
-  record_run(got, "track.pdtest.p8", run_on(*track, 8));
+  for (int p = 1; p <= 8; ++p)
+    record_run(got, "track.pdtest.p" + std::to_string(p), run_on(*track, p));
   // The 16 codes as subroutines of one driver that CALLs each in table
   // order: the runs through CALL, invoke and a callee's frame.
   const std::string calls = calling_suite_source();

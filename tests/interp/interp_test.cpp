@@ -173,6 +173,21 @@ std::string outcome(const std::string& src) {
   }
 }
 
+// A DOALL whose two iterations each run an empty DO of 2^62 trips: each
+// iteration's time, 2^63 + 2 units, fits, and so does the parallel time
+// (one iteration per processor), but their sum on the serial clock passes
+// 2^64 - 1 units.  It is an error naming the clock, not a wrap.
+TEST(InterpTest, ParallelLoopSerialSumOverflowIsAnError) {
+  EXPECT_EQ(outcome("      program t\n"
+                    "csrd$ doall\n"
+                    "      do i = 1, 2\n"
+                    "        do j = 1, 4611686018427387904\n"
+                    "        end do\n"
+                    "      end do\n"
+                    "      end\n"),
+            "UserError serial clock overflows 2^64 - 1 units");
+}
+
 // The fused binary ops take their right operand from the op: a constant
 // (`x OP 3`) or a scalar's slot (`x OP y`).  Each must give what the
 // unfused op gives over an element load (`x OP w(1)`, w(1) holding the
@@ -1030,6 +1045,66 @@ TEST(InterpTest, SpeculativeShadowsIgnoreCalleeAliases) {
   EXPECT_EQ(r.pd_test_cost, 36u);
   EXPECT_EQ(r.clock.serial, 1083u);
   EXPECT_EQ(r.clock.parallel, 3035u);
+}
+
+// A speculative body left early, by RETURN from the subroutine that holds
+// the loop or by STOP: the attempt ends at that iteration and its verdict
+// still decides.  a(k(i)) is read and written in each iteration; with
+// k(i) = i the elements are disjoint and the attempt passes, with
+// k(i) = mod(i, 2) + 1 iterations collide and the attempt fails, restores
+// a and re-executes serially up to the same RETURN or STOP.
+TEST(InterpTest, SpeculativeBodyLeftByReturnOrStop) {
+  const std::string setup =
+      "      program t\n      real a(8)\n      integer k(8)\n"
+      "      do i = 1, 8\n        a(i) = i\n";
+  const std::string returning =
+      "      end do\n      call s(a, k)\n"
+      "      print *, a(1), a(2), a(3), a(4), a(5), a(6)\n      end\n"
+      "      subroutine s(a, k)\n      real a(8)\n      integer k(8)\n"
+      "csrd$ speculative doall shadow(a)\n      do i = 1, 8\n"
+      "        a(k(i)) = a(k(i)) + 10.0\n"
+      "        if (i .eq. 5) return\n      end do\n"
+      "      a(1) = -1.0\n      end\n";
+  const std::string stopping =
+      "      end do\n      print *, a(1), a(2)\n"
+      "csrd$ speculative doall shadow(a)\n      do i = 1, 8\n"
+      "        a(k(i)) = a(k(i)) + 10.0\n"
+      "        if (i .eq. 5) stop\n      end do\n"
+      "      print *, a(1)\n      end\n";
+  const std::string disjoint = "        k(i) = i\n";
+  const std::string colliding = "        k(i) = mod(i, 2) + 1\n";
+  const struct {
+    const char* name;
+    std::string src;
+    std::vector<std::string> output;
+    bool stopped;
+    std::uint64_t statements, serial, parallel;
+    int failures;
+    std::uint64_t pd_test_cost, wasted;
+  } cases[] = {
+      {"return, passing", setup + disjoint + returning,
+       {"11 12 13 14 15 6"}, false, 31, 154, 2240, 0, 26, 0},
+      {"return, failing", setup + colliding + returning,
+       {"21 32 3 4 5 6"}, false, 42, 290, 2436, 1, 26, 2146},
+      {"stop, passing", setup + disjoint + stopping,
+       {"1 2"}, true, 30, 126, 2212, 0, 26, 0},
+      {"stop, failing", setup + colliding + stopping,
+       {"1 2"}, true, 41, 262, 2408, 1, 26, 2146},
+  };
+  MachineConfig cfg;
+  cfg.processors = 8;
+  for (const auto& c : cases) {
+    RunResult r = run_src(c.src, cfg);
+    EXPECT_EQ(r.output, c.output) << c.name;
+    EXPECT_EQ(r.stopped, c.stopped) << c.name;
+    EXPECT_EQ(r.statements, c.statements) << c.name;
+    EXPECT_EQ(r.clock.serial, c.serial) << c.name;
+    EXPECT_EQ(r.clock.parallel, c.parallel) << c.name;
+    EXPECT_EQ(r.speculative_attempts, 1) << c.name;
+    EXPECT_EQ(r.speculative_failures, c.failures) << c.name;
+    EXPECT_EQ(r.pd_test_cost, c.pd_test_cost) << c.name;
+    EXPECT_EQ(r.speculative_wasted, c.wasted) << c.name;
+  }
 }
 
 // Run-time errors no other test pins: each keeps its exception type, its

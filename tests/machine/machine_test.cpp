@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace polaris {
 namespace {
 
@@ -66,6 +69,46 @@ TEST(MachineTest, RunClockSpeedup) {
   clock.serial += 7000;
   clock.parallel += 1000;
   EXPECT_DOUBLE_EQ(clock.speedup(), 4.0);
+}
+
+/// The message of the UserError `f` raises, or "" when it raises none.
+template <typename F>
+std::string user_error_of(F f) {
+  try {
+    f();
+  } catch (const UserError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MachineTest, ClockOverflowIsAUserErrorNamingTheClock) {
+  const std::string parallel = "parallel clock overflows 2^64 - 1 units";
+  const std::vector<std::uint64_t> iters{UINT64_MAX - 1, 2};
+  // One processor's chunk sums both iterations; two processors' fit.
+  EXPECT_EQ(user_error_of([&] { schedule_doall(iters, cheap(1)); }),
+            parallel);
+  EXPECT_EQ(schedule_doall(iters, cheap(2)), UINT64_MAX - 1);
+  // The overheads on top of the slowest chunk.
+  MachineConfig c = cheap(2);
+  c.fork_join_cost = 2;
+  EXPECT_EQ(user_error_of([&] { schedule_doall(iters, c); }), parallel);
+  // A processor's self-scheduled iterations and their dispatch cost.
+  c = cheap(2);
+  c.scheduling = MachineConfig::Scheduling::Dynamic;
+  c.dynamic_dispatch_cost = 2;
+  EXPECT_EQ(user_error_of([&] { schedule_doall(iters, c); }), parallel);
+  // The reduction merge: elements times their cost per element.
+  c = cheap(2);
+  c.reduction_merge_per_elem = 3;
+  EXPECT_EQ(user_error_of([&] { schedule_doall({1}, c, UINT64_MAX / 2); }),
+            parallel);
+
+  RunClock clock;
+  clock.add_sequential(UINT64_MAX);
+  EXPECT_EQ(clock.serial, UINT64_MAX);
+  EXPECT_EQ(user_error_of([&] { clock.add_sequential(1); }),
+            "serial clock overflows 2^64 - 1 units");
 }
 
 TEST(MachineTest, SpeedupSaturatesWithOverheads) {
