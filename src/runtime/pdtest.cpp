@@ -24,7 +24,7 @@ std::uint64_t ShadowArrays::cost(int processors) const {
   for (int p = 1; p < processors; p *= 2) ++stages;
   std::uint64_t merge =
       stages * merge_cost *
-      (n_ / static_cast<std::uint64_t>(processors) + 1);
+      (shadow_.size() / static_cast<std::uint64_t>(processors) + 1);
   return per_proc + merge;
 }
 

@@ -41,8 +41,7 @@ struct PdVerdict {
 /// listed beside the bytes, so ending the iteration visits only those.
 class ShadowArrays {
  public:
-  explicit ShadowArrays(std::size_t elements)
-      : n_(elements), shadow_(elements, 0) {}
+  explicit ShadowArrays(std::size_t elements) : shadow_(elements, 0) {}
 
   /// Iteration protocol: begin, record accesses in program order, end.
   void begin_iteration() {
@@ -109,12 +108,11 @@ class ShadowArrays {
   /// `index`'s byte, for an access of the open iteration.
   std::uint8_t& access(std::size_t index) {
     p_assert(in_iteration_);
-    p_assert_msg(index < n_, "shadow index out of range");
+    p_assert_msg(index < shadow_.size(), "shadow index out of range");
     ++accesses_;
     return shadow_[index];
   }
 
-  std::size_t n_;
   std::vector<std::uint8_t> shadow_;
   std::vector<std::size_t> touched_;  // indices dirtied this iteration
   bool in_iteration_ = false;

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """A sampling profile of one command, without perf.
 
-    python3 tools/pc_profile.py [--top N] [--lines FUNC] \\
-        [--interval-us US] -- CMD [ARG...]
+    python3 tools/pc_profile.py [--lines FUNC] -- CMD [ARG...]
 
 Compiles a small LD_PRELOAD sampler with `cc` and runs CMD under it.  The
-sampler arms a CLOCK_MONOTONIC timer that raises SIGPROF every US
-microseconds (default 100) and records the program counter each signal
-interrupts; when CMD exits normally it writes those PCs and its
+sampler arms a CLOCK_MONOTONIC timer that raises SIGPROF every 100
+microseconds and records the program counter each signal interrupts;
+when CMD exits normally it writes those PCs and its
 /proc/self/maps.  It takes LD_PRELOAD out of CMD's environment as it
 starts, so only CMD itself is sampled, not the programs it runs.
 
 The PCs are then symbolized with `addr2line -f -i -C`, each folded into
 the outermost function of its inline chain (the function the code was
 inlined into, the one a call would have left), and the report prints the
-top N functions by share of samples.  With --lines FUNC it also prints the
-top N source lines of the functions whose name contains FUNC, each line
+top 20 functions by share of samples.  With --lines FUNC it also prints the
+top 20 source lines of the functions whose name contains FUNC, each line
 being one of FUNC's own (the call site, for code inlined into it).
 
 Symbols need the binary's debug information (the default RelWithDebInfo
@@ -33,6 +32,8 @@ import subprocess
 import sys
 import tempfile
 
+TOP = 20  # functions, and lines, each report lists
+
 SAMPLER = r"""
 #define _GNU_SOURCE
 #include <signal.h>
@@ -43,7 +44,7 @@ SAMPLER = r"""
 #include <ucontext.h>
 #include <unistd.h>
 
-enum { kMaxSamples = 1 << 22 };
+enum { kMaxSamples = 1 << 22, kIntervalUs = 100 };
 static unsigned long pcs[kMaxSamples];
 static unsigned long count;
 static timer_t timer;
@@ -65,7 +66,6 @@ static void on_sigprof(int sig, siginfo_t* info, void* context) {
 
 __attribute__((constructor)) static void start(void) {
   unsetenv("LD_PRELOAD");  /* sample this process, not its children */
-  long us = atol(getenv("PC_PROFILE_US") ? getenv("PC_PROFILE_US") : "100");
   struct sigaction sa;
   memset(&sa, 0, sizeof sa);
   sa.sa_sigaction = on_sigprof;
@@ -76,8 +76,7 @@ __attribute__((constructor)) static void start(void) {
   ev.sigev_notify = SIGEV_SIGNAL;
   ev.sigev_signo = SIGPROF;
   if (timer_create(CLOCK_MONOTONIC, &ev, &timer) != 0) return;
-  struct itimerspec t = {{us / 1000000, us % 1000000 * 1000},
-                         {us / 1000000, us % 1000000 * 1000}};
+  struct itimerspec t = {{0, kIntervalUs * 1000}, {0, kIntervalUs * 1000}};
   armed = timer_settime(timer, 0, &t, NULL) == 0;
 }
 
@@ -206,10 +205,10 @@ def profile(pcs, maps_path):
     return samples
 
 
-def print_top(title, counter, total, top):
+def print_top(title, counter, total):
     print(title)
     print("  share  samples  name")
-    for name, n in counter.most_common(top):
+    for name, n in counter.most_common(TOP):
         shown = name if len(name) <= 110 else name[:107] + "..."
         print("%6.1f%%  %7d  %s" % (100.0 * n / total, n, shown))
 
@@ -217,26 +216,19 @@ def print_top(title, counter, total, top):
 def main():
     ap = argparse.ArgumentParser(
         description="Sampling profile of one command without perf.")
-    ap.add_argument("--top", type=int, default=20,
-                    help="functions (and lines) to list (default 20)")
     ap.add_argument("--lines", metavar="FUNC",
                     help="also list the top source lines of FUNC")
-    ap.add_argument("--interval-us", type=int, default=100,
-                    help="sampling interval in microseconds (default 100)")
     ap.add_argument("command", nargs=argparse.REMAINDER,
                     help="-- CMD [ARG...]")
     args = ap.parse_args()
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command:
         ap.error("no command to profile (give it after --)")
-    if args.interval_us < 1:
-        ap.error("--interval-us must be positive")
 
     with tempfile.TemporaryDirectory(prefix="pc_profile.") as workdir:
         library = build_sampler(workdir)
         out = os.path.join(workdir, "profile")
-        env = dict(os.environ, LD_PRELOAD=library, PC_PROFILE_OUT=out,
-                   PC_PROFILE_US=str(args.interval_us))
+        env = dict(os.environ, LD_PRELOAD=library, PC_PROFILE_OUT=out)
         proc = subprocess.Popen(command, env=env)
         code = proc.wait()
         pcs_path = "%s.%d.pcs" % (out, proc.pid)
@@ -252,20 +244,20 @@ def main():
         samples = profile(pcs, maps_path)
 
     total = len(samples)
-    print("pc_profile: %d samples every %d us of %s (exit %d)" %
-          (total, args.interval_us, " ".join(command), code))
+    print("pc_profile: %d samples every 100 us of %s (exit %d)" %
+          (total, " ".join(command), code))
     if total == 0:
         return code
     print_top("functions (inlined code counted in the function it is "
               "inlined into):",
-              collections.Counter(f for f, _ in samples), total, args.top)
+              collections.Counter(f for f, _ in samples), total)
     if args.lines:
         lines = collections.Counter(line for f, line in samples
                                     if args.lines in f)
         in_func = sum(lines.values())
         print()
         print_top("lines of functions matching '%s' (%d samples):" %
-                  (args.lines, in_func), lines, total, args.top)
+                  (args.lines, in_func), lines, total)
     return code
 
 
