@@ -16,6 +16,10 @@ inlined into, the one a call would have left), and the report prints the
 top 20 functions by share of samples.  With --lines FUNC it also prints the
 top 20 source lines of the functions whose name contains FUNC, each line
 being one of FUNC's own (the call site, for code inlined into it).
+Code without line information, such as a stripped libc, is named only
+by an exported symbol whose extent covers it: addr2line would name it by
+the nearest symbol before it, however far away.  Other samples there
+count as `?? [library]`.
 
 Symbols need the binary's debug information (the default RelWithDebInfo
 build has it).  A sanitizer build (-DPOLARIS_SANITIZE=ON) cannot be
@@ -25,6 +29,7 @@ through; the report follows CMD's output on stdout.
 """
 import argparse
 import array
+import bisect
 import collections
 import functools
 import os
@@ -175,6 +180,29 @@ def symbolize(file, addresses):
     return frames
 
 
+@functools.lru_cache(maxsize=None)
+def exported_symbols(file):
+    """([start], [(end, name)]) of the file's sized dynamic symbols, by start."""
+    out = subprocess.run(["nm", "-D", "-C", "-S", "--defined-only", file],
+                         capture_output=True, text=True).stdout
+    symbols = []
+    for line in out.splitlines():
+        fields = line.split(maxsplit=3)
+        if len(fields) == 4 and fields[2] in "TtWw":
+            start = int(fields[0], 16)
+            symbols.append((start, start + int(fields[1], 16),
+                            fields[3].split("@")[0]))
+    symbols.sort()
+    return [s[0] for s in symbols], [s[1:] for s in symbols]
+
+
+def exported_name(file, address):
+    """The exported symbol whose extent covers `address`, or None."""
+    starts, rest = exported_symbols(file)
+    i = bisect.bisect_right(starts, address) - 1
+    return rest[i][1] if i >= 0 and address < rest[i][0] else None
+
+
 def profile(pcs, maps_path):
     """[(function, line)] for each sample, folded to the outermost frame."""
     maps = read_maps(maps_path)
@@ -197,11 +225,14 @@ def profile(pcs, maps_path):
     samples = []
     for file, address in located:
         chain = frames.get(file, {}).get(address) if file else None
-        if not chain or chain[-1][0] == "??":
+        name = chain[-1][0] if chain else "??"
+        if name != "??" and chain[-1][1].startswith("??"):
+            name = exported_name(file, address) or "??"
+        if name == "??":
             where = "[%s]" % os.path.basename(file) if file else "[unknown]"
             samples.append(("?? " + where, "??"))
         else:
-            samples.append(chain[-1])
+            samples.append((name, chain[-1][1]))
     return samples
 
 
